@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"TPPC"
-    u32    format version (1)
+    u32    format version (2)
     u32    meta length, then meta as UTF-8 JSON
            {stage, config snapshot, rng state}
     u32    number of parameter records
@@ -13,16 +13,20 @@ Layout (all integers little-endian):
         u8   dtype code (0 = float64)
         u8   rank, then rank * u64 dims
         u64  payload offset (relative to payload region start)
-        u64  FNV-1a hash of the payload bytes
+        u64  BLAKE2b-64 digest of the payload bytes (see content_hash)
     payload region: concatenated raw little-endian float64 data
 
 Load verifies every hash; load followed by save reproduces byte-identical
-parameter payloads. Writes are atomic (temp file, then rename).
+parameter payloads. A file that does not parse, including one of another
+format version, raises StructuralError naming the file. Writes are atomic
+(temp file, then rename).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -34,26 +38,23 @@ from .errors import StructuralError
 from .registry import ParamGroup, ParamRegistry
 
 MAGIC = b"TPPC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _GROUP_CODE = {ParamGroup.BACKBONE: 0, ParamGroup.TARGET: 1, ParamGroup.HEAD: 2}
 _CODE_GROUP = {v: k for k, v in _GROUP_CODE.items()}
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 
+def content_hash(buf) -> int:
+    """BLAKE2b with an 8-byte digest over a bytes-like buffer.
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over raw bytes."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    The digest is read as a little-endian u64, so the hash field written to
+    the file holds the raw digest bytes.
+    """
+    return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
 
 
 def _hash_array(arr: np.ndarray) -> int:
-    return fnv1a64(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return content_hash(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 @dataclass
@@ -136,6 +137,13 @@ class Checkpoint:
             blob = fh.read()
         if blob[:4] != MAGIC:
             raise StructuralError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+        try:
+            return cls._parse(blob, path)
+        except (struct.error, ValueError) as exc:  # truncation, bad JSON/UTF-8/dims
+            raise StructuralError(f"{path}: malformed checkpoint: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, blob: bytes, path: str) -> "Checkpoint":
         pos = 4
         version, = struct.unpack_from("<I", blob, pos)
         pos += 4
@@ -144,6 +152,8 @@ class Checkpoint:
         meta_len, = struct.unpack_from("<I", blob, pos)
         pos += 4
         meta = json.loads(blob[pos:pos + meta_len].decode())
+        if not isinstance(meta, dict):
+            raise StructuralError(f"{path}: meta is not a JSON object")
         pos += meta_len
         count, = struct.unpack_from("<I", blob, pos)
         pos += 4
@@ -155,23 +165,29 @@ class Checkpoint:
             pos += name_len
             group_code, dtype_code, rank = struct.unpack_from("<BBB", blob, pos)
             pos += 3
+            if group_code not in _CODE_GROUP:
+                raise StructuralError(f"{path}: unknown group code {group_code} for {name}")
             if dtype_code != 0:
                 raise StructuralError(f"{path}: unknown dtype code {dtype_code} for {name}")
             dims = struct.unpack_from(f"<{rank}Q", blob, pos)
             pos += 8 * rank
-            offset, content_hash = struct.unpack_from("<QQ", blob, pos)
+            offset, stored_hash = struct.unpack_from("<QQ", blob, pos)
             pos += 16
-            headers.append((name, _CODE_GROUP[group_code], dims, offset, content_hash))
+            headers.append((name, _CODE_GROUP[group_code], dims, offset, stored_hash))
         payload_start = pos
         ckpt = cls(meta=meta)
-        for name, group, dims, offset, content_hash in headers:
-            nbytes = 8 * int(np.prod(dims)) if dims else 8
+        for name, group, dims, offset, stored_hash in headers:
+            nbytes = 8 * math.prod(dims)
             start = payload_start + offset
             raw = blob[start:start + nbytes]
-            if fnv1a64(raw) != content_hash:
+            if len(raw) != nbytes:
+                raise StructuralError(
+                    f"{path}: payload of {name} has {len(raw)} bytes, dims {list(dims)} "
+                    f"need {nbytes}")
+            if content_hash(raw) != stored_hash:
                 raise StructuralError(f"{path}: content hash mismatch for {name}")
             data = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
-            ckpt.entries[name] = CheckpointEntry(group, data, content_hash)
+            ckpt.entries[name] = CheckpointEntry(group, data, stored_hash)
         return ckpt
 
     # -- application -------------------------------------------------------

@@ -29,9 +29,9 @@ from .config import AUTO, ExperimentConfig
 from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverged
 from .optim import AdamWSpec, ScheduleSpec
 from .peft import BitFitSpec, mechanism_name
-from .pipeline import (InitSpec, MetricLog, ModelBundle, Objective, Stage,
-                       StagePlan, build_bundle, default_plan, ensure_mae,
-                       evaluate, grid_search, init_target_params, run_stage)
+from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
+                       build_bundle, default_plan, ensure_mae, evaluate,
+                       grid_search, run_stage)
 from .registry import ParamGroup
 from .rng import SeededRng
 
@@ -256,12 +256,14 @@ def cmd_finetune(args) -> int:
     num_classes = (data.train.num_classes if task == "classification" else 2)
     head_spec = cfg.head_spec(task, num_classes)
     backbone_ckpt = Checkpoint.load(args.backbone)
+    target_ckpt = None if args.target_init == "random" else Checkpoint.load(args.target_init)
 
     def make_bundle() -> ModelBundle:
         bundle = build_bundle(cfg.vit_config(), args.seed, head_spec=head_spec,
                               peft_spec=peft_spec, backbone=backbone_ckpt)
-        if args.target_init != "random":
-            init_target_params(bundle, InitSpec("from_checkpoint", args.target_init))
+        if target_ckpt is not None:
+            target_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.TARGET},
+                                          require_all=True)
         return bundle
 
     plan = _stage_plan(cfg, Stage.FINETUNE, objective, task)

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, _hash_array
 from .data import Dataset, SplitDatasets
 from .errors import ArgumentError, StateError, TrainingDiverged
 from .metrics import EvalReport, classification_report, segmentation_report
@@ -325,6 +325,12 @@ def _segmentation_loss(bundle: ModelBundle, images: Tensor, masks: np.ndarray) -
     return T.add(ce, T.dice_loss(fg, Tensor(masks.astype(np.float64))))
 
 
+def _frozen_hashes(registry: ParamRegistry, frozen_groups) -> dict[str, int]:
+    """Content hash of every frozen param: compares bytes, so NaN equals itself
+    and a 0.0 -> -0.0 change is seen, as in `audit_freeze`."""
+    return {p.name: _hash_array(p.data) for p in registry if p.group in frozen_groups}
+
+
 def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Dataset,
               rng: SeededRng, mae_cfg: MaeConfig | None = None,
               dino_cfg: DinoConfig | None = None) -> tuple[Checkpoint, MetricLog]:
@@ -355,11 +361,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     if plan.init is not None:
         init_target_params(bundle, plan.init, rng.child("init/peft"))
 
-    frozen_before = {
-        p.name: p.data.copy()
-        for p in bundle.registry
-        if p.group in plan.frozen_groups
-    }
+    frozen_before = _frozen_hashes(bundle.registry, plan.frozen_groups)
 
     optimizer = AdamW(bundle.registry.params(trainable=True), plan.optimizer)
     n = len(train)
@@ -428,10 +430,8 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         report = evaluate(bundle, val, plan.batch_size)
         log.extend(report.to_records("val"))
 
-    violations = [
-        name for name, before in frozen_before.items()
-        if not np.array_equal(before, bundle.registry.get(name).data)
-    ]
+    frozen_after = _frozen_hashes(bundle.registry, plan.frozen_groups)
+    violations = [name for name, h in frozen_before.items() if frozen_after[name] != h]
     if violations:
         raise StateError(f"freeze violation: frozen params changed: {violations}")
 

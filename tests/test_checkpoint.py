@@ -1,11 +1,17 @@
 """Checkpoint format: round trips, hash sensitivity, freeze audits."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tpp.checkpoint import (Checkpoint, audit_freeze, fnv1a64)
+from tpp.checkpoint import (MAGIC, Checkpoint, CheckpointEntry, _hash_array,
+                            audit_freeze, content_hash)
+from tpp.cli import main
 from tpp.errors import StructuralError
 from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
@@ -20,18 +26,105 @@ def _registry(seed=0):
     return reg
 
 
-class TestFnv1a:
+def _small_checkpoint() -> Checkpoint:
+    """A few tiny tensors of ranks 0-2 in all three groups."""
+    ckpt = Checkpoint(meta={"stage": "t"})
+    arrays = {"a": (ParamGroup.BACKBONE, np.array(1.5)),
+              "b": (ParamGroup.TARGET, np.arange(3.0)),
+              "c": (ParamGroup.HEAD, np.array([[-0.0, 2.0], [np.nan, 4.0]]))}
+    for name, (group, data) in arrays.items():
+        ckpt.entries[name] = CheckpointEntry(group, data, _hash_array(data))
+    return ckpt
+
+
+class TestContentHash:
     def test_known_vectors(self):
-        # standard FNV-1a 64-bit test vectors
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a64(b"foobar") == 0x85944171F73967E8
+        # format 2: blake2b(digest_size=8), digest read as a little-endian u64
+        assert content_hash(b"") == 0xB4B2797457A0A6E4
+        assert content_hash(b"a") == 0x2F42665B399EF840
+        assert content_hash(b"foobar") == 0xF9514A257F2F219D
 
     def test_single_bit_sensitivity(self):
         base = np.zeros(16)
         flipped = base.copy()
         flipped[7] = np.nextafter(0.0, 1.0)
-        assert fnv1a64(base.tobytes()) != fnv1a64(flipped.tobytes())
+        assert content_hash(base.tobytes()) != content_hash(flipped.tobytes())
+
+    def test_array_hash_covers_the_raw_bytes(self):
+        arr = np.arange(12.0).reshape(3, 4)
+        assert _hash_array(arr) == content_hash(arr.tobytes())
+        assert _hash_array(arr.T) == content_hash(np.ascontiguousarray(arr.T).tobytes())
+        assert _hash_array(np.array([0.0])) != _hash_array(np.array([-0.0]))
+
+
+class TestMalformed:
+    """Every malformed file is a StructuralError naming it, never a traceback."""
+
+    def _blob(self, tmp_path) -> bytes:
+        path = tmp_path / "ok.tppc"
+        _small_checkpoint().save(str(path))
+        return path.read_bytes()
+
+    def _expect_structural(self, tmp_path, blob: bytes, match: str) -> None:
+        path = tmp_path / "bad.tppc"
+        path.write_bytes(blob)
+        with pytest.raises(StructuralError, match=match) as exc:
+            Checkpoint.load(str(path))
+        assert str(path) in str(exc.value)
+
+    @staticmethod
+    def _header(version: int, meta: bytes) -> bytes:
+        return (MAGIC + struct.pack("<I", version) + struct.pack("<I", len(meta)) + meta
+                + struct.pack("<I", 0))
+
+    def test_version_1_rejected(self, tmp_path, capsys):
+        blob = self._header(1, json.dumps({"stage": "old"}).encode())
+        self._expect_structural(tmp_path, blob, "unsupported format version 1")
+        path = str(tmp_path / "bad.tppc")
+        assert main(["audit", path, path]) == 2
+        assert "version 1" in capsys.readouterr().err
+
+    def test_meta_must_be_a_json_object(self, tmp_path):
+        self._expect_structural(tmp_path, self._header(2, b"[]"), "meta is not a JSON object")
+
+    def test_truncated_header(self, tmp_path):
+        blob = self._blob(tmp_path)
+        self._expect_structural(tmp_path, blob[:20], "malformed")
+
+    def test_blob_shorter_than_version_field(self, tmp_path):
+        self._expect_structural(tmp_path, MAGIC + b"\x02", "malformed")
+
+    def test_unknown_group_code(self, tmp_path):
+        blob = bytearray(self._blob(tmp_path))
+        meta_len, = struct.unpack_from("<I", blob, 8)
+        group_pos = 12 + meta_len + 4 + 2 + len(b"a")
+        assert blob[group_pos] == 0
+        blob[group_pos] = 7
+        self._expect_structural(tmp_path, bytes(blob), "unknown group code 7 for a")
+
+    def test_payload_shorter_than_dims(self, tmp_path):
+        blob = self._blob(tmp_path)
+        self._expect_structural(tmp_path, blob[:-8], "payload of c has 24 bytes")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncations_and_byte_flips_load_verified_or_fail_structurally(
+            self, tmp_path, data):
+        blob = bytearray(self._blob(tmp_path))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        path = tmp_path / "fuzz.tppc"
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = Checkpoint.load(str(path))
+        except StructuralError:
+            return
+        for entry in loaded.entries.values():
+            assert entry.content_hash == _hash_array(entry.data)
 
 
 class TestRoundTrip:

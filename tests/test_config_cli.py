@@ -145,17 +145,16 @@ class TestCli:
         assert any(r.get("split") == "test" for r in records)
         assert any(r.get("event") == "effective_config" for r in records)
 
-    def test_audit_exit_codes(self, workspace, capsys):
-        s3 = workspace["root"] / "s3"
-        if not (s3 / "finetune.tppc").exists():
-            pytest.skip("finetune output not present")
-        code = main(["audit", workspace["backbone"], str(s3 / "finetune.tppc"),
-                     "--groups", "backbone"])
+    def test_audit_exit_codes(self, workspace, tmp_path, capsys):
+        assert main(["finetune", "--config", workspace["cfg"], "--seed", "3",
+                     "--backbone", workspace["backbone"], "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        finetuned = str(tmp_path / "finetune.tppc")
+        code = main(["audit", workspace["backbone"], finetuned, "--groups", "backbone"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
         # target group differs between those two checkpoints structurally
-        code = main(["audit", workspace["backbone"], str(s3 / "finetune.tppc"),
-                     "--groups", "target"])
+        code = main(["audit", workspace["backbone"], finetuned, "--groups", "target"])
         assert code == 2  # structural difference, not a hash failure
 
     def test_audit_detects_a_changed_backbone(self, workspace, tmp_path, capsys):
@@ -195,6 +194,27 @@ class TestCli:
         text = capsys.readouterr().out
         assert "grid search" in text
         assert text.count("lr=") >= 2
+
+    def test_grid_with_target_init_loads_each_checkpoint_once(self, workspace, tmp_path,
+                                                              capsys, monkeypatch):
+        target_dir = tmp_path / "tpp"
+        assert main(["tpp", "--config", workspace["cfg"], "--seed", "5",
+                     "--backbone", workspace["backbone"], "--out", str(target_dir)]) == 0
+        loads = []
+        real_load = Checkpoint.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return real_load(cls, path)
+
+        monkeypatch.setattr(Checkpoint, "load", classmethod(counting_load))
+        assert main(["finetune", "--config", workspace["cfg"], "--seed", "5",
+                     "--backbone", workspace["backbone"],
+                     "--target-init", str(target_dir / "target.tppc"),
+                     "--grid", "0.001,0.003", "--out", str(tmp_path / "ft")]) == 0
+        assert "grid search" in capsys.readouterr().out
+        assert sorted(loads) == sorted([workspace["backbone"],
+                                        str(target_dir / "target.tppc")])
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
         code = main(["finetune", "--config", str(tmp_path / "nope.cfg"), "--seed", "0",

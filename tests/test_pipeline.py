@@ -9,7 +9,7 @@ from tpp import tensor as T
 from tpp.checkpoint import Checkpoint, audit_freeze
 from tpp.data import SyntheticTaskSpec, generate_synthetic
 from tpp.errors import StateError, StructuralError, TrainingDiverged
-from tpp.optim import ScheduleSpec
+from tpp.optim import AdamW, ScheduleSpec
 from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec
 from tpp.pipeline import (InitSpec, Objective, Stage, StagePlan, build_bundle,
                           default_plan, evaluate, grid_search,
@@ -102,6 +102,40 @@ class TestFreezeTheorem:
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=8)
         after, _ = run_stage(plan, bundle, splits, SeededRng(2, "stage/ft"))
         assert audit_freeze(before, after, {ParamGroup.BACKBONE}).passed
+
+    def test_nan_in_unused_frozen_param_is_not_a_violation(self):
+        # MAE-TPP never reads the classification head, so its NaN stays out of
+        # the loss; NaN bytes are unchanged, so the freeze check must pass
+        bundle = build_bundle(TINY, seed=4, head_spec=ClassificationSpec(2),
+                              peft_spec=AdapterSpec(4))
+        head = bundle.registry.get("head.fc.weight")
+        head.tensor.data = np.full_like(head.data, np.nan)
+        plan = _quick_plan(Stage.TPP, Objective.MAE, steps=2,
+                           frozen_groups=frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD}),
+                           trainable_groups=frozenset({ParamGroup.TARGET}))
+        after, _ = run_stage(plan, bundle, _splits(), SeededRng(4, "stage/tpp"))
+        assert np.isnan(after.entries["head.fc.weight"].data).all()
+
+    @pytest.mark.parametrize("change", ["ulp", "signed_zero"])
+    def test_frozen_param_changed_during_stage_raises(self, monkeypatch, change):
+        bundle = build_bundle(TINY, seed=5, head_spec=ClassificationSpec(2),
+                              peft_spec=AdapterSpec(4))
+        victim = bundle.registry.get("backbone.cls_token")
+        if change == "signed_zero":
+            victim.tensor.data = np.zeros_like(victim.data)
+        real_step = AdamW.step
+
+        def step_and_touch(self, lr, weight_decay=None):
+            real_step(self, lr, weight_decay)
+            if change == "ulp":
+                victim.tensor.data = np.nextafter(victim.data, np.inf)
+            else:
+                victim.tensor.data = -victim.data
+
+        monkeypatch.setattr(AdamW, "step", step_and_touch)
+        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=1)
+        with pytest.raises(StateError, match="backbone.cls_token"):
+            run_stage(plan, bundle, _splits(), SeededRng(5, "stage/ft"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self):
