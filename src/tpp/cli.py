@@ -11,8 +11,6 @@ Verbs:
 
 Exit codes: 0 success, 1 config error, 2 runtime/divergence, 3 audit failure.
 Every command is idempotent on its outputs given --seed and identical inputs.
-TPP_NUM_WORKERS sets the augmentation worker count (results are identical
-regardless, because per-sample rng streams are derived, not shared).
 """
 
 from __future__ import annotations
@@ -111,17 +109,29 @@ def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task:
 
 
 def _task_and_data(cfg: ExperimentConfig, seed: int):
+    """Load the data and check it fits [model] before any model is built.
+
+    Every image must be [num_channels, image_size, image_size], and every
+    segmentation mask binary (the loss and head assume 2 classes).
+    """
     data = cfg.load_data(seed)
-    task = data.train.task
-    return task, data
+    m = cfg.values["model"]
+    shape = (m["num_channels"], m["image_size"], m["image_size"])
+    for split in ("train", "val", "test"):
+        for s in getattr(data, split).samples:
+            if s.image.shape != shape:
+                raise ConfigError(
+                    f"{split} sample {s.id}: image shape {list(s.image.shape)} does not match "
+                    f"[model] num_channels, image_size, image_size = {list(shape)}")
+            if s.mask is not None and (s.mask.min() < 0 or s.mask.max() > 1):
+                raise ConfigError(
+                    f"{split} sample {s.id}: mask labels {np.unique(s.mask).tolist()} "
+                    f"are not all in {{0, 1}}; segmentation is binary")
+    return data.train.task, data
 
 
 def _echo_config(cfg: ExperimentConfig, log: MetricLog, seed: int) -> None:
     log.log(event="effective_config", seed=seed, **cfg.effective())
-
-
-def _finetune_objective(task: str) -> Objective:
-    return Objective.CE if task == "classification" else Objective.DICE_CE
 
 
 def _pretext_objective(cfg: ExperimentConfig) -> Objective:

@@ -8,17 +8,24 @@ File formats: binary PGM (P5) / PPM (P6) and a raw tensor container
 ("TPPT" magic, u32 rank, u64 dims, little-endian float64 payload).
 Folder layouts: ``<split>/<class>/<file>`` for classification, and
 ``images/`` + ``masks/`` with matching stems for segmentation.
+
+Segmentation masks are binary, 0 background and 1 foreground. A PNM mask
+stores 0/maxval (scaled to [0,1] on read, then rounded to the nearer
+label); a TPPT mask stores the labels 0/1 themselves. Any larger TPPT
+value is kept as a label, and `tpp` rejects it before training.
+Every malformed PNM or TPPT file raises a StructuralError naming it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, StructuralError
+from .errors import ArgumentError, StructuralError
 from .rng import SeededRng
 
 TPPT_MAGIC = b"TPPT"
@@ -128,9 +135,12 @@ def read_pnm(path: str) -> np.ndarray:
         magic = fh.read(2)
         if magic not in (b"P5", b"P6"):
             raise StructuralError(f"{path}: unsupported PNM magic {magic!r}")
-        width = int(_read_pnm_token(fh))
-        height = int(_read_pnm_token(fh))
-        maxval = int(_read_pnm_token(fh))
+        try:
+            width, height, maxval = (int(_read_pnm_token(fh)) for _ in range(3))
+        except (StructuralError, ValueError) as exc:  # truncated or non-numeric header
+            raise StructuralError(f"{path}: malformed PNM header: {exc}") from None
+        if width < 1 or height < 1:
+            raise StructuralError(f"{path}: bad size {width}x{height}")
         if maxval <= 0 or maxval > 65535:
             raise StructuralError(f"{path}: bad maxval {maxval}")
         channels = 1 if magic == b"P5" else 3
@@ -176,13 +186,16 @@ def read_tppt(path: str) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != TPPT_MAGIC:
         raise StructuralError(f"{path}: bad magic {blob[:4]!r}")
-    rank, = struct.unpack_from("<I", blob, 4)
-    dims = struct.unpack_from(f"<{rank}Q", blob, 8)
-    payload = blob[8 + 8 * rank:]
-    expected = 8 * int(np.prod(dims)) if rank else 8
-    if len(payload) != expected:
-        raise StructuralError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+    try:
+        rank, = struct.unpack_from("<I", blob, 4)
+        dims = struct.unpack_from(f"<{rank}Q", blob, 8)
+        payload = blob[8 + 8 * rank:]
+        expected = 8 * math.prod(dims)
+        if len(payload) != expected:
+            raise StructuralError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+        return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+    except (struct.error, ValueError) as exc:  # short header, dims numpy cannot hold
+        raise StructuralError(f"{path}: malformed TPPT file: {exc}") from None
 
 
 # -- folder loading ------------------------------------------------------------
@@ -194,10 +207,7 @@ def _load_image_file(path: str) -> np.ndarray:
         if arr.ndim == 2:
             arr = arr[None]
         return arr
-    try:
-        return read_pnm(path)
-    except StructuralError as exc:
-        raise StructuralError(f"{path}: {exc}") from None
+    return read_pnm(path)
 
 
 _IMAGE_EXTS = (".pgm", ".ppm", ".tppt")

@@ -15,12 +15,12 @@ keeps the original backbone names since it adds nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, StateError
-from .registry import ParamGroup, ParamRegistry
+from .registry import Param, ParamGroup, ParamRegistry
 from .rng import SeededRng
 from .vit import Linear, VisionTransformer
 
@@ -86,7 +86,38 @@ def attach(model: VisionTransformer, spec: PeftSpec, rng: SeededRng) -> VisionTr
     """Install a PEFT mechanism on a built backbone (once per model)."""
     if model.peft_spec is not None:
         raise StateError(f"a PEFT spec is already attached: {model.peft_spec!r}")
-    registry = model.registry
+    _install(model, spec, rng, model.registry)
+    model.peft_spec = spec
+    return model
+
+
+def reinit_target_params(model: VisionTransformer, rng: SeededRng) -> None:
+    """Reset Target params to the mechanism's default (identity-at-init) values.
+
+    Runs attach's own init code through a registry view that overwrites the
+    existing params, so under the same rng it draws exactly what `attach`
+    draws. BitFit is a no-op: its biases were re-tagged at attach, none is
+    left in the Backbone group, and they keep their pre-trained values.
+    """
+    if model.peft_spec is None:
+        raise StateError("no PEFT mechanism attached")
+    _install(model, model.peft_spec, rng, _Overwrite(model.registry))
+
+
+class _Overwrite:
+    """Registry view for reinit: `register` overwrites the named param's data."""
+
+    def __init__(self, registry: ParamRegistry):
+        self.registry = registry
+
+    def register(self, name: str, data, group: ParamGroup) -> Param:
+        param = self.registry.get(name)
+        param.tensor.data = np.asarray(data, dtype=np.float64)
+        return param
+
+
+def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry) -> None:
+    """Create the mechanism's params through `registry.register` and fill the slots."""
     cfg = model.cfg
     d = cfg.embed_dim
 
@@ -142,7 +173,8 @@ def attach(model: VisionTransformer, spec: PeftSpec, rng: SeededRng) -> VisionTr
             block.ssf = sites
 
     elif isinstance(spec, BitFitSpec):
-        for p in registry.params(group=ParamGroup.BACKBONE):
+        # the model's registry, not the view: on reinit no Backbone bias is left
+        for p in model.registry.params(group=ParamGroup.BACKBONE):
             if p.name.endswith(".bias"):
                 p.trainable = True
                 p.group = ParamGroup.TARGET
@@ -171,45 +203,6 @@ def attach(model: VisionTransformer, spec: PeftSpec, rng: SeededRng) -> VisionTr
 
     else:
         raise ArgumentError(f"unknown PEFT spec: {spec!r}")
-
-    model.peft_spec = spec
-    return model
-
-
-def reinit_target_params(model: VisionTransformer, rng: SeededRng) -> None:
-    """Reset Target params to the mechanism's default (identity-at-init) values."""
-    spec = model.peft_spec
-    if spec is None:
-        raise StateError("no PEFT mechanism attached")
-    registry = model.registry
-    d = model.cfg.embed_dim
-
-    if isinstance(spec, (AdapterSpec, AdaptFormerSpec)):
-        prefix = mechanism_name(spec)
-        for i in range(model.cfg.depth):
-            brng = rng.child(f"block{i}")
-            registry.get(f"{prefix}.blocks.{i}.down.weight").tensor.data = (
-                brng.child("down").child("w").trunc_normal((d, spec.bottleneck), std=0.02))
-            registry.get(f"{prefix}.blocks.{i}.down.bias").tensor.data = np.zeros(spec.bottleneck)
-            registry.get(f"{prefix}.blocks.{i}.up.weight").tensor.data = np.zeros((spec.bottleneck, d))
-            registry.get(f"{prefix}.blocks.{i}.up.bias").tensor.data = np.zeros(d)
-    elif isinstance(spec, VptSpec):
-        for p in registry.params(prefix="vpt."):
-            layer = p.name.split(".")[2]
-            p.tensor.data = rng.child(f"layer{layer}").trunc_normal(p.tensor.shape)
-    elif isinstance(spec, SsfSpec):
-        for p in registry.params(prefix="ssf."):
-            p.tensor.data = np.ones(p.tensor.shape) if p.name.endswith(".gamma") else np.zeros(p.tensor.shape)
-    elif isinstance(spec, LoraSpec):
-        for i in range(model.cfg.depth):
-            brng = rng.child(f"block{i}")
-            for target in spec.targets:
-                key = _LORA_TARGET_MAP[target]
-                registry.get(f"lora.blocks.{i}.{key}.A").tensor.data = (
-                    brng.child(f"{key}A").normal((d, spec.rank), std=0.02))
-                registry.get(f"lora.blocks.{i}.{key}.B").tensor.data = np.zeros((spec.rank, d))
-    elif isinstance(spec, BitFitSpec):
-        pass  # biases keep their pre-trained values; "random init" is a no-op here
 
 
 def merged_lora_weights(model: VisionTransformer) -> dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -55,16 +55,17 @@ class Objective(Enum):
 class InitSpec:
     """How to initialize Target params before a stage.
 
-    mode "random" re-applies the mechanism default (identity-at-init);
-    "from_checkpoint" / "transfer" / "upstream" load the Target group from
-    a checkpoint file, leaving Backbone and Head untouched.
+    mode "random" re-draws the mechanism's init values through
+    `reinit_target_params` (identity-at-init); "from_checkpoint" loads the
+    Target group from the checkpoint at `path`, leaving Backbone and Head
+    untouched.
     """
 
     mode: str = "random"
     path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("random", "from_checkpoint", "transfer", "upstream"):
+        if self.mode not in ("random", "from_checkpoint"):
             raise ArgumentError(f"unknown init mode: {self.mode!r}")
         if self.mode != "random" and not self.path:
             raise ArgumentError(f"init mode {self.mode!r} requires a checkpoint path")
@@ -134,9 +135,6 @@ def default_plan(stage: Stage, objective: Objective, task: str = "classification
 
     if stage is Stage.BACKBONE_PRETRAIN:
         frozen, trainable = frozenset(), frozenset(ParamGroup)
-    elif stage is Stage.TPP:
-        frozen = frozenset({ParamGroup.BACKBONE})
-        trainable = frozenset({ParamGroup.TARGET, ParamGroup.HEAD})
     else:
         frozen = frozenset({ParamGroup.BACKBONE})
         trainable = frozenset({ParamGroup.TARGET, ParamGroup.HEAD})
@@ -389,38 +387,37 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         pos = (step % spe) * plan.batch_size
         indices = order[pos:pos + plan.batch_size]
 
-        if plan.objective is Objective.MAE:
-            images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
-            loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
-                            sample_keys=[int(i) for i in indices])
-        elif plan.objective is Objective.DINO:
-            views = _dino_views(train.samples, indices, bundle.dino.cfg, rng, epoch)
-            loss, teacher_out = dino.step_loss(views)
-        elif plan.objective is Objective.CE:
-            images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
-            labels = np.array([train.samples[i].label for i in indices], dtype=np.intp)
-            logits = bundle.head(bundle.backbone.forward_images(images))
-            loss = T.cross_entropy(logits, labels)
-        elif plan.objective is Objective.DICE_CE:
-            images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
-            masks = np.stack([train.samples[i].mask for i in indices])
-            loss = _segmentation_loss(bundle, images, masks)
-        else:
-            raise ArgumentError(f"unknown objective {plan.objective}")
-
-        loss_value = float(loss.data)
-        if not np.isfinite(loss_value):
-            T.clear_tape()
-            raise TrainingDiverged(step, lr_at(plan.schedule, step, total_steps, spe, base_lr),
-                                   loss_history)
-        loss_history.append(loss_value)
-
         lr = lr_at(plan.schedule, step, total_steps, spe, base_lr)
         wd = wd_at(plan.schedule, step, total_steps)
-        T.backward(loss)
-        optimizer.step(lr, wd)
-        optimizer.zero_grad()
-        T.clear_tape()
+        try:  # the step's tape is freed however the step ends
+            if plan.objective is Objective.MAE:
+                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
+                loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
+                                sample_keys=[int(i) for i in indices])
+            elif plan.objective is Objective.DINO:
+                views = _dino_views(train.samples, indices, bundle.dino.cfg, rng, epoch)
+                loss, teacher_out = dino.step_loss(views)
+            elif plan.objective is Objective.CE:
+                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
+                labels = np.array([train.samples[i].label for i in indices], dtype=np.intp)
+                logits = bundle.head(bundle.backbone.forward_images(images))
+                loss = T.cross_entropy(logits, labels)
+            elif plan.objective is Objective.DICE_CE:
+                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
+                masks = np.stack([train.samples[i].mask for i in indices])
+                loss = _segmentation_loss(bundle, images, masks)
+            else:
+                raise ArgumentError(f"unknown objective {plan.objective}")
+
+            loss_value = float(loss.data)
+            if not np.isfinite(loss_value):
+                raise TrainingDiverged(step, lr, loss_history)
+            loss_history.append(loss_value)
+            T.backward(loss)
+            optimizer.step(lr, wd)
+            optimizer.zero_grad()
+        finally:
+            T.clear_tape()
         if plan.objective is Objective.DINO:
             dino.after_step(teacher_out)
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
-from .errors import ArgumentError, ShapeError, StateError
+from .errors import ArgumentError, StateError
 from .registry import ParamGroup, ParamRegistry
 from .rng import SeededRng
 from .tensor import Tensor
@@ -107,19 +107,6 @@ class MaskedReconstruction:
         self.ln = LayerNorm(registry, f"{self.PREFIX}.ln", dd, group)
         self.pred = Linear(registry, rng.child("pred"), f"{self.PREFIX}.pred",
                            dd, vit_cfg.patch_dim, group)
-
-    def reinit(self, rng: SeededRng) -> None:
-        """Re-randomize all decoder params (the non-inheritance mode)."""
-        for p in self.model.registry.params(prefix=self.PREFIX + "."):
-            parts = p.name.split(".")
-            is_norm = len(parts) >= 2 and parts[-2] in ("ln", "ln1", "ln2")
-            if p.name.endswith(".weight"):
-                p.tensor.data = (np.ones(p.tensor.shape) if is_norm
-                                 else rng.child(p.name).trunc_normal(p.tensor.shape))
-            elif p.name.endswith(".bias"):
-                p.tensor.data = np.zeros(p.tensor.shape)
-            else:  # mask_token, dec_pos
-                p.tensor.data = rng.child(p.name).trunc_normal(p.tensor.shape)
 
     def loss(self, images: Tensor, rng: SeededRng,
              sample_keys: list[int] | None = None) -> Tensor:

@@ -121,33 +121,14 @@ class ParamRegistry:
         for p in self.params(group):
             p.trainable = flag
 
-    def retag(self, name: str, group: ParamGroup) -> None:
-        self.get(name).group = group
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.tensor.grad = None
-
     # -- state movement --------------------------------------------------
 
-    def state(self, groups=None, exclude_prefixes: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-        """Copy of parameter data, optionally filtered by group / name prefix."""
-        out = {}
-        for p in self._params.values():
-            if groups is not None and p.group not in groups:
-                continue
-            if any(p.name.startswith(pref) for pref in exclude_prefixes):
-                continue
-            out[p.name] = p.data.copy()
-        return out
-
-    def load_state(self, state: dict[str, np.ndarray], strict_extra: bool = True) -> None:
-        """Copy arrays into same-named params; shape mismatches are collected."""
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy arrays into same-named params; unknown names and bad shapes are collected."""
         offenders = []
         for name, arr in state.items():
             if name not in self._params:
-                if strict_extra:
-                    offenders.append(f"{name}: not in registry")
+                offenders.append(f"{name}: not in registry")
                 continue
             p = self._params[name]
             if p.data.shape != arr.shape:

@@ -57,8 +57,5 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def shuffle(self, seq: list) -> None:
-        self._gen.shuffle(seq)
-
     def random(self) -> float:
         return float(self._gen.random())

@@ -80,10 +80,6 @@ def clear_tape() -> None:
     _TAPE.clear()
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class no_grad:
     """Context manager: ops inside record nothing on the tape."""
 
@@ -123,21 +119,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _needs_grad(self) -> bool:
         # grad-relevant: a trainable leaf, or the output of a recorded op
@@ -197,20 +178,8 @@ class Tensor:
         return transpose(self, axes)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, float(value)), requires_grad=requires_grad)
 
 
 def zeros_like(x: Tensor) -> Tensor:

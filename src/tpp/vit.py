@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, ShapeError
-from .registry import Param, ParamGroup, ParamRegistry
+from .registry import ParamGroup, ParamRegistry
 from .rng import SeededRng
 from .tensor import Tensor
 
@@ -348,9 +348,3 @@ def build_head(cfg: ViTConfig, spec: HeadSpec, registry: ParamRegistry,
         return SegmentationHead(cfg, spec, registry, rng, prefix)
     raise ArgumentError(f"unknown head spec: {spec!r}")
 
-
-def build_backbone(cfg: ViTConfig, seed: int, registry: ParamRegistry | None = None):
-    """Deterministic backbone construction: same config + seed, same params."""
-    registry = registry if registry is not None else ParamRegistry()
-    rng = SeededRng(seed, "init/backbone")
-    return VisionTransformer(cfg, registry, rng), registry

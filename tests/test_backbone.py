@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from tpp import tensor as T
 from tpp.errors import ArgumentError, ShapeError
 from tpp.optim import AdamW
+from tpp.pipeline import build_bundle
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
 from tpp.vit import (ClassificationSpec, SegmentationSpec, ViTConfig,
-                     build_backbone, build_head, patchify, unpatchify)
+                     build_head, patchify, unpatchify)
 
 from conftest import finite_difference, rel_err, rel_err_tensor, run_forward_loss
 
@@ -66,7 +67,8 @@ class TestPatchify:
 class TestForwardFeatures:
     def test_zero_depth_is_positional_embedding_plus_final_ln(self):
         cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=0, num_heads=2)
-        model, reg = build_backbone(cfg, seed=0)
+        bundle = build_bundle(cfg, 0)
+        model, reg = bundle.backbone, bundle.registry
         tokens = T.Tensor(np.random.default_rng(1).standard_normal((2, 4, 8)))
         out = model.forward_features(tokens)
         pos = reg.get("backbone.pos_embed").data
@@ -82,18 +84,19 @@ class TestForwardFeatures:
 
     def test_output_shape_contract(self):
         cfg = ViTConfig(image_size=32, patch_size=8, embed_dim=32, depth=2, num_heads=4)
-        model, _ = build_backbone(cfg, seed=0)
+        model = build_bundle(cfg, 0).backbone
         tokens = T.Tensor(np.zeros((2, 16, 32)))
         assert model.forward_features(tokens).shape == (2, 17, 32)
 
     def test_wrong_token_dim_rejected(self):
-        model, _ = build_backbone(TINY, seed=0)
+        model = build_bundle(TINY, 0).backbone
         with pytest.raises(ShapeError):
             model.forward_features(T.Tensor(np.zeros((2, 16, 8))))
 
     def test_depth1_block_gradients_match_finite_differences(self):
         cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
-        model, reg = build_backbone(cfg, seed=3)
+        bundle = build_bundle(cfg, 3)
+        model, reg = bundle.backbone, bundle.registry
         images = T.Tensor(np.random.default_rng(4).random((2, 1, 8, 8)))
         labels = np.array([0, 1])
         head = build_head(cfg, ClassificationSpec(2), reg, SeededRng(3, "init/head"))
@@ -109,19 +112,19 @@ class TestForwardFeatures:
 
 class TestAccounting:
     def test_group_counts_cover_total(self):
-        model, reg = build_backbone(TINY, seed=0)
+        reg = build_bundle(TINY, 0).registry
         build_head(TINY, ClassificationSpec(3), reg, SeededRng(0, "init/head"))
         total = reg.count()
         by_groups = sum(reg.count(group=g) for g in ParamGroup)
         assert by_groups == total
 
     def test_all_trainable_ratio_is_100(self):
-        _, reg = build_backbone(TINY, seed=0)
+        reg = build_bundle(TINY, 0).registry
         assert reg.trainable_ratio() == 100.0
 
     def test_linear_probe_ratio_matches_closed_form(self):
         cfg = ViTConfig(image_size=32, patch_size=8, embed_dim=64, depth=4, num_heads=4)
-        model, reg = build_backbone(cfg, seed=0)
+        reg = build_bundle(cfg, 0).registry
         build_head(cfg, ClassificationSpec(10), reg, SeededRng(0, "init/head"))
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         head_count = 64 * 10 + 10
@@ -132,7 +135,7 @@ class TestAccounting:
     def test_backbone_count_closed_form(self):
         for cfg in (TINY, ViTConfig(image_size=32, patch_size=8, embed_dim=64,
                                     depth=4, num_heads=4)):
-            _, reg = build_backbone(cfg, seed=1)
+            reg = build_bundle(cfg, 1).registry
             assert reg.count() == closed_form_backbone_count(cfg)
 
 
@@ -140,13 +143,13 @@ class TestSegDecoder:
     def test_output_shape_at_paper_scale_config(self):
         cfg = ViTConfig(image_size=224, patch_size=16, embed_dim=16, depth=0,
                         num_heads=2, num_channels=3)
-        model, reg = build_backbone(cfg, seed=0)
+        reg = build_bundle(cfg, 0).registry
         head = build_head(cfg, SegmentationSpec(2), reg, SeededRng(0, "init/head"))
         feats = T.Tensor(np.zeros((2, 197, 16)))
         assert head(feats).shape == (2, 2, 224, 224)
 
     def test_zero_weight_decoder_gives_uniform_class_probabilities(self):
-        model, reg = build_backbone(TINY, seed=0)
+        reg = build_bundle(TINY, 0).registry
         head = build_head(TINY, SegmentationSpec(2), reg, SeededRng(0, "init/head"))
         reg.get("head.proj.weight").tensor.data = np.zeros_like(reg.get("head.proj.weight").data)
         feats = T.Tensor(np.random.default_rng(5).standard_normal((1, 17, 16)))
@@ -154,14 +157,15 @@ class TestSegDecoder:
         assert np.allclose(probs.data, 0.5, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
-        model, reg = build_backbone(TINY, seed=0)
+        reg = build_bundle(TINY, 0).registry
         head = build_head(TINY, SegmentationSpec(2), reg, SeededRng(0, "init/head"))
         with pytest.raises(ShapeError):
             head(T.Tensor(np.zeros((1, 5, 16))))
 
     def test_gradients_match_finite_differences(self):
         cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=1, num_heads=2)
-        model, reg = build_backbone(cfg, seed=6)
+        bundle = build_bundle(cfg, 6)
+        model, reg = bundle.backbone, bundle.registry
         head = build_head(cfg, SegmentationSpec(2), reg, SeededRng(6, "init/head"))
         images = T.Tensor(np.random.default_rng(7).random((2, 1, 8, 8)))
         masks = (np.random.default_rng(8).random((2, 8, 8)) > 0.5).astype(np.intp)
@@ -179,14 +183,15 @@ class TestSegDecoder:
 
 class TestDeterminismAndFreezing:
     def test_same_config_and_seed_build_identical_params(self):
-        _, reg1 = build_backbone(TINY, seed=123)
-        _, reg2 = build_backbone(TINY, seed=123)
+        reg1 = build_bundle(TINY, 123).registry
+        reg2 = build_bundle(TINY, 123).registry
         for p1, p2 in zip(reg1, reg2):
             assert p1.name == p2.name
             assert np.array_equal(p1.data, p2.data)
 
     def test_frozen_backbone_bit_identical_after_optimizer_steps(self):
-        model, reg = build_backbone(TINY, seed=0)
+        bundle = build_bundle(TINY, 0)
+        model, reg = bundle.backbone, bundle.registry
         head = build_head(TINY, ClassificationSpec(2), reg, SeededRng(0, "init/head"))
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         before = {p.name: p.data.copy() for p in reg.params(group=ParamGroup.BACKBONE)}

@@ -13,15 +13,16 @@ from tpp.checkpoint import (MAGIC, Checkpoint, CheckpointEntry, _hash_array,
                             audit_freeze, content_hash)
 from tpp.cli import main
 from tpp.errors import StructuralError
+from tpp.pipeline import build_bundle
 from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
-from tpp.vit import ClassificationSpec, ViTConfig, build_backbone, build_head
+from tpp.vit import ClassificationSpec, ViTConfig, build_head
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=1, num_heads=2)
 
 
 def _registry(seed=0):
-    model, reg = build_backbone(TINY, seed=seed)
+    reg = build_bundle(TINY, seed).registry
     build_head(TINY, ClassificationSpec(2), reg, SeededRng(seed, "init/head"))
     return reg
 
@@ -192,7 +193,7 @@ class TestApply:
         ckpt = Checkpoint.from_registry(reg_a, stage="src")
         other_cfg = ViTConfig(image_size=16, patch_size=4, embed_dim=32, depth=1,
                               num_heads=2)
-        _, reg_b = build_backbone(other_cfg, seed=1)
+        reg_b = build_bundle(other_cfg, 1).registry
         build_head(other_cfg, ClassificationSpec(2), reg_b, SeededRng(1, "init/head"))
         with pytest.raises(StructuralError) as exc:
             ckpt.apply_to_registry(reg_b, groups={ParamGroup.BACKBONE})
@@ -212,7 +213,7 @@ class TestApply:
         reg_b = _registry(seed=2)
         name = "backbone.blocks.0.attn.k.bias"
         if side == "registry":
-            reg_b.retag(name, ParamGroup.TARGET)
+            reg_b.get(name).group = ParamGroup.TARGET
             expected = f"{name}: group backbone in file vs target in registry"
         else:
             ckpt.entries[name].group = ParamGroup.TARGET
@@ -263,7 +264,7 @@ class TestAuditFreeze:
         before = Checkpoint.from_registry(reg_a, stage="x")
         other_cfg = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2,
                               num_heads=2)
-        _, reg_b = build_backbone(other_cfg, seed=1)
+        reg_b = build_bundle(other_cfg, 1).registry
         after = Checkpoint.from_registry(reg_b, stage="y")
         with pytest.raises(StructuralError):
             audit_freeze(before, after, {ParamGroup.BACKBONE})

@@ -9,6 +9,7 @@ import pytest
 from tpp.checkpoint import Checkpoint
 from tpp.cli import main
 from tpp.config import ExperimentConfig
+from tpp.data import write_tppt
 from tpp.errors import ConfigError
 from tpp.peft import AdapterSpec, LoraSpec
 from tpp.registry import ParamGroup
@@ -227,6 +228,34 @@ class TestCli:
         code = main(["pretrain-backbone", "--config", str(bad), "--seed", "0",
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_channel_count_mismatch_is_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "rgb.cfg"
+        cfg.write_text(BASE_CFG.replace("num_heads = 2", "num_heads = 2\nnum_channels = 3"))
+        code = main(["pretrain-backbone", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "train sample train00000: image shape [1, 16, 16]" in capsys.readouterr().err
+
+    def test_non_binary_segmentation_mask_is_exit_1(self, workspace, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for split in ("train", "val", "test"):
+            for sub in ("images", "masks"):
+                (tmp_path / "seg" / split / sub).mkdir(parents=True)
+            for i in range(2):
+                mask = (rng.random((16, 16)) > 0.5).astype(np.float64)
+                if split == "val" and i == 1:
+                    mask[0, 0] = 2.0
+                write_tppt(str(tmp_path / "seg" / split / "images" / f"s{i}.tppt"),
+                           rng.random((1, 16, 16)))
+                write_tppt(str(tmp_path / "seg" / split / "masks" / f"s{i}.tppt"), mask)
+        cfg = tmp_path / "seg.cfg"
+        cfg.write_text(BASE_CFG.replace("kind = synthetic_cls",
+                                        f"kind = folder\npath = {tmp_path / 'seg'}"))
+        code = main(["finetune", "--config", str(cfg), "--seed", "0",
+                     "--backbone", workspace["backbone"], "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "val sample s1: mask labels [0, 1, 2]" in capsys.readouterr().err
 
     def test_divergent_run_is_exit_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"

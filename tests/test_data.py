@@ -1,8 +1,10 @@
 """Data: file formats, synthetic generation oracles, splits and subsets."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tpp.data import (Dataset, Sample, SplitDatasets, SyntheticTaskSpec,
@@ -61,6 +63,62 @@ class TestTppt:
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(StructuralError):
             read_tppt(str(path))
+
+
+class TestMalformedFiles:
+    """A malformed PNM or TPPT file is a StructuralError naming it, never a traceback."""
+
+    @staticmethod
+    def _expect_structural(path, blob: bytes, reader, match: str) -> None:
+        path.write_bytes(blob)
+        with pytest.raises(StructuralError, match=match) as exc:
+            reader(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_non_numeric_pnm_width(self, tmp_path):
+        self._expect_structural(tmp_path / "bad.pgm", b"P5\nab 4\n255\n" + bytes(16),
+                                read_pnm, "malformed PNM header")
+
+    def test_pnm_header_cut_short(self, tmp_path):
+        self._expect_structural(tmp_path / "bad.pgm", b"P5\n4 4", read_pnm,
+                                "unexpected end of PNM header")
+
+    def test_zero_pnm_width(self, tmp_path):
+        self._expect_structural(tmp_path / "bad.pgm", b"P5\n0 4\n255\n", read_pnm,
+                                "bad size 0x4")
+
+    def test_tppt_shorter_than_rank_field(self, tmp_path):
+        self._expect_structural(tmp_path / "bad.tppt", b"TPPT\x02\x00", read_tppt,
+                                "malformed TPPT file")
+
+    def test_tppt_dims_beyond_numpy(self, tmp_path):
+        blob = b"TPPT" + struct.pack("<I", 2) + struct.pack("<2Q", 0, 2 ** 63)
+        self._expect_structural(tmp_path / "bad.tppt", blob, read_tppt, "malformed TPPT file")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), fmt=st.sampled_from(["pgm", "tppt"]))
+    def test_truncations_and_byte_flips_load_or_fail_structurally(self, tmp_path, data, fmt):
+        path = tmp_path / f"fuzz.{fmt}"
+        image = np.random.default_rng(3).random((1, 4, 3))
+        if fmt == "pgm":
+            write_pnm(str(path), image)
+            reader = read_pnm
+        else:
+            write_tppt(str(path), image)
+            reader = read_tppt
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = reader(str(path))
+        except StructuralError:
+            return
+        assert loaded.dtype == np.float64
 
 
 class TestLoadFolder:

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from tpp import tensor as T
 from tpp.errors import ArgumentError, StateError
 from tpp.peft import (AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
-                      SsfSpec, VptSpec, attach, merged_lora_weights)
+                      SsfSpec, VptSpec, attach, mechanism_name, merged_lora_weights,
+                      reinit_target_params)
+from tpp.pipeline import build_bundle
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
-from tpp.vit import ClassificationSpec, ViTConfig, build_backbone, build_head
+from tpp.vit import ClassificationSpec, ViTConfig, build_head
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -42,7 +44,8 @@ def lora_count(cfg, rank, num_targets=2):
 
 
 def _fresh(seed=0, cfg=TINY):
-    return build_backbone(cfg, seed=seed)
+    bundle = build_bundle(cfg, seed)
+    return bundle.backbone, bundle.registry
 
 
 def _random_images(cfg, n=2, seed=0):
@@ -51,7 +54,7 @@ def _random_images(cfg, n=2, seed=0):
 
 
 def _baseline_forward(cfg, seed, images):
-    model, _ = build_backbone(cfg, seed=seed)
+    model = build_bundle(cfg, seed).backbone
     with T.no_grad():
         return model.forward_images(T.Tensor(images)).data
 
@@ -99,7 +102,8 @@ class TestIdentityAtInit:
 class TestCounts:
     def test_adapter_count_example(self):
         cfg = ViTConfig(image_size=32, patch_size=8, embed_dim=64, depth=4, num_heads=4)
-        model, reg = build_backbone(cfg, seed=0)
+        bundle = build_bundle(cfg, 0)
+        model, reg = bundle.backbone, bundle.registry
         attach(model, AdapterSpec(bottleneck=8), SeededRng(0, "init/peft"))
         assert reg.count(group=ParamGroup.TARGET) == 4 * (2 * 64 * 8 + 8 + 64) == 4384
 
@@ -146,7 +150,8 @@ class TestCounts:
         d = 8 * heads
         cfg = ViTConfig(image_size=16, patch_size=8, embed_dim=d, depth=depth,
                         num_heads=heads)
-        model, reg = build_backbone(cfg, seed=depth)
+        bundle = build_bundle(cfg, depth)
+        model, reg = bundle.backbone, bundle.registry
         spec = {
             "adapter": AdapterSpec(bottleneck=r),
             "adaptformer": AdaptFormerSpec(bottleneck=r),
@@ -249,6 +254,36 @@ class TestLora:
         model, _ = _fresh()
         with pytest.raises(ArgumentError):
             attach(model, LoraSpec(rank=64), SeededRng(0, "init/peft"))
+
+
+class TestReinit:
+    @pytest.mark.parametrize("spec", [
+        AdapterSpec(bottleneck=3),
+        AdaptFormerSpec(bottleneck=3),
+        VptSpec(num_tokens=2, mode="deep"),
+        SsfSpec(),
+        BitFitSpec(),
+        LoraSpec(rank=2),
+    ], ids=mechanism_name)
+    def test_reinit_draws_what_attach_draws_under_the_same_rng(self, spec):
+        model, reg = _fresh(seed=4)
+        attach(model, spec, SeededRng(4, "init/peft"))
+        noise = np.random.default_rng(0)
+        for p in reg.params(group=ParamGroup.TARGET):
+            p.tensor.data = p.data + noise.standard_normal(p.data.shape)
+        perturbed = {p.name: p.data.copy() for p in reg.params(group=ParamGroup.TARGET)}
+        reinit_target_params(model, SeededRng(4, "x"))
+
+        fresh_model, fresh_reg = _fresh(seed=4)
+        attach(fresh_model, spec, SeededRng(4, "x"))
+        target = reg.params(group=ParamGroup.TARGET)
+        assert [p.name for p in target] == [p.name for p in
+                                            fresh_reg.params(group=ParamGroup.TARGET)]
+        for p in target:
+            # BitFit's biases keep their values: random init is a no-op for them
+            expected = perturbed[p.name] if isinstance(spec, BitFitSpec) \
+                else fresh_reg.get(p.name).data
+            assert p.data.tobytes() == expected.tobytes(), p.name
 
 
 class TestAttachmentRules:

@@ -17,7 +17,7 @@ from tpp.pipeline import (InitSpec, Objective, Stage, StagePlan, build_bundle,
 from tpp.pretext import DinoConfig, MaeConfig
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
-from tpp.vit import ClassificationSpec, ViTConfig
+from tpp.vit import ClassificationSpec, SegmentationSpec, ViTConfig
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -147,6 +147,7 @@ class TestFreezeTheorem:
             run_stage(plan, bundle, splits, SeededRng(3, "stage/ft"))
         assert exc.value.step > 0
         assert len(exc.value.loss_history) == exc.value.step
+        assert len(T.tape()) == 0
 
 
 class TestLogs:
@@ -194,6 +195,12 @@ class TestInitModes:
         init_target_params(bundle, InitSpec("random"))
         assert np.array_equal(up.data, np.zeros_like(up.data))
 
+    @pytest.mark.parametrize("mode", ["transfer", "upstream", "bogus"])
+    def test_unknown_mode_rejected(self, mode):
+        from tpp.errors import ArgumentError
+        with pytest.raises(ArgumentError):
+            InitSpec(mode, "target.tppc")
+
     def test_cross_dataset_target_load(self, tmp_path):
         # pre-train target params on task A, load into a run on task B
         splits_a = _splits(seed=10)
@@ -225,7 +232,7 @@ class TestInitModes:
         ckpt.save(path)
         bundle_b = build_bundle(TINY, seed=9, peft_spec=AdapterSpec(8))
         with pytest.raises(StructuralError) as exc:
-            init_target_params(bundle_b, InitSpec("transfer", path))
+            init_target_params(bundle_b, InitSpec("from_checkpoint", path))
         assert "adapter.blocks.0" in str(exc.value)
 
     def test_mismatched_mechanism_is_structural_error(self, tmp_path):
@@ -236,7 +243,7 @@ class TestInitModes:
         ckpt.save(path)
         bundle_b = build_bundle(TINY, seed=9, peft_spec=LoraSpec(rank=2))
         with pytest.raises(StructuralError):
-            init_target_params(bundle_b, InitSpec("upstream", path))
+            init_target_params(bundle_b, InitSpec("from_checkpoint", path))
 
 
 def _pretrained_backbone(seed):
@@ -390,3 +397,18 @@ class TestGridSearch:
         from tpp.errors import ArgumentError
         with pytest.raises(ArgumentError):
             grid_search(plan, [], self._make_factory(splits), splits, seed=48)
+
+
+class TestTapeLifetime:
+    def test_tape_is_freed_when_a_step_raises(self):
+        spec = SyntheticTaskSpec(kind="blob_seg", image_size=16, train_count=4,
+                                 val_count=2, test_count=2)
+        train = generate_synthetic(spec, SeededRng(0, "data")).train
+        train.samples[0].mask[0, 0] = 2  # no logit for class 2: fails after the forward
+        bundle = build_bundle(TINY, seed=0, head_spec=SegmentationSpec(2),
+                              peft_spec=AdapterSpec(4))
+        plan = _quick_plan(Stage.FINETUNE, Objective.DICE_CE, steps=1, batch=4)
+        with pytest.raises(IndexError):
+            run_stage(plan, bundle, train, SeededRng(0, "stage/ft"))
+        assert len(T.tape()) == 0
+

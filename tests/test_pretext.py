@@ -7,13 +7,14 @@ from tpp import tensor as T
 from tpp.errors import ArgumentError
 from tpp.optim import AdamW
 from tpp.peft import AdapterSpec, attach
+from tpp.pipeline import build_bundle
 from tpp.pretext import (AugmentPolicy, DinoConfig, MaeConfig,
                          MaskedReconstruction, ProjectionHead, SelfDistillation,
                          augment, center_update, dino_loss, sample_mask,
                          solarize, teacher_update)
 from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
-from tpp.vit import ViTConfig, build_backbone
+from tpp.vit import ViTConfig
 
 from conftest import finite_difference, rel_err_tensor, run_forward_loss
 
@@ -60,7 +61,8 @@ class TestSampleMask:
 
 
 def _mae_setup(seed=0):
-    model, reg = build_backbone(TINY, seed=seed)
+    bundle = build_bundle(TINY, seed)
+    model, reg = bundle.backbone, bundle.registry
     attach(model, AdapterSpec(bottleneck=4), SeededRng(seed, "init/peft"))
     mae = MaskedReconstruction(model, MaeConfig(), SeededRng(seed, "init/mae"))
     return model, reg, mae
@@ -203,7 +205,8 @@ class TestDinoLoss:
                       [np.zeros((1, 2))] * 2, np.zeros(2), cfg)
 
     def test_student_head_gradient_matches_finite_differences(self):
-        model, reg = build_backbone(TINY, seed=8)
+        bundle = build_bundle(TINY, 8)
+        model, reg = bundle.backbone, bundle.registry
         attach(model, AdapterSpec(bottleneck=2), SeededRng(8, "init/peft"))
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         cfg = DinoConfig(head_output_dim=8, num_local_views=0)
@@ -223,7 +226,8 @@ class TestDinoLoss:
             assert rel_err_tensor(p.tensor.grad, fd) < 1e-4, name
 
     def test_teacher_holds_no_gradients_after_backward(self):
-        model, reg = build_backbone(TINY, seed=10)
+        bundle = build_bundle(TINY, 10)
+        model, reg = bundle.backbone, bundle.registry
         attach(model, AdapterSpec(bottleneck=2), SeededRng(10, "init/peft"))
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         dist = SelfDistillation(model, DinoConfig(head_output_dim=8, num_local_views=1),
