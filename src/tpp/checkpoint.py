@@ -73,8 +73,7 @@ class Checkpoint:
 
     @classmethod
     def from_registry(cls, registry: ParamRegistry, stage: str,
-                      config: dict | None = None, rng_state: dict | None = None,
-                      groups=None, exclude_prefixes: tuple[str, ...] = ()) -> "Checkpoint":
+                      config: dict | None = None, rng_state: dict | None = None) -> "Checkpoint":
         meta = {
             "format_version": FORMAT_VERSION,
             "stage": stage,
@@ -83,10 +82,6 @@ class Checkpoint:
         }
         ckpt = cls(meta=meta)
         for p in registry:
-            if groups is not None and p.group not in groups:
-                continue
-            if any(p.name.startswith(pre) for pre in exclude_prefixes):
-                continue
             data = p.data.copy()
             ckpt.entries[p.name] = CheckpointEntry(p.group, data, _hash_array(data))
         return ckpt
@@ -192,33 +187,30 @@ class Checkpoint:
 
     # -- application -------------------------------------------------------
 
-    def apply_to_registry(self, registry: ParamRegistry, groups=None,
-                          require_all: bool = True) -> list[str]:
-        """Copy entries into same-named registry params.
+    def apply_to_registry(self, registry: ParamRegistry, groups) -> list[str]:
+        """Copy the entries of `groups` into the same-named registry params.
 
-        With `groups`, only entries in those groups are considered, and every
-        registry param of those groups must be present in the file. Group tags
-        must agree between file and registry; a name present on both sides
-        under different groups is reported once, as a group mismatch. Returns
-        the names applied.
+        This is the only way checkpoint values enter a model. Within `groups`
+        the file and the registry must hold the same names, with the same
+        group tags and shapes: a name on one side only is an error, and a
+        name present on both sides under different groups is reported once,
+        as a group mismatch. All mismatches are raised together as one
+        StructuralError. Returns the names applied.
         """
         offenders = []
         applied = []
-        wanted = {n: e for n, e in self.entries.items()
-                  if groups is None or e.group in groups}
-        if require_all:
-            target_names = {p.name for p in registry
-                            if groups is None or p.group in groups}
-            for missing in sorted(target_names - set(wanted)):
-                if missing in self.entries:
-                    offenders.append(
-                        f"{missing}: group {self.entries[missing].group.value} in file "
-                        f"vs {registry.get(missing).group.value} in registry")
-                else:
-                    offenders.append(f"{missing}: missing from checkpoint")
-            for extra in sorted(set(wanted) - target_names):
-                if extra not in registry:
-                    offenders.append(f"{extra}: not in model registry")
+        wanted = {n: e for n, e in self.entries.items() if e.group in groups}
+        target_names = {p.name for p in registry if p.group in groups}
+        for missing in sorted(target_names - set(wanted)):
+            if missing in self.entries:
+                offenders.append(
+                    f"{missing}: group {self.entries[missing].group.value} in file "
+                    f"vs {registry.get(missing).group.value} in registry")
+            else:
+                offenders.append(f"{missing}: missing from checkpoint")
+        for extra in sorted(set(wanted) - target_names):
+            if extra not in registry:
+                offenders.append(f"{extra}: not in model registry")
         for name, entry in wanted.items():
             if name not in registry:
                 continue
@@ -259,8 +251,11 @@ class AuditReport:
 def audit_freeze(before: Checkpoint, after: Checkpoint, frozen_groups) -> AuditReport:
     """Compare content hashes of frozen-group params between two snapshots.
 
-    The two snapshots must contain exactly the same names within the audited
-    groups; any difference in the name sets is a structural error.
+    A name in an audited group on one side that is present under another
+    group on the other side has been re-tagged (BitFit moves the backbone
+    biases to Target), and is not compared. A name in an audited group on
+    one side that is missing from the other side entirely is a structural
+    error.
     """
     frozen_groups = set(frozen_groups)
     changed = []
@@ -268,14 +263,13 @@ def audit_freeze(before: Checkpoint, after: Checkpoint, frozen_groups) -> AuditR
     for group in sorted(frozen_groups, key=lambda g: g.value):
         b = before.hashes(group)
         a = after.hashes(group)
-        if set(b) != set(a):
-            only_b = sorted(set(b) - set(a))
-            only_a = sorted(set(a) - set(b))
+        shared = b.keys() & a.keys()
+        only_b = sorted(n for n in b.keys() - shared if n not in after.entries)
+        only_a = sorted(n for n in a.keys() - shared if n not in before.entries)
+        if only_b or only_a:
             raise StructuralError(
                 f"audit: {group.value} name sets differ; "
                 f"only in before: {only_b}; only in after: {only_a}")
-        for name in b:
-            checked += 1
-            if b[name] != a[name]:
-                changed.append(name)
+        checked += len(shared)
+        changed += [n for n in shared if b[n] != a[n]]
     return AuditReport(changed=sorted(changed), checked=checked)

@@ -29,7 +29,7 @@ from .optim import AdamWSpec, ScheduleSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
                        build_bundle, default_plan, ensure_mae, evaluate,
-                       grid_search, run_stage)
+                       grid_search, run_stage, target_checkpoint)
 from .registry import ParamGroup
 from .rng import SeededRng
 
@@ -192,8 +192,8 @@ def _prepare_decoder(cfg: ExperimentConfig, bundle: ModelBundle,
             raise ConfigError(
                 f"decoder_mode={mode} needs an inheritable decoder, but the backbone "
                 f"checkpoint has none")
-        state = {n: backbone_ckpt.entries[n].data for n in sorted(decoder_names)}
-        bundle.registry.load_state(state)
+        # the decoder is the bundle's whole Head group at this point
+        backbone_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.HEAD})
         return mode, True
     if mode == "random":
         return mode, False
@@ -230,23 +230,12 @@ def cmd_tpp(args) -> int:
     ratio = bundle.registry.trainable_ratio()
     print(f"trainable ratio: {ratio:.4f}%")
 
-    # input-side snapshot: post-run registry with the Backbone-group entries
-    # replaced by the checkpoint's values, so the audit compares input vs output
-    before = Checkpoint.from_registry(bundle.registry, stage="tpp-input")
-    for name, entry in backbone_ckpt.entries.items():
-        if name in before.entries and before.entries[name].group is ParamGroup.BACKBONE:
-            before.entries[name] = entry
-    report = audit_freeze(before, ckpt, {ParamGroup.BACKBONE})
+    report = audit_freeze(backbone_ckpt, ckpt, {ParamGroup.BACKBONE})
     print(f"backbone freeze audit: {report.summary().splitlines()[0]}")
 
-    target = Checkpoint.from_registry(
-        bundle.registry, stage="tpp",
-        config={"peft": mechanism_name(peft_spec), **ckpt.meta["config"]},
-        rng_state=ckpt.meta["rng"],
-        groups={ParamGroup.TARGET}, exclude_prefixes=("pretext.",))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "target.tppc")
-    target.save(path)
+    target_checkpoint(ckpt, peft_spec).save(path)
     log.log(event="trainable_ratio", value=ratio)
     log.write_jsonl(os.path.join(args.out, "tpp.jsonl"))
     print(f"wrote {path}")
@@ -272,8 +261,7 @@ def cmd_finetune(args) -> int:
         bundle = build_bundle(cfg.vit_config(), args.seed, head_spec=head_spec,
                               peft_spec=peft_spec, backbone=backbone_ckpt)
         if target_ckpt is not None:
-            target_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.TARGET},
-                                          require_all=True)
+            target_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.TARGET})
         return bundle
 
     plan = _stage_plan(cfg, Stage.FINETUNE, objective, task)

@@ -229,15 +229,6 @@ class ExperimentConfig:
                           num_global_views=p["num_global_views"],
                           num_local_views=p["num_local_views"])
 
-    @property
-    def task(self) -> str:
-        kind = self.values["data"]["kind"]
-        if kind == "synthetic_cls":
-            return "classification"
-        if kind == "synthetic_seg":
-            return "segmentation"
-        return "auto"  # folder datasets declare their task on load
-
     def head_spec(self, task: str, num_classes: int):
         if task == "classification":
             return ClassificationSpec(num_classes=num_classes)

@@ -29,7 +29,7 @@ from .data import Dataset, SplitDatasets
 from .errors import ArgumentError, StateError, TrainingDiverged
 from .metrics import EvalReport, classification_report, segmentation_report
 from .optim import AdamW, AdamWSpec, ScheduleSpec, lr_at, wd_at
-from .peft import PeftSpec, attach, reinit_target_params
+from .peft import PeftSpec, attach, mechanism_name, reinit_target_params
 from .pretext import (DinoConfig, MaeConfig, MaskedReconstruction,
                       SelfDistillation, augment)
 from .registry import ParamGroup, ParamRegistry
@@ -53,22 +53,22 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """How to initialize Target params before a stage.
+    """Re-draw the Target params before a stage.
 
-    mode "random" re-draws the mechanism's init values through
-    `reinit_target_params` (identity-at-init); "from_checkpoint" loads the
-    Target group from the checkpoint at `path`, leaving Backbone and Head
-    untouched.
+    The one mode, "random", makes `run_stage` re-draw the attached
+    mechanism's init values through `reinit_target_params`, under the
+    stage's "init/peft" rng stream. Pre-trained Target params are loaded
+    with `Checkpoint.apply_to_registry(registry, groups={ParamGroup.TARGET})`
+    instead, as `tpp finetune --target-init CKPT` does. The mode field stays
+    only so that `InitSpec("random")`, which `tppbench/workloads.py` builds,
+    keeps its meaning; any other mode is an ArgumentError.
     """
 
     mode: str = "random"
-    path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("random", "from_checkpoint"):
+        if self.mode != "random":
             raise ArgumentError(f"unknown init mode: {self.mode!r}")
-        if self.mode != "random" and not self.path:
-            raise ArgumentError(f"init mode {self.mode!r} requires a checkpoint path")
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,6 @@ class ModelBundle:
     cfg: ViTConfig
     backbone: VisionTransformer
     registry: ParamRegistry
-    seed: int
     head: object | None = None
     head_spec: HeadSpec | None = None
     peft_spec: PeftSpec | None = None
@@ -184,8 +183,8 @@ def build_bundle(cfg: ViTConfig, seed: int, head_spec: HeadSpec | None = None,
     registry = ParamRegistry()
     vit = VisionTransformer(cfg, registry, SeededRng(seed, "init/backbone"))
     if backbone is not None:
-        backbone.apply_to_registry(registry, groups={ParamGroup.BACKBONE}, require_all=True)
-    bundle = ModelBundle(cfg=cfg, backbone=vit, registry=registry, seed=seed)
+        backbone.apply_to_registry(registry, groups={ParamGroup.BACKBONE})
+    bundle = ModelBundle(cfg=cfg, backbone=vit, registry=registry)
     if peft_spec is not None:
         attach(vit, peft_spec, SeededRng(seed, "init/peft"))
         bundle.peft_spec = peft_spec
@@ -207,15 +206,20 @@ def ensure_dino(bundle: ModelBundle, cfg: DinoConfig, rng: SeededRng) -> SelfDis
     return bundle.dino
 
 
-def init_target_params(bundle: ModelBundle, init: InitSpec, rng: SeededRng | None = None) -> None:
-    """Apply an initialization mode to the Target group only."""
-    if init.mode == "random":
-        if bundle.backbone.peft_spec is not None:
-            reinit_target_params(bundle.backbone,
-                                 rng if rng is not None else SeededRng(bundle.seed, "init/peft"))
-        return
-    ckpt = Checkpoint.load(init.path)
-    ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.TARGET}, require_all=True)
+def target_checkpoint(stage_ckpt: Checkpoint, peft: PeftSpec) -> Checkpoint:
+    """The pre-trained Target params of a TPP stage checkpoint.
+
+    Keeps the stage's Target entries except the `pretext.` scaffolding
+    (the DINO projection head), which fine-tuning does not use. The meta is
+    the stage's, with the mechanism name added to its config. This is the
+    `target.tppc` that `tpp tpp` writes and `tpp finetune --target-init`
+    loads.
+    """
+    meta = dict(stage_ckpt.meta, config={"peft": mechanism_name(peft),
+                                         **stage_ckpt.meta["config"]})
+    entries = {n: e for n, e in stage_ckpt.entries.items()
+               if e.group is ParamGroup.TARGET and not n.startswith("pretext.")}
+    return Checkpoint(meta=meta, entries=entries)
 
 
 # -- metric log -----------------------------------------------------------
@@ -354,10 +358,11 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     for group in present:
         bundle.registry.set_group_trainable(group, group in plan.trainable_groups)
 
+    # re-draw before the teacher copies the trainable params
+    if plan.init is not None and bundle.backbone.peft_spec is not None:
+        reinit_target_params(bundle.backbone, rng.child("init/peft"))
     if plan.objective is Objective.DINO:
         dino.init_teacher()
-    if plan.init is not None:
-        init_target_params(bundle, plan.init, rng.child("init/peft"))
 
     frozen_before = _frozen_hashes(bundle.registry, plan.frozen_groups)
 

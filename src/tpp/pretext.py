@@ -22,6 +22,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
+from .data import bilinear_resize
 from .errors import ArgumentError, StateError
 from .registry import ParamGroup, ParamRegistry
 from .rng import SeededRng
@@ -323,11 +324,6 @@ POLICIES: dict[str, AugmentPolicy] = {
 }
 
 
-def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    from .data import bilinear_resize  # local import; data also uses this module's rng
-    return bilinear_resize(img, out_h, out_w)
-
-
 def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> np.ndarray:
     """Apply one deterministic augmentation draw to a [C,H,W] image in [0,1].
 
@@ -349,7 +345,7 @@ def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> n
         cw = int(np.clip(round(np.sqrt(area * aspect)), 1, w))
         top = int(rng.integers(0, h - ch + 1))
         left = int(rng.integers(0, w - cw + 1))
-        out = _resize_bilinear(out[:, top:top + ch, left:left + cw], h, w)
+        out = bilinear_resize(out[:, top:top + ch, left:left + cw], h, w)
 
     if policy.hflip_prob > 0 and rng.random() < policy.hflip_prob:
         out = out[:, :, ::-1].copy()

@@ -123,23 +123,6 @@ class ParamRegistry:
 
     # -- state movement --------------------------------------------------
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy arrays into same-named params; unknown names and bad shapes are collected."""
-        offenders = []
-        for name, arr in state.items():
-            if name not in self._params:
-                offenders.append(f"{name}: not in registry")
-                continue
-            p = self._params[name]
-            if p.data.shape != arr.shape:
-                offenders.append(
-                    f"{name}: checkpoint {list(arr.shape)} vs model {list(p.data.shape)}"
-                )
-                continue
-            p.tensor.data = np.array(arr, dtype=np.float64)
-        if offenders:
-            raise StructuralError("load_state mismatches: " + "; ".join(offenders))
-
     @contextmanager
     def swap(self, values: dict[str, np.ndarray]):
         """Temporarily substitute parameter data (used for teacher forwards)."""

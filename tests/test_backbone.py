@@ -14,7 +14,7 @@ from tpp.rng import SeededRng
 from tpp.vit import (ClassificationSpec, SegmentationSpec, ViTConfig,
                      build_head, patchify, unpatchify)
 
-from conftest import finite_difference, rel_err, rel_err_tensor, run_forward_loss
+from conftest import finite_difference, rel_err_tensor, run_forward_loss
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 

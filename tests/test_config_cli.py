@@ -1,12 +1,11 @@
 """Config parsing and the command-line surface (exit codes, idempotence)."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from tpp.checkpoint import Checkpoint
+from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
 from tpp.config import ExperimentConfig
 from tpp.data import write_tppt
@@ -129,6 +128,20 @@ class TestCli:
         assert all(not n.startswith("pretext.") for n in target.entries)
         assert all(n.startswith("adapter.") for n in target.entries)
 
+    def test_tpp_takes_one_snapshot(self, workspace, tmp_path, capsys, monkeypatch):
+        stages = []
+        real_from_registry = Checkpoint.from_registry.__func__
+
+        def counting_from_registry(cls, registry, *args, **kwargs):
+            stages.append(kwargs.get("stage"))
+            return real_from_registry(cls, registry, *args, **kwargs)
+
+        monkeypatch.setattr(Checkpoint, "from_registry", classmethod(counting_from_registry))
+        assert main(["tpp", "--config", workspace["cfg"], "--seed", "3",
+                     "--backbone", workspace["backbone"], "--out", str(tmp_path)]) == 0
+        assert "backbone freeze audit: PASS" in capsys.readouterr().out
+        assert stages == ["tpp"]
+
     def test_finetune_consumes_tpp_checkpoint(self, workspace, capsys):
         s2 = workspace["root"] / "s2b"
         assert main(["tpp", "--config", workspace["cfg"], "--seed", "3",
@@ -163,7 +176,6 @@ class TestCli:
         name = "backbone.cls_token"
         entry = ckpt.entries[name]
         entry.data[0] += 1.0
-        from tpp.checkpoint import _hash_array
         entry.content_hash = _hash_array(entry.data)
         mutated = str(tmp_path / "mutated.tppc")
         ckpt.save(mutated)
@@ -300,6 +312,27 @@ class TestCli:
         for name in frozen:
             assert finetuned.entries[name].data.tobytes() == \
                 backbone.entries[name].data.tobytes()
+
+    def test_bitfit_audit_checks_the_non_bias_params(self, workspace, tmp_path, capsys):
+        assert main(["finetune", "--config", workspace["cfg"], "--seed", "0",
+                     "--backbone", workspace["backbone"], "--peft", "bitfit",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        finetuned = str(tmp_path / "finetune.tppc")
+        assert main(["audit", workspace["backbone"], finetuned]) == 0
+        backbone = Checkpoint.load(workspace["backbone"])
+        non_bias = [n for n in backbone.names(ParamGroup.BACKBONE) if not n.endswith(".bias")]
+        assert f"PASS ({len(non_bias)} parameters bit-identical)" in capsys.readouterr().out
+        # the re-tagged biases are skipped, a changed non-bias weight is not
+        ckpt = Checkpoint.load(finetuned)
+        name = "backbone.blocks.0.attn.q.weight"
+        entry = ckpt.entries[name]
+        entry.data[0, 0] += 1.0
+        entry.content_hash = _hash_array(entry.data)
+        mutated = str(tmp_path / "mutated.tppc")
+        ckpt.save(mutated)
+        assert main(["audit", workspace["backbone"], mutated]) == 3
+        assert f"CHANGED {name}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("method", ["adapter", "adaptformer", "vpt", "ssf",
                                         "bitfit", "lora"])

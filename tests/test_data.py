@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tpp.data import (Dataset, Sample, SplitDatasets, SyntheticTaskSpec,
+from tpp.data import (Dataset, Sample, SyntheticTaskSpec,
                       bilinear_resize, generate_synthetic, load_folder,
                       nearest_resize, read_pnm, read_tppt, split_dataset,
                       subset, write_pnm, write_tppt)

@@ -1,13 +1,12 @@
 """PEFT mechanisms: identity at init, closed-form counts, gradient isolation."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpp import tensor as T
+from tpp.checkpoint import Checkpoint, CheckpointEntry, _hash_array
 from tpp.errors import ArgumentError, StateError
 from tpp.peft import (AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
                       SsfSpec, VptSpec, attach, mechanism_name, merged_lora_weights,
@@ -243,9 +242,10 @@ class TestLora:
             hooked = model.forward_images(T.Tensor(images)).data
         merged = merged_lora_weights(model)
         plain, reg2 = _fresh(seed=3)
-        state = {p.name: reg.get(p.name).data.copy() for p in reg2}
-        state.update(merged)
-        reg2.load_state(state)
+        ckpt = Checkpoint.from_registry(reg, stage="merged")
+        for name, data in merged.items():
+            ckpt.entries[name] = CheckpointEntry(ParamGroup.BACKBONE, data, _hash_array(data))
+        ckpt.apply_to_registry(reg2, groups={ParamGroup.BACKBONE})
         with T.no_grad():
             dense = plain.forward_images(T.Tensor(images)).data
         assert np.max(np.abs(hooked - dense)) < 1e-10

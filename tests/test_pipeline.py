@@ -10,11 +10,10 @@ from tpp.checkpoint import Checkpoint, audit_freeze
 from tpp.data import SyntheticTaskSpec, generate_synthetic
 from tpp.errors import StateError, StructuralError, TrainingDiverged
 from tpp.optim import AdamW, ScheduleSpec
-from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec
-from tpp.pipeline import (InitSpec, Objective, Stage, StagePlan, build_bundle,
-                          default_plan, evaluate, grid_search,
-                          init_target_params, run_stage)
-from tpp.pretext import DinoConfig, MaeConfig
+from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec, reinit_target_params
+from tpp.pipeline import (InitSpec, Objective, Stage, build_bundle, default_plan,
+                          evaluate, grid_search, run_stage, target_checkpoint)
+from tpp.pretext import SelfDistillation
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
 from tpp.vit import ClassificationSpec, SegmentationSpec, ViTConfig
@@ -192,33 +191,50 @@ class TestInitModes:
         run_stage(plan, bundle, splits, SeededRng(6, "stage/ft"))
         up = bundle.registry.get("adapter.blocks.0.up.weight")
         assert not np.array_equal(up.data, np.zeros_like(up.data))
-        init_target_params(bundle, InitSpec("random"))
+        # a zero-lr stage with an init re-draws the adapters and leaves them there
+        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=1, lr=0.0,
+                           init=InitSpec("random"))
+        run_stage(plan, bundle, splits, SeededRng(6, "stage/ft2"))
         assert np.array_equal(up.data, np.zeros_like(up.data))
 
-    @pytest.mark.parametrize("mode", ["transfer", "upstream", "bogus"])
+    def test_dino_teacher_starts_from_the_redrawn_target_params(self, monkeypatch):
+        differing = []
+        real_forward = SelfDistillation.teacher_forward
+
+        def spy(dino, images):
+            if not differing:  # the first teacher forward, before any update
+                differing.append(sorted(
+                    n for n, t in dino.teacher.items()
+                    if t.tobytes() != dino.model.registry.get(n).data.tobytes()))
+            return real_forward(dino, images)
+
+        monkeypatch.setattr(SelfDistillation, "teacher_forward", spy)
+        bundle = build_bundle(TINY, seed=0, peft_spec=LoraSpec(rank=2))
+        plan = _quick_plan(Stage.TPP, Objective.DINO, steps=1, init=InitSpec("random"))
+        run_stage(plan, bundle, _splits(), SeededRng(0, "stage/tpp"))
+        assert differing == [[]]
+
+    @pytest.mark.parametrize("mode", ["transfer", "upstream", "bogus", "from_checkpoint"])
     def test_unknown_mode_rejected(self, mode):
         from tpp.errors import ArgumentError
         with pytest.raises(ArgumentError):
-            InitSpec(mode, "target.tppc")
+            InitSpec(mode)
 
     def test_cross_dataset_target_load(self, tmp_path):
         # pre-train target params on task A, load into a run on task B
         splits_a = _splits(seed=10)
         bundle_a = build_bundle(TINY, seed=7, peft_spec=AdapterSpec(4))
         plan = _quick_plan(Stage.TPP, Objective.MAE, steps=6)
-        run_stage(plan, bundle_a, splits_a, SeededRng(7, "stage/tpp"))
-        target_ckpt = Checkpoint.from_registry(
-            bundle_a.registry, stage="tpp", groups={ParamGroup.TARGET},
-            exclude_prefixes=("pretext.",))
+        stage_ckpt, _ = run_stage(plan, bundle_a, splits_a, SeededRng(7, "stage/tpp"))
         path = str(tmp_path / "target.tppc")
-        target_ckpt.save(path)
+        target_checkpoint(stage_ckpt, AdapterSpec(4)).save(path)
 
         bundle_b = build_bundle(TINY, seed=8, head_spec=ClassificationSpec(2),
                                 peft_spec=AdapterSpec(4))
         backbone_before = {p.name: p.data.copy()
                            for p in bundle_b.registry.params(group=ParamGroup.BACKBONE)}
-        init_target_params(bundle_b, InitSpec("from_checkpoint", path))
         loaded = Checkpoint.load(path)
+        loaded.apply_to_registry(bundle_b.registry, groups={ParamGroup.TARGET})
         for name, entry in loaded.entries.items():
             assert np.array_equal(bundle_b.registry.get(name).data, entry.data)
         for name, data in backbone_before.items():
@@ -226,24 +242,24 @@ class TestInitModes:
 
     def test_mismatched_bottleneck_is_structural_error(self, tmp_path):
         bundle_a = build_bundle(TINY, seed=9, peft_spec=AdapterSpec(4))
-        ckpt = Checkpoint.from_registry(bundle_a.registry, stage="tpp",
-                                        groups={ParamGroup.TARGET})
+        ckpt = Checkpoint.from_registry(bundle_a.registry, stage="tpp")
         path = str(tmp_path / "t.tppc")
-        ckpt.save(path)
+        target_checkpoint(ckpt, AdapterSpec(4)).save(path)
         bundle_b = build_bundle(TINY, seed=9, peft_spec=AdapterSpec(8))
         with pytest.raises(StructuralError) as exc:
-            init_target_params(bundle_b, InitSpec("from_checkpoint", path))
+            Checkpoint.load(path).apply_to_registry(bundle_b.registry,
+                                                    groups={ParamGroup.TARGET})
         assert "adapter.blocks.0" in str(exc.value)
 
     def test_mismatched_mechanism_is_structural_error(self, tmp_path):
         bundle_a = build_bundle(TINY, seed=9, peft_spec=AdapterSpec(4))
-        ckpt = Checkpoint.from_registry(bundle_a.registry, stage="tpp",
-                                        groups={ParamGroup.TARGET})
+        ckpt = Checkpoint.from_registry(bundle_a.registry, stage="tpp")
         path = str(tmp_path / "t.tppc")
-        ckpt.save(path)
+        target_checkpoint(ckpt, AdapterSpec(4)).save(path)
         bundle_b = build_bundle(TINY, seed=9, peft_spec=LoraSpec(rank=2))
         with pytest.raises(StructuralError):
-            init_target_params(bundle_b, InitSpec("from_checkpoint", path))
+            Checkpoint.load(path).apply_to_registry(bundle_b.registry,
+                                                    groups={ParamGroup.TARGET})
 
 
 def _pretrained_backbone(seed):
@@ -267,8 +283,8 @@ class TestBuildWithBackbone:
             p = bundle.registry.get(name)
             assert np.array_equal(p.data, entry.data)
             assert p.group is (ParamGroup.TARGET if name in biases else ParamGroup.BACKBONE)
-        # "random" init of BitFit keeps the pre-trained biases
-        init_target_params(bundle, InitSpec("random"))
+        # a random re-draw of BitFit keeps the pre-trained biases
+        reinit_target_params(bundle.backbone, SeededRng(41, "init/peft"))
         for name in biases:
             assert np.array_equal(bundle.registry.get(name).data, ckpt.entries[name].data)
 
@@ -277,12 +293,11 @@ class TestBuildWithBackbone:
         kwargs = dict(head_spec=ClassificationSpec(2), peft_spec=AdapterSpec(4))
         plain = build_bundle(TINY, seed=43, **kwargs)
         loaded = build_bundle(TINY, seed=43, backbone=ckpt, **kwargs)
+        loaded_ckpt = Checkpoint.from_registry(loaded.registry, "x")
+        plain_ckpt = Checkpoint.from_registry(plain.registry, "x")
         for group in (ParamGroup.TARGET, ParamGroup.HEAD):
-            assert Checkpoint.from_registry(loaded.registry, "x", groups={group}).hashes() \
-                == Checkpoint.from_registry(plain.registry, "x", groups={group}).hashes()
-        assert Checkpoint.from_registry(loaded.registry, "x",
-                                        groups={ParamGroup.BACKBONE}).hashes() \
-            == ckpt.hashes(ParamGroup.BACKBONE)
+            assert loaded_ckpt.hashes(group) == plain_ckpt.hashes(group)
+        assert loaded_ckpt.hashes(ParamGroup.BACKBONE) == ckpt.hashes(ParamGroup.BACKBONE)
 
     def test_incomplete_backbone_is_structural_error(self):
         ckpt = _pretrained_backbone(44)
@@ -331,16 +346,17 @@ class TestThreeStageComposition:
         plan2 = _quick_plan(Stage.TPP, Objective.MAE, steps=6)
         ckpt2, _ = run_stage(plan2, s2, splits, SeededRng(32, "stage/tpp"))
         target_path = str(tmp_path / "target.tppc")
-        Checkpoint.from_registry(s2.registry, stage="tpp", groups={ParamGroup.TARGET},
-                                 exclude_prefixes=("pretext.",)).save(target_path)
+        target_checkpoint(ckpt2, AdapterSpec(4)).save(target_path)
 
         # S3: fine-tune consuming the TPP target params
         s3 = build_bundle(TINY, seed=33, head_spec=ClassificationSpec(2),
                           peft_spec=AdapterSpec(4))
         ckpt1.apply_to_registry(s3.registry, groups={ParamGroup.BACKBONE})
-        head_hashes = Checkpoint.from_registry(
-            s3.registry, stage="pre", groups={ParamGroup.HEAD}).hashes()
-        init_target_params(s3, InitSpec("from_checkpoint", target_path))
+        head_hashes = Checkpoint.from_registry(s3.registry, stage="pre").hashes(ParamGroup.HEAD)
+        Checkpoint.load(target_path).apply_to_registry(s3.registry, groups={ParamGroup.TARGET})
+        # the loading itself left the head untouched (it trains only in S3)
+        post_load = Checkpoint.from_registry(s3.registry, stage="post")
+        assert post_load.hashes(ParamGroup.HEAD) == head_hashes
         plan3 = _quick_plan(Stage.FINETUNE, Objective.CE, steps=6)
         ckpt3, _ = run_stage(plan3, s3, splits, SeededRng(33, "stage/ft"))
 
@@ -348,10 +364,6 @@ class TestThreeStageComposition:
         assert ckpt3.hashes(ParamGroup.BACKBONE) == \
             {n: e.content_hash for n, e in ckpt1.entries.items()
              if e.group is ParamGroup.BACKBONE}
-        # the loading itself left the head untouched (it trains only in S3)
-        pre_load = Checkpoint.from_registry(s3.registry, stage="post",
-                                            groups={ParamGroup.HEAD})
-        assert set(pre_load.hashes()) == set(head_hashes)
 
 
 class TestGridSearch:

@@ -9,7 +9,7 @@ from tpp.optim import AdamW
 from tpp.peft import AdapterSpec, attach
 from tpp.pipeline import build_bundle
 from tpp.pretext import (AugmentPolicy, DinoConfig, MaeConfig,
-                         MaskedReconstruction, ProjectionHead, SelfDistillation,
+                         MaskedReconstruction, SelfDistillation,
                          augment, center_update, dino_loss, sample_mask,
                          solarize, teacher_update)
 from tpp.registry import ParamGroup, ParamRegistry

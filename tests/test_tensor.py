@@ -1,5 +1,7 @@
 """Autodiff engine: op semantics, gradient correctness, tape contracts."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,8 @@ class TestElementwise:
         ("div", lambda a, b: T.div(a, b)),
     ])
     def test_binary_op_gradients_match_finite_differences(self, op, builder):
-        rng = np.random.default_rng(hash(op) % 2**32)
+        # a stable seed per op: hash(str) changes with each interpreter run
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
         a = T.Tensor(rng.standard_normal((5, 10)), requires_grad=True)
         b = T.Tensor(rng.standard_normal((5, 10)) + 3.0, requires_grad=True)
         weights = rng.standard_normal((5, 10))
@@ -65,7 +68,11 @@ class TestElementwise:
             return T.mul(builder(a, b), T.Tensor(weights)).sum()
 
         T.backward(loss())
-        for t in (a, b):
+        x, y, w = a.data, b.data, weights
+        closed_form = {"add": (w, w), "sub": (w, -w), "mul": (w * y, w * x),
+                       "div": (w / y, -w * x / y**2)}[op]
+        for t, exact in zip((a, b), closed_form):
+            assert rel_err(t.grad, exact) <= 1e-12
             fd = finite_difference(lambda: run_forward_loss(loss), t.data)
             assert rel_err(t.grad, fd) < 1e-5
 
