@@ -9,6 +9,9 @@ Verbs:
     tpp audit            BEFORE AFTER [--groups backbone,target,head]
     tpp report           LOG [LOG ...] [--csv PATH] [--out PATH]
 
+`finetune --grid` trains one run per learning rate and writes the run with
+the best [eval] primary val score: its checkpoint, log and test metrics.
+
 Exit codes: 0 success, 1 config error, 2 runtime/divergence, 3 audit failure.
 Every command is idempotent on its outputs given --seed and identical inputs.
 """
@@ -130,10 +133,6 @@ def _task_and_data(cfg: ExperimentConfig, seed: int):
     return data.train.task, data
 
 
-def _echo_config(cfg: ExperimentConfig, log: MetricLog, seed: int) -> None:
-    log.log(event="effective_config", seed=seed, **cfg.effective())
-
-
 def _pretext_objective(cfg: ExperimentConfig) -> Objective:
     name = cfg.get("pretext", "task")
     if name == "mae":
@@ -163,7 +162,7 @@ def cmd_pretrain_backbone(args) -> int:
     rng = SeededRng(args.seed, "stage/pretrain")
     ckpt, log = run_stage(plan, bundle, data, rng,
                           mae_cfg=cfg.mae_config(), dino_cfg=cfg.dino_config())
-    _echo_config(cfg, log, args.seed)
+    log.log(event="effective_config", seed=args.seed, **cfg.effective())
     path = _write_outputs(args.out, "backbone", ckpt, log)
     print(f"wrote {path}")
     return 0
@@ -225,7 +224,7 @@ def cmd_tpp(args) -> int:
                                                   - head_groups))
     ckpt, log = run_stage(plan, bundle, data, rng,
                           mae_cfg=cfg.mae_config(), dino_cfg=cfg.dino_config())
-    _echo_config(cfg, log, args.seed)
+    log.log(event="effective_config", seed=args.seed, **cfg.effective())
 
     ratio = bundle.registry.trainable_ratio()
     print(f"trainable ratio: {ratio:.4f}%")
@@ -246,14 +245,25 @@ def cmd_finetune(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     task, data = _task_and_data(cfg, args.seed)
     loss = cfg.resolved("stage", "loss", "ce" if task == "classification" else "dice_ce")
-    if loss == "dice_ce" and task == "classification":
-        raise ConfigError("loss/task mismatch: Dice+CE on a classification task")
     if loss not in ("ce", "dice_ce"):
         raise ConfigError(f"unknown loss: {loss!r}")
-    objective = Objective.CE if loss == "ce" else Objective.DICE_CE
+    if (loss == "ce") != (task == "classification"):
+        raise ConfigError(f"loss/task mismatch: {loss} on a {task} task")
+    objective = Objective(loss)
+    task_metrics = ("acc", "auc", "f1") if task == "classification" else ("dice", "hd95")
+    primary = cfg.resolved("eval", "primary", task_metrics[0])
+    if primary not in task_metrics:
+        raise ConfigError(f"[eval] primary = {primary!r} is not a {task} metric {task_metrics}")
+    if cfg.get("eval", "batch_size") < 1:
+        raise ConfigError("[eval] batch_size must be >= 1")
+    plan = _stage_plan(cfg, Stage.FINETUNE, objective, task)
+    try:
+        lr_grid = ([float(v) for v in args.grid.split(",") if v.strip()] if args.grid
+                   else [plan.schedule.base_lr])
+    except ValueError as exc:
+        raise ConfigError(f"--grid {args.grid}: {exc}") from None
     peft_spec = cfg.peft_spec(args.peft)
-    num_classes = (data.train.num_classes if task == "classification" else 2)
-    head_spec = cfg.head_spec(task, num_classes)
+    head_spec = cfg.head_spec(task, data.train.num_classes)
     backbone_ckpt = Checkpoint.load(args.backbone)
     target_ckpt = None if args.target_init == "random" else Checkpoint.load(args.target_init)
 
@@ -264,21 +274,13 @@ def cmd_finetune(args) -> int:
             target_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.TARGET})
         return bundle
 
-    plan = _stage_plan(cfg, Stage.FINETUNE, objective, task)
-    rng_label = "stage/finetune"
-
+    (bundle, ckpt, log), rows = grid_search(plan, lr_grid, make_bundle, data, args.seed, primary)
     if args.grid:
-        lr_grid = [float(v) for v in args.grid.split(",") if v.strip()]
-        primary = cfg.resolved("eval", "primary",
-                               "acc" if task == "classification" else "dice")
-        plan, rows = grid_search(plan, lr_grid, make_bundle, data, args.seed, primary)
         print("grid search (best first):")
         for row in rows:
             score = "diverged" if row["score"] is None else f"{row['score']:.4f}"
             print(f"  lr={row['lr']:.6g}  {primary}={score}  [{row['status']}]")
 
-    bundle = make_bundle()
-    ckpt, log = run_stage(plan, bundle, data, SeededRng(args.seed, rng_label))
     test_report = evaluate(bundle, data.test, cfg.get("eval", "batch_size"))
     log.extend(test_report.to_records("test"))
     ratio = bundle.registry.trainable_ratio()
@@ -286,7 +288,7 @@ def cmd_finetune(args) -> int:
     log.log(event="run_info", label=os.path.splitext(os.path.basename(args.config))[0],
             seed=args.seed, peft=(mechanism_name(peft_spec) if peft_spec else "none"),
             target_init=args.target_init)
-    _echo_config(cfg, log, args.seed)
+    log.log(event="effective_config", seed=args.seed, **cfg.effective())
     path = _write_outputs(args.out, "finetune", ckpt, log)
     metrics = "  ".join(f"{k}={v:.4f}" for k, v in test_report.metrics.items())
     print(f"test: {metrics}")

@@ -372,9 +372,6 @@ def subset(dataset: Dataset, annotation_ratio: float, seed: int) -> Dataset:
     """
     if not 0.0 < annotation_ratio <= 1.0:
         raise ArgumentError(f"annotation_ratio must be in (0,1], got {annotation_ratio}")
-    if annotation_ratio == 1.0:
-        return Dataset(samples=list(dataset.samples), task=dataset.task,
-                       class_names=list(dataset.class_names))
     keep: list[int] = []
     for cls, indices in sorted(_strata(dataset).items()):
         order = SeededRng(seed, f"subset/class{cls}").permutation(len(indices))

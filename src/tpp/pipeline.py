@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint, _hash_array
 from .data import Dataset, SplitDatasets
-from .errors import ArgumentError, StateError, TrainingDiverged
+from .errors import ArgumentError, StateError, StructuralError, TrainingDiverged
 from .metrics import EvalReport, classification_report, segmentation_report
 from .optim import AdamW, AdamWSpec, ScheduleSpec, lr_at, wd_at
 from .peft import PeftSpec, attach, mechanism_name, reinit_target_params
@@ -249,11 +249,17 @@ class MetricLog:
     @classmethod
     def read_jsonl(cls, path: str) -> "MetricLog":
         log = cls()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    log.records.append(json.loads(line))
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:  # json raises ValueError on bad JSON and on bad UTF-8
+                    record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+                except ValueError as exc:
+                    raise StructuralError(f"{path} line {lineno}: {exc}") from None
+                log.records.append(record)
         return log
 
 
@@ -290,10 +296,6 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
 
 
 # -- stage runner -------------------------------------------------------------
-
-
-def _steps_per_epoch(n: int, batch_size: int) -> int:
-    return math.ceil(n / batch_size)
 
 
 def _batch_images(samples, indices, policy: str, rng: SeededRng, epoch: int) -> np.ndarray:
@@ -368,7 +370,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
 
     optimizer = AdamW(bundle.registry.params(trainable=True), plan.optimizer)
     n = len(train)
-    spe = _steps_per_epoch(n, plan.batch_size)
+    spe = math.ceil(n / plan.batch_size)
     total_steps = plan.max_iterations if plan.max_iterations is not None \
         else plan.max_epochs * spe
     base_lr = plan.schedule.effective_base_lr(plan.batch_size)
@@ -385,8 +387,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         new_epoch = step // spe
         if new_epoch != epoch:
             if plan.eval_each_epoch and val is not None and epoch >= 0:
-                report = evaluate(bundle, val, plan.batch_size)
-                log.extend(report.to_records("val"))
+                log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
             epoch = new_epoch
             order = rng.child(f"order/epoch{epoch}").permutation(n)
         pos = (step % spe) * plan.batch_size
@@ -395,24 +396,20 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         lr = lr_at(plan.schedule, step, total_steps, spe, base_lr)
         wd = wd_at(plan.schedule, step, total_steps)
         try:  # the step's tape is freed however the step ends
-            if plan.objective is Objective.MAE:
-                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
-                loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
-                                sample_keys=[int(i) for i in indices])
-            elif plan.objective is Objective.DINO:
+            if plan.objective is Objective.DINO:
                 views = _dino_views(train.samples, indices, bundle.dino.cfg, rng, epoch)
                 loss, teacher_out = dino.step_loss(views)
+            else:
+                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
+            if plan.objective is Objective.MAE:
+                loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
+                                sample_keys=[int(i) for i in indices])
             elif plan.objective is Objective.CE:
-                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
                 labels = np.array([train.samples[i].label for i in indices], dtype=np.intp)
-                logits = bundle.head(bundle.backbone.forward_images(images))
-                loss = T.cross_entropy(logits, labels)
+                loss = T.cross_entropy(bundle.head(bundle.backbone.forward_images(images)), labels)
             elif plan.objective is Objective.DICE_CE:
-                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
                 masks = np.stack([train.samples[i].mask for i in indices])
                 loss = _segmentation_loss(bundle, images, masks)
-            else:
-                raise ArgumentError(f"unknown objective {plan.objective}")
 
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
@@ -429,8 +426,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         log.log(stage=plan.stage.value, step=step, epoch=epoch, lr=lr, wd=wd, loss=loss_value)
 
     if plan.eval_each_epoch and val is not None:
-        report = evaluate(bundle, val, plan.batch_size)
-        log.extend(report.to_records("val"))
+        log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
 
     frozen_after = _frozen_hashes(bundle.registry, plan.frozen_groups)
     violations = [name for name, h in frozen_before.items() if frozen_after[name] != h]
@@ -470,33 +466,37 @@ HIGHER_IS_BETTER = {"acc": True, "auc": True, "f1": True, "dice": True, "hd95": 
 
 
 def grid_search(base_plan: StagePlan, lr_grid: list[float], make_bundle,
-                data: SplitDatasets, seed: int, primary_metric: str = "acc",
-                rng_path: str = "stage/finetune") -> tuple[StagePlan, list[dict]]:
-    """Train one run per learning rate; pick the best validation score.
+                data: SplitDatasets, seed: int, primary_metric: str = "acc"
+                ) -> tuple[tuple[ModelBundle, Checkpoint, MetricLog], list[dict]]:
+    """Train a fresh `make_bundle()` per lr under the "stage/finetune" rng stream.
 
-    Every run uses the same derived rng stream, so re-running the selected
-    plan with the same seed reproduces its recorded score. Diverged
-    (non-finite loss) runs rank last instead of aborting the search.
-    Returns (best plan, ranked table rows).
+    Returns `((bundle, checkpoint, log), rows)`: the best run, trained once,
+    and one row per lr, best first. A run's score is the last `val` record
+    of its own log. Only the best run so far is kept, and only a strictly
+    better score replaces it, so ties go to the earlier lr. Diverged runs
+    rank last; if all diverge, the first run's own `TrainingDiverged` is raised.
     """
     if not lr_grid:
         raise ArgumentError("grid_search: empty learning-rate grid")
-    higher = HIGHER_IS_BETTER.get(primary_metric, True)
-    rows = []
+    if not base_plan.eval_each_epoch:
+        raise ArgumentError("grid_search: the plan must evaluate each epoch")
+    higher = HIGHER_IS_BETTER[primary_metric]
+    best = best_score = first_divergence = None
+    ok, diverged = [], []
     for lr in lr_grid:
         plan = replace(base_plan, schedule=replace(base_plan.schedule, base_lr=lr))
         bundle = make_bundle()
         try:
-            _, log = run_stage(plan, bundle, data, SeededRng(seed, rng_path))
-            report = evaluate(bundle, data.val, plan.batch_size)
-            rows.append({"lr": lr, "score": report.metrics[primary_metric], "status": "ok"})
-        except TrainingDiverged as exc:
-            rows.append({"lr": lr, "score": None, "status": f"diverged@{exc.step}"})
-    worst = -np.inf if higher else np.inf
-    rows.sort(key=lambda r: (r["score"] if r["score"] is not None else worst),
-              reverse=higher)
-    best_lr = rows[0]["lr"]
-    if rows[0]["score"] is None:
-        raise TrainingDiverged(0, best_lr, [])
-    best = replace(base_plan, schedule=replace(base_plan.schedule, base_lr=best_lr))
-    return best, rows
+            ckpt, log = run_stage(plan, bundle, data, SeededRng(seed, "stage/finetune"))
+        except TrainingDiverged as exc:  # its traceback would keep the run alive
+            first_divergence = first_divergence or exc.with_traceback(None)
+            diverged.append({"lr": lr, "score": None, "status": f"diverged@{exc.step}"})
+            continue
+        score = [r["value"] for r in log.records if r.get("metric") == primary_metric][-1]
+        ok.append({"lr": lr, "score": score, "status": "ok"})
+        if best is None or (score > best_score if higher else score < best_score):
+            best, best_score = (bundle, ckpt, log), score
+    if best is None:
+        raise first_divergence
+    ok.sort(key=lambda r: r["score"], reverse=higher)
+    return best, ok + diverged

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import tpp.cli as cli
+import tpp.pipeline as pipeline
 from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
 from tpp.config import ExperimentConfig
@@ -92,6 +94,20 @@ class TestConfigParsing:
         cfg = ExperimentConfig.parse(BASE_CFG)
         vit = cfg.vit_config()
         assert vit.embed_dim == 16 and vit.depth == 2
+
+
+# case -> (exit code, stderr fragment)
+MALFORMED_INPUTS = {
+    "grid_token": (1, "--grid 0.001,abc: could not convert string to float: 'abc'"),
+    "primary_of_other_task": (
+        1, "[eval] primary = 'dice' is not a classification metric ('acc', 'auc', 'f1')"),
+    "unknown_primary": (1, "[eval] primary = 'bogus' is not a classification metric"),
+    "eval_batch_zero": (1, "[eval] batch_size must be >= 1"),
+    "ce_on_segmentation": (1, "loss/task mismatch: ce on a segmentation task"),
+    "report_not_json": (2, "log.jsonl line 2: Expecting property name"),
+    "report_not_object": (2, "log.jsonl line 2: expected a JSON object, got list"),
+    "report_not_utf8": (2, "log.jsonl line 2: 'utf-8' codec can't decode"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +244,84 @@ class TestCli:
         assert "grid search" in capsys.readouterr().out
         assert sorted(loads) == sorted([workspace["backbone"],
                                         str(target_dir / "target.tppc")])
+
+    def test_grid_trains_each_lr_once(self, workspace, tmp_path, capsys, monkeypatch):
+        trained, evaluated = [], []
+        real_run_stage, real_evaluate = pipeline.run_stage, pipeline.evaluate
+
+        def counting_run_stage(plan, *args, **kwargs):
+            trained.append(plan.schedule.base_lr)
+            return real_run_stage(plan, *args, **kwargs)
+
+        def counting_evaluate(*args, **kwargs):
+            evaluated.append(1)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_stage", counting_run_stage)
+        monkeypatch.setattr(cli, "run_stage", counting_run_stage)
+        monkeypatch.setattr(pipeline, "evaluate", counting_evaluate)
+        assert main(["finetune", "--config", workspace["cfg"], "--seed", "5",
+                     "--backbone", workspace["backbone"],
+                     "--grid", "0.001,0.003,0.01", "--out", str(tmp_path)]) == 0
+        assert "grid search" in capsys.readouterr().out
+        assert trained == [0.001, 0.003, 0.01]
+        # 6 iterations of 2 steps per epoch: 3 val evaluations per run, none extra
+        assert len(evaluated) == 3 * 3
+
+    def test_grid_writes_the_winning_run(self, workspace, tmp_path, capsys):
+        # BASE_CFG trains at lr 0.001, the winner of this grid
+        common = ["--config", workspace["cfg"], "--seed", "5",
+                  "--backbone", workspace["backbone"]]
+        assert main(["finetune", *common, "--grid", "0.001,0.003",
+                     "--out", str(tmp_path / "grid")]) == 0
+        ranked = capsys.readouterr().out.splitlines()[1]
+        assert ranked.startswith("  lr=0.001 ")
+        assert main(["finetune", *common, "--out", str(tmp_path / "plain")]) == 0
+        for name in ("finetune.tppc", "finetune.jsonl"):
+            assert (tmp_path / "grid" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_diverged_grid_reports_the_runs_own_divergence(self, workspace, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(BASE_CFG.replace("lr = 0.001", "lr = 1e300")
+                       .replace("weight_decay = 0.0", "weight_decay = 1.0"))
+        common = ["--config", str(cfg), "--seed", "3", "--backbone", workspace["backbone"]]
+        assert main(["finetune", *common, "--out", str(tmp_path / "plain")]) == 2
+        alone = capsys.readouterr().err
+        assert main(["finetune", *common, "--grid", "1e300", "--out", str(tmp_path / "g")]) == 2
+        grid = capsys.readouterr().err
+        assert grid == alone
+        assert "non-finite loss at step 1" in grid and "recent losses: []" not in grid
+
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+    def test_malformed_input_is_a_typed_exit(self, workspace, tmp_path, capsys, monkeypatch,
+                                             case):
+        code, message = MALFORMED_INPUTS[case]
+        monkeypatch.setattr(pipeline, "run_stage",
+                            lambda *a, **k: pytest.fail("trained on a malformed input"))
+        config_text = {"primary_of_other_task": BASE_CFG + "[eval]\nprimary = dice\n",
+                       "unknown_primary": BASE_CFG + "[eval]\nprimary = bogus\n",
+                       "eval_batch_zero": BASE_CFG + "[eval]\nbatch_size = 0\n",
+                       "ce_on_segmentation": BASE_CFG.replace("synthetic_cls", "synthetic_seg")
+                       + "loss = ce\n"}
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_text.get(case, BASE_CFG))
+        finetune = ["finetune", "--config", str(cfg), "--seed", "0",
+                    "--backbone", workspace["backbone"], "--out", str(tmp_path / "o")]
+        log = tmp_path / "log.jsonl"
+        second_line = {"report_not_json": b"{oops", "report_not_object": b"[1, 2]",
+                       "report_not_utf8": b'{"a": "\xc3\x28"}'}
+        if case in second_line:
+            log.write_bytes(b'{"event": "run_info"}\n' + second_line[case] + b"\n")
+            argv = ["report", str(log)]
+        elif case == "grid_token":
+            argv = finetune + ["--grid", "0.001,abc"]
+        else:
+            argv = finetune
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
         code = main(["finetune", "--config", str(tmp_path / "nope.cfg"), "--seed", "0",

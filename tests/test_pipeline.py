@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tpp import pipeline
 from tpp import tensor as T
 from tpp.checkpoint import Checkpoint, audit_freeze
 from tpp.data import SyntheticTaskSpec, generate_synthetic
-from tpp.errors import StateError, StructuralError, TrainingDiverged
+from tpp.errors import ArgumentError, StateError, StructuralError, TrainingDiverged
 from tpp.optim import AdamW, ScheduleSpec
 from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec, reinit_target_params
 from tpp.pipeline import (InitSpec, Objective, Stage, build_bundle, default_plan,
@@ -216,7 +217,6 @@ class TestInitModes:
 
     @pytest.mark.parametrize("mode", ["transfer", "upstream", "bogus", "from_checkpoint"])
     def test_unknown_mode_rejected(self, mode):
-        from tpp.errors import ArgumentError
         with pytest.raises(ArgumentError):
             InitSpec(mode)
 
@@ -376,18 +376,18 @@ class TestGridSearch:
     def test_single_value_grid_selects_it(self):
         splits = _splits(seed=41)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=4)
-        best, rows = grid_search(plan, [3e-3], self._make_factory(splits), splits,
-                                 seed=42, primary_metric="acc")
-        assert best.schedule.base_lr == 3e-3
+        _, rows = grid_search(plan, [3e-3], self._make_factory(splits), splits,
+                              seed=42, primary_metric="acc")
+        assert rows[0]["lr"] == 3e-3
         assert len(rows) == 1 and rows[0]["status"] == "ok"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_ranks_last_without_crashing(self):
         splits = _splits(seed=43)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=10, wd=1.0)
-        best, rows = grid_search(plan, [1e-3, 1e200], self._make_factory(splits), splits,
-                                 seed=44, primary_metric="acc")
-        assert best.schedule.base_lr == 1e-3
+        _, rows = grid_search(plan, [1e-3, 1e200], self._make_factory(splits), splits,
+                              seed=44, primary_metric="acc")
+        assert rows[0]["lr"] == 1e-3
         assert rows[-1]["score"] is None
         assert rows[-1]["status"].startswith("diverged")
 
@@ -395,20 +395,59 @@ class TestGridSearch:
         splits = _splits(seed=45)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=6)
         factory = self._make_factory(splits)
-        best, rows = grid_search(plan, [1e-3, 3e-3], factory, splits, seed=46,
-                                 primary_metric="acc")
-        recorded = rows[0]["score"]
-        bundle = factory()
-        run_stage(best, bundle, splits, SeededRng(46, "stage/finetune"))
-        again = evaluate(bundle, splits.val, best.batch_size).metrics["acc"]
-        assert again == recorded
+        (bundle, ckpt, log), rows = grid_search(plan, [1e-3, 3e-3], factory, splits,
+                                                seed=46, primary_metric="acc")
+        fresh = factory()
+        best = replace(plan, schedule=replace(plan.schedule, base_lr=rows[0]["lr"]))
+        fresh_ckpt, fresh_log = run_stage(best, fresh, splits, SeededRng(46, "stage/finetune"))
+        assert ckpt.hashes() == fresh_ckpt.hashes()
+        assert Checkpoint.from_registry(bundle.registry, stage="x").hashes() == \
+            fresh_ckpt.hashes()
+        assert log.records == fresh_log.records
+        again = evaluate(fresh, splits.val, best.batch_size).metrics["acc"]
+        assert again == rows[0]["score"]
 
     def test_empty_grid_rejected(self):
         splits = _splits(seed=47)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=2)
-        from tpp.errors import ArgumentError
         with pytest.raises(ArgumentError):
             grid_search(plan, [], self._make_factory(splits), splits, seed=48)
+
+    def test_plan_without_val_scores_rejected(self):
+        plan = replace(_quick_plan(Stage.FINETUNE, Objective.CE, steps=2),
+                       eval_each_epoch=False)
+        with pytest.raises(ArgumentError, match="evaluate each epoch"):
+            grid_search(plan, [1e-3], self._make_factory(None), _splits(seed=49), seed=49)
+
+    def test_strictly_better_run_wins_and_ties_keep_the_earlier_lr(self, monkeypatch):
+        scores = {1e-1: 50.0, 1e-2: 70.0, 1e-3: 70.0, 1e-4: 60.0}
+        runs = {}
+
+        def scripted_run_stage(plan, bundle, data, rng):
+            assert rng.path == "stage/finetune"
+            log = pipeline.MetricLog()
+            log.log(split="val", metric="acc", value=0.0)  # an earlier epoch
+            log.log(split="val", metric="acc", value=scores[plan.schedule.base_lr])
+            runs[plan.schedule.base_lr] = (bundle, object(), log)
+            return runs[plan.schedule.base_lr][1:]
+
+        monkeypatch.setattr(pipeline, "run_stage", scripted_run_stage)
+        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=2)
+        best, rows = grid_search(plan, list(scores), object, None, seed=0)
+        assert best == runs[1e-2]
+        assert [r["lr"] for r in rows] == [1e-2, 1e-3, 1e-4, 1e-1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_diverged_reraises_the_first_runs_own_error(self):
+        splits = _splits(seed=50)
+        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=10, wd=1.0, lr=1e200)
+        factory = self._make_factory(splits)
+        with pytest.raises(TrainingDiverged) as alone:
+            run_stage(plan, factory(), splits, SeededRng(51, "stage/finetune"))
+        with pytest.raises(TrainingDiverged) as grid:
+            grid_search(plan, [1e200, 1e199], factory, splits, seed=51)
+        assert str(grid.value) == str(alone.value)
+        assert grid.value.loss_history  # it diverged after a logged step
 
 
 class TestTapeLifetime:
