@@ -19,6 +19,7 @@ Every command is idempotent on its outputs given --seed and identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -84,10 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- shared helpers ----------------------------------------------------------
 
 
+def _check_lr(lr: float, where: str) -> float:
+    """A learning rate must be finite and > 0: lr <= 0 trains gradient ascent or nothing."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"{where}: learning rate must be finite and > 0, got {lr!r}")
+    return lr
+
+
 def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task: str) -> StagePlan:
     plan = default_plan(stage, objective, task)
     schedule = plan.schedule
-    lr = cfg.resolved("stage", "lr", schedule.base_lr)
+    lr = _check_lr(cfg.resolved("stage", "lr", schedule.base_lr), "[stage] lr")
     warmup = cfg.resolved("stage", "warmup_epochs", schedule.warmup_epochs)
     wd = cfg.resolved("stage", "weight_decay", schedule.wd_start)
     wd_end = cfg.resolved("stage", "wd_end", schedule.wd_end)
@@ -157,8 +165,8 @@ def cmd_pretrain_backbone(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     task, data = _task_and_data(cfg, args.seed)
     objective = _pretext_objective(cfg)
-    bundle = build_bundle(cfg.vit_config(), args.seed)
     plan = _stage_plan(cfg, Stage.BACKBONE_PRETRAIN, objective, task)
+    bundle = build_bundle(cfg.vit_config(), args.seed)
     rng = SeededRng(args.seed, "stage/pretrain")
     ckpt, log = run_stage(plan, bundle, data, rng,
                           mae_cfg=cfg.mae_config(), dino_cfg=cfg.dino_config())
@@ -209,12 +217,12 @@ def cmd_tpp(args) -> int:
     if isinstance(peft_spec, BitFitSpec):
         print("warning: BitFit adds no parameters; pre-training its biases is experimental",
               file=sys.stderr)
+    plan = _stage_plan(cfg, Stage.TPP, objective, task)
     backbone_ckpt = Checkpoint.load(args.backbone)
     bundle = build_bundle(cfg.vit_config(), args.seed, peft_spec=peft_spec,
                           backbone=backbone_ckpt)
     rng = SeededRng(args.seed, "stage/tpp")
 
-    plan = _stage_plan(cfg, Stage.TPP, objective, task)
     if objective is Objective.MAE:
         mode, inherited = _prepare_decoder(cfg, bundle, backbone_ckpt, task, rng)
         head_groups = ({ParamGroup.HEAD} if mode == "freeze" else set())
@@ -262,6 +270,8 @@ def cmd_finetune(args) -> int:
                    else [plan.schedule.base_lr])
     except ValueError as exc:
         raise ConfigError(f"--grid {args.grid}: {exc}") from None
+    for lr in lr_grid:
+        _check_lr(lr, f"--grid {args.grid}")
     peft_spec = cfg.peft_spec(args.peft)
     head_spec = cfg.head_spec(task, data.train.num_classes)
     backbone_ckpt = Checkpoint.load(args.backbone)
@@ -311,17 +321,33 @@ def cmd_audit(args) -> int:
     return 0 if report.passed else 3
 
 
+_NUMBER = (int, float)
+
+
+def _field(record: dict, key: str, kind, path: str):
+    """`record[key]` if it is a `kind`; a missing or mistyped field is a StructuralError."""
+    if key not in record:
+        raise StructuralError(f"{path}: record {record} has no {key!r} field")
+    value = record[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise StructuralError(f"{path}: record {record} has a {type(value).__name__} {key!r}")
+    return value
+
+
 def cmd_report(args) -> int:
     runs = []
     for path in args.logs:
         log = MetricLog.read_jsonl(path)
         info = next((r for r in log.records if r.get("event") == "run_info"), None)
-        ratio = next((r["value"] for r in log.records if r.get("event") == "trainable_ratio"), None)
-        tests = {r["metric"]: r["value"] for r in log.records if r.get("split") == "test"}
-        label = info["label"] if info else os.path.splitext(os.path.basename(path))[0]
+        ratio = next((_field(r, "value", _NUMBER, path) for r in log.records
+                      if r.get("event") == "trainable_ratio"), None)
+        tests = {_field(r, "metric", str, path): _field(r, "value", _NUMBER, path)
+                 for r in log.records if r.get("split") == "test"}
+        label = _field(info, "label", str, path) if info \
+            else os.path.splitext(os.path.basename(path))[0]
         if info and info.get("target_init") not in (None, "random"):
             label += "+tpp"
-        runs.append({"label": label, "seed": info["seed"] if info else None,
+        runs.append({"label": label, "seed": _field(info, "seed", int, path) if info else None,
                      "ratio": ratio, "metrics": tests})
     by_label: dict[str, list[dict]] = {}
     for run in runs:

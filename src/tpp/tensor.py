@@ -13,7 +13,12 @@ Contracts the rest of the package relies on:
   no vector-Jacobian product is ever evaluated for them (frozen
   parameters cost nothing beyond the forward pass);
 * an op records a node only if at least one input is grad-relevant, so
-  subgraphs built purely from frozen values stay off the tape.
+  subgraphs built purely from frozen values stay off the tape;
+* the tape holds only what a needed cotangent reads. A node links to its
+  parents' nodes and to trainable leaves, never to intermediate tensors,
+  and its vjp closure keeps only the arrays that the cotangents needed at
+  record time read. A linear layer with a frozen weight therefore saves no
+  activation: its input dies as soon as the forward drops it.
 """
 
 from __future__ import annotations
@@ -28,11 +33,15 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Node:
-    """One recorded primitive: parent tensors plus a vector-Jacobian product.
+    """One recorded primitive: links to its inputs plus a vector-Jacobian product.
 
-    ``vjp(g)`` returns one cotangent per parent (None for parents that do
-    not need one). Saved activations live in the vjp closure and are freed
-    when the tape is cleared.
+    ``parents`` has one entry per input: the input's node if a recorded op
+    made it, the input tensor if it is a trainable leaf, else None. It
+    never holds an intermediate ``Tensor``. ``vjp(g)`` returns one cotangent
+    per parent (None for parents that do not need one). Its closure holds
+    only the arrays that those cotangents read, chosen when the op records
+    (a frozen-weight linear keeps the weight, not its input); they are
+    freed when the tape is cleared.
     """
 
     __slots__ = ("parents", "vjp", "idx", "tape", "alive")
@@ -190,10 +199,21 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _link(t: Tensor) -> Node | Tensor | None:
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Attach a tape node if recording is on and any parent is grad-relevant."""
+    """Attach a tape node if recording is on and any parent is grad-relevant.
+
+    The node links to the parents' nodes or trainable leaves (see `Node`),
+    so only `vjp` keeps arrays alive: each primitive captures just the
+    arrays that the cotangents of its grad-relevant inputs read.
+    """
     if _GRAD_ENABLED and any(p._needs_grad() for p in parents):
-        out.node = _TAPE.record(parents, vjp)
+        out.node = _TAPE.record(tuple(_link(p) for p in parents), vjp)
         out.requires_grad = True
     return out
 
@@ -226,10 +246,11 @@ def add(a, b) -> Tensor:
     _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
     ash, bsh = a.shape, b.shape
+    na, nb = a._needs_grad(), b._needs_grad()
 
     def vjp(g):
-        ga = _unbroadcast(g, ash) if a._needs_grad() else None
-        gb = _unbroadcast(g, bsh) if b._needs_grad() else None
+        ga = _unbroadcast(g, ash) if na else None
+        gb = _unbroadcast(g, bsh) if nb else None
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -240,10 +261,11 @@ def sub(a, b) -> Tensor:
     _check_broadcast(a, b, "sub")
     out = Tensor(a.data - b.data)
     ash, bsh = a.shape, b.shape
+    na, nb = a._needs_grad(), b._needs_grad()
 
     def vjp(g):
-        ga = _unbroadcast(g, ash) if a._needs_grad() else None
-        gb = -_unbroadcast(g, bsh) if b._needs_grad() else None
+        ga = _unbroadcast(g, ash) if na else None
+        gb = -_unbroadcast(g, bsh) if nb else None
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -253,12 +275,15 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
+    na, nb = a._needs_grad(), b._needs_grad()
+    # each cotangent reads only the other operand
+    ad = a.data if nb else None
+    bd = b.data if na else None
 
     def vjp(g):
-        ga = _unbroadcast(g * bd, ash) if a._needs_grad() else None
-        gb = _unbroadcast(g * ad, bsh) if b._needs_grad() else None
+        ga = _unbroadcast(g * bd, ash) if na else None
+        gb = _unbroadcast(g * ad, bsh) if nb else None
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -270,13 +295,15 @@ def div(a, b) -> Tensor:
     # division by zero propagates as +-inf by design
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(a.data / b.data)
-    ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
+    na, nb = a._needs_grad(), b._needs_grad()
+    ad = a.data if nb else None
+    bd = b.data
 
     def vjp(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ga = _unbroadcast(g / bd, ash) if a._needs_grad() else None
-            gb = _unbroadcast(-g * ad / (bd * bd), bsh) if b._needs_grad() else None
+            ga = _unbroadcast(g / bd, ash) if na else None
+            gb = _unbroadcast(-g * ad / (bd * bd), bsh) if nb else None
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -294,15 +321,22 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian-CDF GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    When it records, the derivative cdf + x * pdf is computed in the forward
+    and is the one array the node keeps.
+    """
     x = _as_tensor(x)
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
     out = Tensor(xd * cdf)
+    if not (_GRAD_ENABLED and x._needs_grad()):
+        return out
+    pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+    dydx = cdf + xd * pdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (cdf + xd * pdf),)
+        return (g * dydx,)
 
     return _record(out, (x,), vjp)
 
@@ -327,14 +361,17 @@ def matmul(a, b) -> Tensor:
             f"matmul: batch dimensions not broadcastable for {list(a.shape)} @ {list(b.shape)}"
         ) from None
     out = Tensor(np.matmul(a.data, b.data))
-    ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
+    na, nb = a._needs_grad(), b._needs_grad()
+    # x @ W with W frozen keeps W only: the input's activation is not saved
+    ad = a.data if nb else None
+    bd = b.data if na else None
 
     def vjp(g):
         ga = gb = None
-        if a._needs_grad():
+        if na:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
-        if b._needs_grad():
+        if nb:
             gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh)
         return ga, gb
 
@@ -369,11 +406,12 @@ def concat(tensors, axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    needs = [t._needs_grad() for t in tensors]
 
     def vjp(g):
         grads = []
-        for i, t in enumerate(tensors):
-            if t._needs_grad():
+        for i, need in enumerate(needs):
+            if need:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offsets[i], offsets[i + 1])
                 grads.append(g[tuple(sl)])
@@ -457,12 +495,14 @@ def scatter_tokens(visible: Tensor, idx: np.ndarray, fill: Tensor, num_tokens: i
     out = Tensor(data)
     filled = np.ones((bsz, num_tokens), dtype=bool)
     filled[batch, idx] = False
+    nvis, nfill = visible._needs_grad(), fill._needs_grad()
+    fshape = fill.shape
 
     def vjp(g):
-        gvis = g[batch, idx] if visible._needs_grad() else None
+        gvis = g[batch, idx] if nvis else None
         gfill = None
-        if fill._needs_grad():
-            gfill = g[filled].sum(axis=0).reshape(fill.shape)
+        if nfill:
+            gfill = g[filled].sum(axis=0).reshape(fshape)
         return gvis, gfill
 
     return _record(out, (visible, fill), vjp)
@@ -516,14 +556,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = (x.data - mean) * inv
     out = Tensor(xhat * gamma.data + beta.data)
     gdat = gamma.data
+    nx, ngamma, nbeta = x._needs_grad(), gamma._needs_grad(), beta._needs_grad()
+    if not (nx or ngamma):  # beta's cotangent alone reads no saved array
+        xhat = None
 
     def vjp(g):
         gx = ggamma = gbeta = None
-        if gamma._needs_grad():
+        if ngamma:
             ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        if beta._needs_grad():
+        if nbeta:
             gbeta = g.reshape(-1, d).sum(axis=0)
-        if x._needs_grad():
+        if nx:
             dxhat = g * gdat
             gx = inv * (
                 dxhat
@@ -578,11 +621,12 @@ def mse_masked(pred: Tensor, target: Tensor, mask: np.ndarray) -> Tensor:
     denom = count * pred.shape[-1]
     diff = (pred.data - target.data) * mask[..., None]
     out = Tensor(np.array((diff * diff).sum() / denom))
+    npred, ntarget = pred._needs_grad(), target._needs_grad()
 
     def vjp(g):
         base = (2.0 / denom) * diff * g
-        gp = base if pred._needs_grad() else None
-        gt = -base if target._needs_grad() else None
+        gp = base if npred else None
+        gt = -base if ntarget else None
         return gp, gt
 
     return _record(out, (pred, target), vjp)
@@ -606,11 +650,12 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     flat_labels = labels.reshape(-1)
     n = flat_labels.shape[0]
     out = Tensor(np.array(-flat_logp[np.arange(n), flat_labels].mean()))
+    shape = logits.shape
 
     def vjp(g):
         p = np.exp(flat_logp)
         p[np.arange(n), flat_labels] -= 1.0
-        return ((g / n) * p.reshape(logits.shape),)
+        return ((g / n) * p.reshape(shape),)
 
     return _record(out, (logits,), vjp)
 
@@ -683,10 +728,10 @@ def backward(loss: Tensor) -> None:
         n = tape_nodes[i]
         grads = n.vjp(g)
         for parent, pg in zip(n.parents, grads):
-            if pg is None:
+            if pg is None or parent is None:
                 continue
-            if parent.node is not None:
-                j = parent.node.idx
+            if type(parent) is Node:
+                j = parent.idx
                 prev = cot.get(j)
                 cot[j] = pg if prev is None else prev + pg
             elif parent.requires_grad:

@@ -107,6 +107,17 @@ MALFORMED_INPUTS = {
     "report_not_json": (2, "log.jsonl line 2: Expecting property name"),
     "report_not_object": (2, "log.jsonl line 2: expected a JSON object, got list"),
     "report_not_utf8": (2, "log.jsonl line 2: 'utf-8' codec can't decode"),
+    "report_run_info_without_seed": (
+        2, "log.jsonl: record {'event': 'run_info', 'label': 'x'} has no 'seed' field"),
+    "report_test_without_metric": (
+        2, "log.jsonl: record {'split': 'test', 'value': 1.0} has no 'metric' field"),
+    "report_test_value_not_a_number": (2, "'value': 'high'} has a str 'value'"),
+    "grid_negative_lr": (1, "--grid -0.5,0.001: learning rate must be finite and > 0, got -0.5"),
+    "grid_nan_lr": (1, "--grid 0.001,nan: learning rate must be finite and > 0, got nan"),
+    "grid_inf_lr": (1, "--grid inf: learning rate must be finite and > 0, got inf"),
+    "stage_lr_negative": (1, "[stage] lr: learning rate must be finite and > 0, got -0.001"),
+    "stage_lr_zero_in_tpp": (1, "[stage] lr: learning rate must be finite and > 0, got 0.0"),
+    "stage_lr_nan_in_pretrain": (1, "[stage] lr: learning rate must be finite and > 0, got nan"),
 }
 
 
@@ -301,23 +312,41 @@ class TestCli:
         code, message = MALFORMED_INPUTS[case]
         monkeypatch.setattr(pipeline, "run_stage",
                             lambda *a, **k: pytest.fail("trained on a malformed input"))
+        monkeypatch.setattr(cli, "build_bundle",
+                            lambda *a, **k: pytest.fail("built a model on a malformed input"))
         config_text = {"primary_of_other_task": BASE_CFG + "[eval]\nprimary = dice\n",
                        "unknown_primary": BASE_CFG + "[eval]\nprimary = bogus\n",
                        "eval_batch_zero": BASE_CFG + "[eval]\nbatch_size = 0\n",
                        "ce_on_segmentation": BASE_CFG.replace("synthetic_cls", "synthetic_seg")
-                       + "loss = ce\n"}
+                       + "loss = ce\n",
+                       "stage_lr_negative": BASE_CFG.replace("lr = 0.001", "lr = -0.001"),
+                       "stage_lr_zero_in_tpp": BASE_CFG.replace("lr = 0.001", "lr = 0"),
+                       "stage_lr_nan_in_pretrain": BASE_CFG.replace("lr = 0.001", "lr = nan")}
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config_text.get(case, BASE_CFG))
-        finetune = ["finetune", "--config", str(cfg), "--seed", "0",
-                    "--backbone", workspace["backbone"], "--out", str(tmp_path / "o")]
+        common = ["--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "o")]
+        finetune = ["finetune", *common, "--backbone", workspace["backbone"]]
         log = tmp_path / "log.jsonl"
         second_line = {"report_not_json": b"{oops", "report_not_object": b"[1, 2]",
                        "report_not_utf8": b'{"a": "\xc3\x28"}'}
+        only_line = {"report_run_info_without_seed": b'{"event": "run_info", "label": "x"}',
+                     "report_test_without_metric": b'{"split": "test", "value": 1.0}',
+                     "report_test_value_not_a_number":
+                         b'{"split": "test", "metric": "acc", "value": "high"}'}
+        grid = {"grid_token": "0.001,abc", "grid_negative_lr": "-0.5,0.001",
+                "grid_nan_lr": "0.001,nan", "grid_inf_lr": "inf"}
         if case in second_line:
             log.write_bytes(b'{"event": "run_info"}\n' + second_line[case] + b"\n")
             argv = ["report", str(log)]
-        elif case == "grid_token":
-            argv = finetune + ["--grid", "0.001,abc"]
+        elif case in only_line:
+            log.write_bytes(only_line[case] + b"\n")
+            argv = ["report", str(log)]
+        elif case in grid:
+            argv = finetune + [f"--grid={grid[case]}"]
+        elif case == "stage_lr_zero_in_tpp":
+            argv = ["tpp", *common, "--backbone", workspace["backbone"]]
+        elif case == "stage_lr_nan_in_pretrain":
+            argv = ["pretrain-backbone", *common]
         else:
             argv = finetune
         assert main(argv) == code

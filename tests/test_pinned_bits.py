@@ -1,0 +1,68 @@
+"""Pinned bits: one training step's loss and gradients, hashed.
+
+Each case runs one `run_stage` step on a tiny config and hashes the loss
+and the gradient of every trainable param, in name order, at the moment
+`backward` returns. The hashes were recorded before the tape stopped
+holding arrays that no needed cotangent reads, so any change to the tape
+that moves a single bit of a loss or a gradient fails here.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from tpp import tensor as T
+from tpp.data import SyntheticTaskSpec, generate_synthetic
+from tpp.optim import ScheduleSpec
+from tpp.peft import AdapterSpec, LoraSpec, SsfSpec
+from tpp.pipeline import Objective, Stage, build_bundle, default_plan, run_stage
+from tpp.rng import SeededRng
+from tpp.vit import SegmentationSpec, ViTConfig
+
+TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
+
+CASES = {
+    # name: (stage, objective, peft, head, data kind)
+    "mae-tpp-adapter": (Stage.TPP, Objective.MAE, AdapterSpec(4), None, "textured_shapes_cls"),
+    "dino-tpp-lora": (Stage.TPP, Objective.DINO, LoraSpec(), None, "textured_shapes_cls"),
+    "dice-ce-ssf": (Stage.FINETUNE, Objective.DICE_CE, SsfSpec(), SegmentationSpec(2), "blob_seg"),
+}
+
+PINNED = {
+    "mae-tpp-adapter": "00dbb2af9471aa5fbf595c2ec1bdc3c3",
+    "dino-tpp-lora": "0145f7f5940ee8733e4d300b8b8298eb",
+    "dice-ce-ssf": "46a87d7c85c67b9ab8018083edfe826a",
+}
+
+
+def _step_digest(name: str, monkeypatch) -> str:
+    stage, objective, peft, head, kind = CASES[name]
+    spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=16, train_count=8,
+                             val_count=2, test_count=2, noise=0.2)
+    train = generate_synthetic(spec, SeededRng(0, "data")).train
+    bundle = build_bundle(TINY, seed=0, head_spec=head, peft_spec=peft)
+    plan = replace(default_plan(stage, objective), max_epochs=None, max_iterations=1,
+                   batch_size=8, schedule=ScheduleSpec(base_lr=1e-3, warmup_epochs=0))
+    digests = []
+    real_backward = T.backward
+
+    def hashing_backward(loss):
+        real_backward(loss)
+        h = hashlib.blake2b(np.ascontiguousarray(loss.data).tobytes(), digest_size=16)
+        for p in sorted(bundle.registry.params(trainable=True), key=lambda p: p.name):
+            assert p.tensor.grad is not None, p.name
+            h.update(p.name.encode())
+            h.update(np.ascontiguousarray(p.tensor.grad).tobytes())
+        digests.append(h.hexdigest())
+
+    monkeypatch.setattr(T, "backward", hashing_backward)
+    run_stage(plan, bundle, train, SeededRng(0, f"stage/{name}"))
+    assert len(digests) == 1
+    return digests[0]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_step_loss_and_grads_are_pinned(name, monkeypatch):
+    assert _step_digest(name, monkeypatch) == PINNED[name]

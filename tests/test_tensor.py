@@ -1,5 +1,7 @@
 """Autodiff engine: op semantics, gradient correctness, tape contracts."""
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -408,3 +410,76 @@ class TestBackwardContract:
         T.clear_tape()
         l2, g2 = run()
         assert np.array_equal(l1, l2) and np.array_equal(g1, g2)
+
+
+def _saved_arrays(node):
+    """The arrays a node's vjp closure keeps alive."""
+    cells = node.vjp.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestTapeLiveness:
+    """The tape keeps only the arrays that a needed cotangent reads.
+
+    Each case feeds an intermediate `h` (recorded, not a leaf) to the op
+    under test, with the op's other inputs frozen, and drops every Python
+    reference to `h`. While the tape is alive `h.data` must be collected,
+    and backward must still match the finite-difference oracle.
+    """
+
+    @pytest.mark.parametrize("op", ["matmul_frozen_weight", "mul_frozen_left",
+                                    "mul_frozen_right", "div_frozen_denominator",
+                                    "layer_norm", "gelu"])
+    def test_intermediate_input_is_freed_before_backward(self, op):
+        frozen = T.Tensor(_rand((5, 5), seed=40) + 4.0)
+        rows = T.narrow(frozen, 0, 0, 3)
+        apply, shape = {
+            "matmul_frozen_weight": (lambda h: T.matmul(h, frozen), (4, 3, 5)),
+            "mul_frozen_left": (lambda h: T.mul(rows, h), (3, 5)),
+            "mul_frozen_right": (lambda h: T.mul(h, rows), (3, 5)),
+            "div_frozen_denominator": (lambda h: T.div(h, rows), (3, 5)),
+            "layer_norm": (lambda h: T.layer_norm(h, T.Tensor(_rand((5,), seed=41)),
+                                                  T.Tensor(_rand((5,), seed=42))), (4, 5)),
+            "gelu": (T.gelu, (3, 5)),
+        }[op]
+        x = T.Tensor(_rand(shape, seed=43), requires_grad=True)
+        refs = []
+
+        def loss():
+            h = T.scale(x, 1.5)
+            refs.append(weakref.ref(h.data))
+            y = apply(h)
+            return T.mul(y, T.Tensor(_rand(y.shape, seed=44))).sum()
+
+        out = loss()
+        gc.collect()
+        assert refs[0]() is None
+        assert out.node.alive and len(T.tape()) == 4
+        # a node links to parent nodes and trainable leaves, never to an intermediate
+        for node in T.tape().nodes:
+            for parent in node.parents:
+                assert parent is None or isinstance(parent, T.Node) or parent is x
+        T.backward(out)
+        fd = finite_difference(lambda: run_forward_loss(loss), x.data)
+        assert rel_err(x.grad, fd, floor=1e-6) < 1e-5
+
+    def test_frozen_weight_matmul_saves_only_the_weight(self):
+        w = T.Tensor(_rand((5, 2), seed=45))
+        h = T.scale(T.Tensor(_rand((3, 5), seed=46), requires_grad=True), 2.0)
+        out = T.matmul(h, w)
+        assert [a is w.data for a in _saved_arrays(out.node)] == [True]
+
+    def test_layer_norm_with_only_beta_trainable_saves_no_activation(self):
+        x = T.Tensor(_rand((3, 5), seed=48))
+        beta = T.Tensor(np.zeros(5), requires_grad=True)  # BitFit trains biases only
+        out = T.layer_norm(x, T.Tensor(np.ones(5)), beta)
+        assert all(a.size <= 5 for a in _saved_arrays(out.node))
+        T.backward(T.mul(out, T.Tensor(_rand((3, 5), seed=49))).sum())
+        assert np.array_equal(beta.grad, _rand((3, 5), seed=49).sum(axis=0))
+
+    def test_gelu_keeps_exactly_one_input_sized_array(self):
+        h = T.scale(T.Tensor(_rand((3, 5), seed=47), requires_grad=True), 2.0)
+        out = T.gelu(h)
+        saved = _saved_arrays(out.node)
+        assert [a.shape for a in saved] == [h.shape]
+        assert saved[0] is not h.data and saved[0] is not out.data
