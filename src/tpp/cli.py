@@ -177,10 +177,10 @@ def cmd_pretrain_backbone(args) -> int:
 
 
 def _prepare_decoder(cfg: ExperimentConfig, bundle: ModelBundle,
-                     backbone_ckpt: Checkpoint, task: str, rng: SeededRng) -> tuple[str, bool]:
+                     backbone_ckpt: Checkpoint, task: str, rng: SeededRng) -> str:
     """Resolve the decoder handling mode and inherit weights when asked.
 
-    Returns (mode, inherited). auto: freeze for classification, update for
+    Returns the mode. auto: freeze for classification, update for
     segmentation, falling back to random when the checkpoint carries no
     decoder. Explicit freeze/update without an inheritable decoder is a
     config error.
@@ -201,9 +201,9 @@ def _prepare_decoder(cfg: ExperimentConfig, bundle: ModelBundle,
                 f"checkpoint has none")
         # the decoder is the bundle's whole Head group at this point
         backbone_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.HEAD})
-        return mode, True
+        return mode
     if mode == "random":
-        return mode, False
+        return mode
     raise ConfigError(f"unknown decoder_mode: {mode!r}")
 
 
@@ -224,12 +224,8 @@ def cmd_tpp(args) -> int:
     rng = SeededRng(args.seed, "stage/tpp")
 
     if objective is Objective.MAE:
-        mode, inherited = _prepare_decoder(cfg, bundle, backbone_ckpt, task, rng)
-        head_groups = ({ParamGroup.HEAD} if mode == "freeze" else set())
-        plan = replace(plan,
-                       frozen_groups=frozenset({ParamGroup.BACKBONE} | head_groups),
-                       trainable_groups=frozenset({ParamGroup.TARGET, ParamGroup.HEAD}
-                                                  - head_groups))
+        if _prepare_decoder(cfg, bundle, backbone_ckpt, task, rng) == "freeze":
+            plan = replace(plan, frozen_groups=frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD}))
     ckpt, log = run_stage(plan, bundle, data, rng,
                           mae_cfg=cfg.mae_config(), dino_cfg=cfg.dino_config())
     log.log(event="effective_config", seed=args.seed, **cfg.effective())

@@ -380,24 +380,3 @@ def subset(dataset: Dataset, annotation_ratio: float, seed: int) -> Dataset:
     keep.sort()
     return Dataset(samples=[dataset.samples[i] for i in keep], task=dataset.task,
                    class_names=list(dataset.class_names))
-
-
-def split_dataset(dataset: Dataset, fractions: tuple[float, float, float], seed: int) -> SplitDatasets:
-    """Stratified disjoint train/val/test split covering every sample."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ArgumentError(f"split fractions must sum to 1, got {fractions}")
-    buckets: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for cls, indices in sorted(_strata(dataset).items()):
-        order = SeededRng(seed, f"split/class{cls}").permutation(len(indices))
-        n = len(indices)
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
-        shuffled = [indices[j] for j in order]
-        buckets[0].extend(shuffled[:n_train])
-        buckets[1].extend(shuffled[n_train:n_train + n_val])
-        buckets[2].extend(shuffled[n_train + n_val:])
-    def build(idx: list[int]) -> Dataset:
-        idx = sorted(idx)
-        return Dataset(samples=[dataset.samples[i] for i in idx], task=dataset.task,
-                       class_names=list(dataset.class_names))
-    return SplitDatasets(train=build(buckets[0]), val=build(buckets[1]), test=build(buckets[2]))

@@ -22,7 +22,6 @@ class AdamWSpec:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ class AdamW:
         self._v = {p.name: np.zeros_like(p.data) for p in self.params}
         self._t = {p.name: 0 for p in self.params}
 
-    def step(self, lr: float, weight_decay: float | None = None) -> None:
-        wd = self.spec.weight_decay if weight_decay is None else weight_decay
+    def step(self, lr: float, weight_decay: float) -> None:
+        """One update; `weight_decay` comes from the stage's schedule (`wd_at`)."""
         b1, b2, eps = self.spec.beta1, self.spec.beta2, self.spec.eps
         for p in self.params:
             g = p.tensor.grad
@@ -100,8 +99,8 @@ class AdamW:
                 continue
             t = self._t[p.name] + 1
             self._t[p.name] = t
-            if wd != 0.0:
-                p.tensor.data = p.tensor.data * (1.0 - lr * wd)
+            if weight_decay != 0.0:
+                p.tensor.data = p.tensor.data * (1.0 - lr * weight_decay)
             m = self._m[p.name] = b1 * self._m[p.name] + (1 - b1) * g
             v = self._v[p.name] = b2 * self._v[p.name] + (1 - b2) * (g * g)
             mhat = m / (1 - b1 ** t)

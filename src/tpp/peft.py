@@ -149,7 +149,7 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
         if spec.mode not in ("shallow", "deep"):
             raise ArgumentError(f"vpt mode must be shallow or deep, got {spec.mode!r}")
         layers = range(cfg.depth) if spec.mode == "deep" else range(1)
-        prompts = [
+        model.prompts = [
             registry.register(
                 f"vpt.layers.{i}.prompts",
                 rng.child(f"layer{i}").trunc_normal((spec.num_tokens, d)),
@@ -157,7 +157,6 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
             )
             for i in layers
         ]
-        model.vpt = (spec.mode, prompts)
 
     elif isinstance(spec, SsfSpec):
         mlp_dim = cfg.mlp_dim
@@ -176,7 +175,6 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
         # the model's registry, not the view: on reinit no Backbone bias is left
         for p in model.registry.params(group=ParamGroup.BACKBONE):
             if p.name.endswith(".bias"):
-                p.trainable = True
                 p.group = ParamGroup.TARGET
 
     elif isinstance(spec, LoraSpec):
@@ -221,6 +219,6 @@ def merged_lora_weights(model: VisionTransformer) -> dict[str, np.ndarray]:
             key = _LORA_TARGET_MAP[target]
             a = registry.get(f"lora.blocks.{i}.{key}.A").data
             b = registry.get(f"lora.blocks.{i}.{key}.B").data
-            w_name = f"{model.prefix}.blocks.{i}.attn.{key}.weight"
+            w_name = f"backbone.blocks.{i}.attn.{key}.weight"
             out[w_name] = registry.get(w_name).data + (spec.alpha / spec.rank) * (a @ b)
     return out

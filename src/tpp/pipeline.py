@@ -73,10 +73,16 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class StagePlan:
+    """One training stage. Every group not in `frozen_groups` trains.
+
+    `run_stage` sets each param's trainability from `frozen_groups` alone,
+    after adding the objective's scaffolding (the MAE decoder, the DINO
+    projection head), so those params train unless their group is frozen.
+    """
+
     stage: Stage
     objective: Objective
     frozen_groups: frozenset[ParamGroup]
-    trainable_groups: frozenset[ParamGroup]
     schedule: ScheduleSpec
     optimizer: AdamWSpec = AdamWSpec()
     batch_size: int = 64
@@ -86,19 +92,11 @@ class StagePlan:
     augment_policy: str = "none"
     eval_each_epoch: bool = False
 
-    def validate(self, groups_present: set[ParamGroup]) -> None:
-        if self.frozen_groups & self.trainable_groups:
-            raise StateError(
-                f"plan: groups both frozen and trainable: "
-                f"{sorted(g.value for g in self.frozen_groups & self.trainable_groups)}")
-        missing = groups_present - (self.frozen_groups | self.trainable_groups)
-        if missing:
-            raise StateError(
-                f"plan: groups present but unassigned: {sorted(g.value for g in missing)}")
+    def validate(self) -> None:
         if self.stage is Stage.TPP:
             if ParamGroup.BACKBONE not in self.frozen_groups:
                 raise StateError("TPP plan must freeze the Backbone group")
-            if ParamGroup.TARGET not in self.trainable_groups:
+            if ParamGroup.TARGET in self.frozen_groups:
                 raise StateError("TPP plan must train the Target group")
         if self.stage is Stage.FINETUNE:
             if ParamGroup.BACKBONE not in self.frozen_groups:
@@ -133,15 +131,10 @@ def default_plan(stage: Stage, objective: Objective, task: str = "classification
         epochs = None
         batch = 32 if batch_size is None else batch_size
 
-    if stage is Stage.BACKBONE_PRETRAIN:
-        frozen, trainable = frozenset(), frozenset(ParamGroup)
-    else:
-        frozen = frozenset({ParamGroup.BACKBONE})
-        trainable = frozenset({ParamGroup.TARGET, ParamGroup.HEAD})
-
+    frozen = frozenset() if stage is Stage.BACKBONE_PRETRAIN \
+        else frozenset({ParamGroup.BACKBONE})
     plan = StagePlan(stage=stage, objective=objective, frozen_groups=frozen,
-                     trainable_groups=trainable, schedule=schedule,
-                     batch_size=batch, max_epochs=epochs)
+                     schedule=schedule, batch_size=batch, max_epochs=epochs)
     if objective in (Objective.CE, Objective.DICE_CE):
         plan = replace(plan, max_epochs=None, max_iterations=1000,
                        eval_each_epoch=True)
@@ -155,17 +148,11 @@ def default_plan(stage: Stage, objective: Objective, task: str = "classification
 class ModelBundle:
     """Backbone + optional head + pretext scaffolding over one registry."""
 
-    cfg: ViTConfig
     backbone: VisionTransformer
     registry: ParamRegistry
     head: object | None = None
-    head_spec: HeadSpec | None = None
-    peft_spec: PeftSpec | None = None
     mae: MaskedReconstruction | None = None
     dino: SelfDistillation | None = None
-
-    def groups_present(self) -> set[ParamGroup]:
-        return {p.group for p in self.registry}
 
 
 def build_bundle(cfg: ViTConfig, seed: int, head_spec: HeadSpec | None = None,
@@ -184,13 +171,11 @@ def build_bundle(cfg: ViTConfig, seed: int, head_spec: HeadSpec | None = None,
     vit = VisionTransformer(cfg, registry, SeededRng(seed, "init/backbone"))
     if backbone is not None:
         backbone.apply_to_registry(registry, groups={ParamGroup.BACKBONE})
-    bundle = ModelBundle(cfg=cfg, backbone=vit, registry=registry)
+    bundle = ModelBundle(backbone=vit, registry=registry)
     if peft_spec is not None:
         attach(vit, peft_spec, SeededRng(seed, "init/peft"))
-        bundle.peft_spec = peft_spec
     if head_spec is not None:
         bundle.head = build_head(cfg, head_spec, registry, SeededRng(seed, "init/head"))
-        bundle.head_spec = head_spec
     return bundle
 
 
@@ -270,7 +255,7 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
     """Deterministic full-dataset evaluation (no augmentation, no rng)."""
     if bundle.head is None:
         raise StateError("evaluate: bundle has no task head")
-    seg = isinstance(bundle.head_spec, SegmentationSpec)
+    seg = isinstance(bundle.head.spec, SegmentationSpec)
     scores, labels = [], []
     pred_masks, gt_masks = [], []
     with T.no_grad():
@@ -355,10 +340,9 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     elif plan.objective is Objective.DINO:
         dino = ensure_dino(bundle, dino_cfg or DinoConfig(), rng)
 
-    present = bundle.groups_present()
-    plan.validate(present)
-    for group in present:
-        bundle.registry.set_group_trainable(group, group in plan.trainable_groups)
+    plan.validate()
+    for group in ParamGroup:
+        bundle.registry.set_group_trainable(group, group not in plan.frozen_groups)
 
     # re-draw before the teacher copies the trainable params
     if plan.init is not None and bundle.backbone.peft_spec is not None:
@@ -446,7 +430,7 @@ def _plan_snapshot(plan: StagePlan, base_lr: float, total_steps: int) -> dict:
         "stage": plan.stage.value,
         "objective": plan.objective.value,
         "frozen_groups": sorted(g.value for g in plan.frozen_groups),
-        "trainable_groups": sorted(g.value for g in plan.trainable_groups),
+        "trainable_groups": sorted(g.value for g in ParamGroup if g not in plan.frozen_groups),
         "batch_size": plan.batch_size,
         "total_steps": total_steps,
         "base_lr": base_lr,

@@ -27,26 +27,23 @@ class ParamGroup(Enum):
 
 
 class Param:
-    """One named parameter: tensor + group tag + trainable flag."""
+    """One named parameter: tensor + group tag; `trainable` is the tensor's requires_grad."""
 
-    __slots__ = ("name", "tensor", "group", "_trainable")
+    __slots__ = ("name", "tensor", "group")
 
-    def __init__(self, name: str, tensor: Tensor, group: ParamGroup, trainable: bool):
+    def __init__(self, name: str, tensor: Tensor, group: ParamGroup):
         self.name = name
         self.tensor = tensor
         self.group = group
-        self._trainable = bool(trainable)
-        tensor.requires_grad = self._trainable
 
     @property
     def trainable(self) -> bool:
-        return self._trainable
+        return self.tensor.requires_grad
 
     @trainable.setter
     def trainable(self, flag: bool) -> None:
-        self._trainable = bool(flag)
-        self.tensor.requires_grad = self._trainable
-        if not self._trainable:
+        self.tensor.requires_grad = bool(flag)
+        if not flag:
             self.tensor.grad = None
 
     @property
@@ -63,11 +60,11 @@ class ParamRegistry:
     def __init__(self):
         self._params: dict[str, Param] = {}
 
-    def register(self, name: str, data, group: ParamGroup, trainable: bool = True) -> Param:
+    def register(self, name: str, data, group: ParamGroup) -> Param:
+        """Add a trainable param; a stage's plan decides what stays trainable."""
         if name in self._params:
             raise StateError(f"parameter name already registered: {name}")
-        tensor = data if isinstance(data, Tensor) else Tensor(np.asarray(data, dtype=np.float64))
-        param = Param(name, tensor, group, trainable)
+        param = Param(name, Tensor(data, requires_grad=True), group)
         self._params[name] = param
         return param
 

@@ -177,9 +177,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, shape):
         return reshape(self, shape)
 
@@ -191,16 +188,14 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
-def zeros_like(x: Tensor) -> Tensor:
-    return Tensor(np.zeros_like(x.data))
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _link(t: Tensor) -> Node | Tensor | None:
     if t.node is not None:
+        if not t.node.alive:  # its index now names another node's slot
+            raise StateError("op input was computed on a tape that has since been cleared")
         return t.node
     return t if t.requires_grad else None
 
@@ -525,16 +520,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, xshape).copy(),)
 
     return _record(out, (x,), vjp)
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    if axis is None:
-        n = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([x.shape[a] for a in axes]))
-    return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # -- normalization and attention ----------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, ShapeError
-from .registry import ParamGroup, ParamRegistry
+from .registry import Param, ParamGroup, ParamRegistry
 from .rng import SeededRng
 from .tensor import Tensor
 
@@ -213,28 +213,26 @@ class TransformerBlock:
 class VisionTransformer:
     """Backbone: patch embedding, class token, positional embeddings, blocks."""
 
-    def __init__(self, cfg: ViTConfig, registry: ParamRegistry, rng: SeededRng,
-                 prefix: str = "backbone", group: ParamGroup = ParamGroup.BACKBONE):
+    def __init__(self, cfg: ViTConfig, registry: ParamRegistry, rng: SeededRng):
         self.cfg = cfg
         self.registry = registry
-        self.prefix = prefix
-        d = cfg.embed_dim
+        d, group = cfg.embed_dim, ParamGroup.BACKBONE
         self.patch_embed = Linear(registry, rng.child("patch_embed"),
-                                  f"{prefix}.patch_embed", cfg.patch_dim, d, group)
+                                  "backbone.patch_embed", cfg.patch_dim, d, group)
         self.cls_token = registry.register(
-            f"{prefix}.cls_token", rng.child("cls").trunc_normal((d,)), group)
+            "backbone.cls_token", rng.child("cls").trunc_normal((d,)), group)
         self.pos_embed = registry.register(
-            f"{prefix}.pos_embed",
+            "backbone.pos_embed",
             rng.child("pos").trunc_normal((cfg.num_patches + 1, d)), group)
         self.blocks = [
             TransformerBlock(registry, rng.child(f"block{i}"),
-                             f"{prefix}.blocks.{i}", d, cfg.num_heads, cfg.mlp_dim, group)
+                             f"backbone.blocks.{i}", d, cfg.num_heads, cfg.mlp_dim, group)
             for i in range(cfg.depth)
         ]
-        self.ln = LayerNorm(registry, f"{prefix}.ln", d, group)
-        self.vpt = None  # set by peft.attach: (mode, [prompt Param per instrumented layer])
+        self.ln = LayerNorm(registry, "backbone.ln", d, group)
+        # VPT prompt Params, set by peft.attach: one per block (deep) or one (shallow)
+        self.prompts: list[Param] = []
         self.peft_spec = None
-        self.last_block_input_lengths: list[int] = []
 
     # -- forward -----------------------------------------------------------
 
@@ -253,8 +251,9 @@ class VisionTransformer:
         tokens: [B,K,embed_dim] patch tokens. When patch_index is given
         (shape [B,K]) positional embeddings are gathered per sample, which
         is how the masked-reconstruction encoder sees only visible patches.
-        Prompt tokens (VPT) are inserted after the class token and dropped
-        again before returning, so the output is always [B, 1+K, d].
+        Block i < len(prompts) sees the VPT prompt tokens prompts[i] right
+        after the class token, in place of the previous block's; they are
+        dropped again before returning, so the output is always [B, 1+K, d].
         """
         d = self.cfg.embed_dim
         if tokens.shape[-1] != d:
@@ -272,31 +271,19 @@ class VisionTransformer:
         cls = T.add(self.cls_token.tensor, T.narrow(self.pos_embed.tensor, 0, 0, 1))
         x = T.concat([self._broadcast_rows(cls, bsz), x], axis=1)
 
-        num_prompts = 0
-        if self.vpt is not None:
-            mode, prompt_params = self.vpt
-            num_prompts = prompt_params[0].tensor.shape[0]
-            x = T.concat([
-                T.narrow(x, 1, 0, 1),
-                self._broadcast_rows(prompt_params[0].tensor, bsz),
-                T.narrow(x, 1, 1, k),
-            ], axis=1)
-
-        self.last_block_input_lengths = []
         for i, block in enumerate(self.blocks):
-            if self.vpt is not None and self.vpt[0] == "deep" and i > 0:
-                prompts = self.vpt[1][i]
+            if i < len(self.prompts):
+                # [cls, block i's prompts, patch tokens]: replaces block i-1's prompts
                 x = T.concat([
                     T.narrow(x, 1, 0, 1),
-                    self._broadcast_rows(prompts.tensor, bsz),
-                    T.narrow(x, 1, 1 + num_prompts, k),
+                    self._broadcast_rows(self.prompts[i].tensor, bsz),
+                    T.narrow(x, 1, x.shape[1] - k, k),
                 ], axis=1)
-            self.last_block_input_lengths.append(x.shape[1])
             x = block(x)
 
         x = self.ln(x)
-        if num_prompts:
-            x = T.concat([T.narrow(x, 1, 0, 1), T.narrow(x, 1, 1 + num_prompts, k)], axis=1)
+        if self.prompts:
+            x = T.concat([T.narrow(x, 1, 0, 1), T.narrow(x, 1, x.shape[1] - k, k)], axis=1)
         return x
 
     def forward_images(self, images: Tensor) -> Tensor:
@@ -308,9 +295,9 @@ class ClassificationHead:
     """Linear map from the class-token representation."""
 
     def __init__(self, cfg: ViTConfig, spec: ClassificationSpec,
-                 registry: ParamRegistry, rng: SeededRng, prefix: str = "head"):
+                 registry: ParamRegistry, rng: SeededRng):
         self.spec = spec
-        self.fc = Linear(registry, rng.child("fc"), f"{prefix}.fc",
+        self.fc = Linear(registry, rng.child("fc"), "head.fc",
                          cfg.embed_dim, spec.num_classes, ParamGroup.HEAD)
 
     def __call__(self, features: Tensor) -> Tensor:
@@ -323,10 +310,10 @@ class SegmentationHead:
     """Per-patch linear projection to class*p*p logits, unpatchified."""
 
     def __init__(self, cfg: ViTConfig, spec: SegmentationSpec,
-                 registry: ParamRegistry, rng: SeededRng, prefix: str = "head"):
+                 registry: ParamRegistry, rng: SeededRng):
         self.cfg = cfg
         self.spec = spec
-        self.proj = Linear(registry, rng.child("proj"), f"{prefix}.proj",
+        self.proj = Linear(registry, rng.child("proj"), "head.proj",
                            cfg.embed_dim, spec.num_classes * cfg.patch_size ** 2,
                            ParamGroup.HEAD)
 
@@ -340,11 +327,10 @@ class SegmentationHead:
                           self.cfg.image_size)
 
 
-def build_head(cfg: ViTConfig, spec: HeadSpec, registry: ParamRegistry,
-               rng: SeededRng, prefix: str = "head"):
+def build_head(cfg: ViTConfig, spec: HeadSpec, registry: ParamRegistry, rng: SeededRng):
     if isinstance(spec, ClassificationSpec):
-        return ClassificationHead(cfg, spec, registry, rng, prefix)
+        return ClassificationHead(cfg, spec, registry, rng)
     if isinstance(spec, SegmentationSpec):
-        return SegmentationHead(cfg, spec, registry, rng, prefix)
+        return SegmentationHead(cfg, spec, registry, rng)
     raise ArgumentError(f"unknown head spec: {spec!r}")
 

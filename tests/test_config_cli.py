@@ -169,6 +169,28 @@ class TestCli:
         assert "backbone freeze audit: PASS" in capsys.readouterr().out
         assert stages == ["tpp"]
 
+    @pytest.mark.parametrize("mode, frozen", [
+        ("freeze", {ParamGroup.BACKBONE, ParamGroup.HEAD}),
+        ("update", {ParamGroup.BACKBONE}),
+        ("random", {ParamGroup.BACKBONE}),
+    ])
+    def test_decoder_mode_sets_the_frozen_groups(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, mode, frozen):
+        plans = []
+        real_run_stage = cli.run_stage
+
+        def spying_run_stage(plan, *args, **kwargs):
+            plans.append(plan)
+            return real_run_stage(plan, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stage", spying_run_stage)
+        cfg = tmp_path / "decoder.cfg"
+        cfg.write_text(BASE_CFG + f"\n[pretext]\ndecoder_mode = {mode}\n")
+        assert main(["tpp", "--config", str(cfg), "--seed", "3",
+                     "--backbone", workspace["backbone"], "--out", str(tmp_path)]) == 0
+        assert "backbone freeze audit: PASS" in capsys.readouterr().out
+        assert [p.frozen_groups for p in plans] == [frozen]
+
     def test_finetune_consumes_tpp_checkpoint(self, workspace, capsys):
         s2 = workspace["root"] / "s2b"
         assert main(["tpp", "--config", workspace["cfg"], "--seed", "3",

@@ -1,4 +1,4 @@
-"""Data: file formats, synthetic generation oracles, splits and subsets."""
+"""Data: file formats, synthetic generation oracles and subsets."""
 
 import struct
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tpp.data import (Dataset, Sample, SyntheticTaskSpec,
                       bilinear_resize, generate_synthetic, load_folder,
-                      nearest_resize, read_pnm, read_tppt, split_dataset,
+                      nearest_resize, read_pnm, read_tppt,
                       subset, write_pnm, write_tppt)
 from tpp.errors import ArgumentError, StructuralError
 from tpp.rng import SeededRng
@@ -285,23 +285,3 @@ class TestSubset:
         labels = out.labels()
         assert int((labels == 0).sum()) == expected
         assert int((labels == 1).sum()) == expected
-
-
-class TestSplit:
-    def test_disjoint_and_covering(self):
-        ds = TestSubset()._dataset(per_class=40)
-        splits = split_dataset(ds, (0.6, 0.2, 0.2), seed=2)
-        ids = [set(splits.train.ids()), set(splits.val.ids()), set(splits.test.ids())]
-        assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
-        assert ids[0] | ids[1] | ids[2] == set(ds.ids())
-
-    def test_stratification(self):
-        ds = TestSubset()._dataset(per_class=50)
-        splits = split_dataset(ds, (0.8, 0.2, 0.0), seed=2)
-        labels = splits.val.labels()
-        assert int((labels == 0).sum()) == 10 and int((labels == 1).sum()) == 10
-
-    def test_bad_fractions_rejected(self):
-        ds = TestSubset()._dataset(per_class=4)
-        with pytest.raises(ArgumentError):
-            split_dataset(ds, (0.5, 0.2, 0.2), seed=0)

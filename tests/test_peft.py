@@ -14,7 +14,7 @@ from tpp.peft import (AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
 from tpp.pipeline import build_bundle
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
-from tpp.vit import ClassificationSpec, ViTConfig, build_head
+from tpp.vit import ClassificationSpec, TransformerBlock, ViTConfig, build_head
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -215,7 +215,7 @@ class TestGradientIsolation:
         loss = T.cross_entropy(head(model.forward_images(T.Tensor(images))),
                                np.array([0, 1, 1, 0]))
         T.backward(loss)
-        opt.step(lr=0.05)
+        opt.step(lr=0.05, weight_decay=0.0)
         opt.zero_grad()
         T.clear_tape()
         up = reg.get("adapter.blocks.0.up.weight").data
@@ -301,14 +301,23 @@ class TestAttachmentRules:
             for p in reg.params(group=ParamGroup.TARGET):
                 assert p.name.startswith(prefix), p.name
 
-    def test_vpt_block_zero_sees_prompt_extended_sequence(self):
+    def test_vpt_block_zero_sees_prompt_extended_sequence(self, monkeypatch):
         model, _ = _fresh()
         attach(model, VptSpec(num_tokens=5, mode="deep"), SeededRng(0, "init/peft"))
+        block_input_lengths = []
+        real_call = TransformerBlock.__call__
+
+        def spying_call(block, x):
+            block_input_lengths.append(x.shape[1])
+            return real_call(block, x)
+
+        monkeypatch.setattr(TransformerBlock, "__call__", spying_call)
         with T.no_grad():
             model.forward_images(T.Tensor(_random_images(TINY)))
         n = TINY.num_patches
-        assert model.last_block_input_lengths[0] == 1 + 5 + n
-        assert all(length == 1 + 5 + n for length in model.last_block_input_lengths)
+        assert len(block_input_lengths) == TINY.depth
+        assert block_input_lengths[0] == 1 + 5 + n
+        assert all(length == 1 + 5 + n for length in block_input_lengths)
 
     def test_invalid_hyperparameters_rejected(self):
         for spec in (AdapterSpec(bottleneck=0), VptSpec(num_tokens=0),

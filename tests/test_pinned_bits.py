@@ -2,9 +2,11 @@
 
 Each case runs one `run_stage` step on a tiny config and hashes the loss
 and the gradient of every trainable param, in name order, at the moment
-`backward` returns. The hashes were recorded before the tape stopped
-holding arrays that no needed cotangent reads, so any change to the tape
-that moves a single bit of a loss or a gradient fails here.
+`backward` returns. The first three hashes were recorded before the tape
+stopped holding arrays that no needed cotangent reads, and the VPT and
+frozen-decoder ones before trainability became a single flag read from the
+plan's frozen groups. Any change to the tape, the prompt insertion or the
+freezing that moves a single bit of a loss or a gradient fails here.
 """
 
 import hashlib
@@ -16,10 +18,11 @@ import pytest
 from tpp import tensor as T
 from tpp.data import SyntheticTaskSpec, generate_synthetic
 from tpp.optim import ScheduleSpec
-from tpp.peft import AdapterSpec, LoraSpec, SsfSpec
+from tpp.peft import AdapterSpec, LoraSpec, SsfSpec, VptSpec
 from tpp.pipeline import Objective, Stage, build_bundle, default_plan, run_stage
+from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
-from tpp.vit import SegmentationSpec, ViTConfig
+from tpp.vit import ClassificationSpec, SegmentationSpec, ViTConfig
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -28,12 +31,25 @@ CASES = {
     "mae-tpp-adapter": (Stage.TPP, Objective.MAE, AdapterSpec(4), None, "textured_shapes_cls"),
     "dino-tpp-lora": (Stage.TPP, Objective.DINO, LoraSpec(), None, "textured_shapes_cls"),
     "dice-ce-ssf": (Stage.FINETUNE, Objective.DICE_CE, SsfSpec(), SegmentationSpec(2), "blob_seg"),
+    "ce-vpt-deep": (Stage.FINETUNE, Objective.CE, VptSpec(num_tokens=3, mode="deep"),
+                    ClassificationSpec(2), "textured_shapes_cls"),
+    "ce-vpt-shallow": (Stage.FINETUNE, Objective.CE, VptSpec(num_tokens=3, mode="shallow"),
+                       ClassificationSpec(2), "textured_shapes_cls"),
+    "mae-tpp-frozen-decoder": (Stage.TPP, Objective.MAE, AdapterSpec(4), None,
+                               "textured_shapes_cls"),
 }
+
+# plans that freeze more than the stage's default: the MAE decoder (Head
+# group) stays fixed, as `tpp tpp` runs it with decoder_mode = freeze
+FROZEN = {"mae-tpp-frozen-decoder": frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD})}
 
 PINNED = {
     "mae-tpp-adapter": "00dbb2af9471aa5fbf595c2ec1bdc3c3",
     "dino-tpp-lora": "0145f7f5940ee8733e4d300b8b8298eb",
     "dice-ce-ssf": "46a87d7c85c67b9ab8018083edfe826a",
+    "ce-vpt-deep": "6b2ef90475cc7c0bcfbe9fdbf8798e5c",
+    "ce-vpt-shallow": "c017c0ee83c4443745023e1380a55fd4",
+    "mae-tpp-frozen-decoder": "48a1777261d0fc6077f45c7a768ed071",
 }
 
 
@@ -45,6 +61,8 @@ def _step_digest(name: str, monkeypatch) -> str:
     bundle = build_bundle(TINY, seed=0, head_spec=head, peft_spec=peft)
     plan = replace(default_plan(stage, objective), max_epochs=None, max_iterations=1,
                    batch_size=8, schedule=ScheduleSpec(base_lr=1e-3, warmup_epochs=0))
+    if name in FROZEN:
+        plan = replace(plan, frozen_groups=FROZEN[name])
     digests = []
     real_backward = T.backward
 

@@ -105,7 +105,7 @@ class TestMaskedReconstruction:
             loss = mae.loss(images, rng.child(f"s{step}"))
             losses.append(float(loss.data))
             T.backward(loss)
-            opt.step(lr=1e-3)
+            opt.step(lr=1e-3, weight_decay=0.0)
             opt.zero_grad()
             T.clear_tape()
         assert losses[-1] < losses[0]

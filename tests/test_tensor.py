@@ -22,7 +22,7 @@ def _rand(shape, seed=0):
 class TestElementwise:
     def test_add_zeros_is_identity(self):
         x = T.Tensor(_rand((3, 4)))
-        out = T.add(x, T.zeros_like(x))
+        out = T.add(x, T.zeros(x.shape))
         assert np.array_equal(out.data, x.data)
 
     def test_broadcasting_follows_trailing_rules(self):
@@ -376,6 +376,19 @@ class TestBackwardContract:
         T.clear_tape()
         with pytest.raises(StateError):
             T.backward(loss)
+
+    def test_op_on_an_input_from_a_cleared_tape_is_rejected(self):
+        # its dead node's index would route a cotangent to another node
+        w = T.Tensor(np.ones(1), requires_grad=True)
+        v = T.Tensor(np.ones(1), requires_grad=True)
+        stale = T.scale(w, 3.0)
+        T.clear_tape()
+        a = T.scale(v, 2.0)
+        with pytest.raises(StateError):
+            T.mul(a, stale)
+        assert len(T.tape()) == 1
+        with T.no_grad():  # reading its value records nothing and stays allowed
+            assert np.array_equal(T.mul(a, stale).data, [6.0])
 
     def test_no_gradient_leakage_to_frozen_tensors(self):
         frozen = T.Tensor(_rand((4, 4), seed=33), requires_grad=False)
