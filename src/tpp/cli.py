@@ -28,7 +28,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, audit_freeze
 from .config import AUTO, ExperimentConfig
-from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverged
+from .errors import ArgumentError, ConfigError, StateError, StructuralError, TrainingDiverged
 from .optim import AdamWSpec, ScheduleSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
@@ -115,13 +115,20 @@ def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task:
     augment = cfg.resolved("stage", "augment", plan.augment_policy)
     s = cfg.values["stage"]
     optimizer = AdamWSpec(beta1=s["beta1"], beta2=s["beta2"], eps=s["eps"])
-    return replace(plan, schedule=schedule, batch_size=int(batch),
+    plan = replace(plan, schedule=schedule, batch_size=int(batch),
                    augment_policy=augment, optimizer=optimizer, **budget)
+    try:
+        plan.validate()
+    except StateError as exc:
+        raise ConfigError(f"[stage] {exc}") from None
+    return plan
 
 
-def _task_and_data(cfg: ExperimentConfig, seed: int):
+def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
     """Load the data and check it fits [model] before any model is built.
 
+    Each split in `needed` must be non-empty, and every split must have
+    train's class names (a folder split labels by its own class directories).
     Every image must be [num_channels, image_size, image_size], and every
     segmentation mask binary (the loss and head assume 2 classes).
     """
@@ -129,7 +136,13 @@ def _task_and_data(cfg: ExperimentConfig, seed: int):
     m = cfg.values["model"]
     shape = (m["num_channels"], m["image_size"], m["image_size"])
     for split in ("train", "val", "test"):
-        for s in getattr(data, split).samples:
+        dataset = getattr(data, split)
+        if split in needed and len(dataset) == 0:
+            raise ConfigError(f"the {split} split is empty; check [data] {split}_count or path")
+        if dataset.class_names != data.train.class_names:
+            raise ConfigError(f"the {split} split has classes {dataset.class_names}, "
+                              f"but train has {data.train.class_names}")
+        for s in dataset.samples:
             if s.image.shape != shape:
                 raise ConfigError(
                     f"{split} sample {s.id}: image shape {list(s.image.shape)} does not match "
@@ -247,7 +260,7 @@ def cmd_tpp(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    task, data = _task_and_data(cfg, args.seed)
+    task, data = _task_and_data(cfg, args.seed, needed=("train", "val", "test"))
     loss = cfg.resolved("stage", "loss", "ce" if task == "classification" else "dice_ce")
     if loss not in ("ce", "dice_ce"):
         raise ConfigError(f"unknown loss: {loss!r}")

@@ -103,12 +103,14 @@ class StagePlan:
                 raise StateError("finetune plan must freeze the Backbone group")
         if (self.max_epochs is None) == (self.max_iterations is None):
             raise StateError("plan needs exactly one of max_epochs / max_iterations")
-        if self.batch_size < 1:
-            raise StateError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("max_epochs", "max_iterations", "batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise StateError(f"{name} must be >= 1, got {value}")
 
 
 def default_plan(stage: Stage, objective: Objective, task: str = "classification",
-                 batch_size: int | None = None, **overrides) -> StagePlan:
+                 **overrides) -> StagePlan:
     """Stage plans with the published training recipes as defaults.
 
     Masked-reconstruction pre-training: AdamW, base lr 1.5e-3 after a
@@ -117,19 +119,15 @@ def default_plan(stage: Stage, objective: Objective, task: str = "classification
     Self-distillation: batch 64, 10-epoch warmup to a base lr scaled as
     0.0001 * batch/256 with cosine decay, weight decay cosine 0.04 -> 0.4.
     """
+    epochs, batch = (500 if task == "classification" else 1000), 64
     if objective is Objective.MAE:
         schedule = ScheduleSpec(base_lr=1.5e-3, warmup_epochs=40, wd_start=1.5e-2)
-        epochs = 500 if task == "classification" else 1000
-        batch = 64 if batch_size is None else batch_size
     elif objective is Objective.DINO:
         schedule = ScheduleSpec(base_lr=1e-4, warmup_epochs=10,
                                 wd_start=0.04, wd_end=0.4, lr_batch_scaling=True)
-        epochs = 500 if task == "classification" else 1000
-        batch = 64 if batch_size is None else batch_size
     else:
         schedule = ScheduleSpec(base_lr=1e-4, wd_start=0.0)
-        epochs = None
-        batch = 32 if batch_size is None else batch_size
+        epochs, batch = None, 32
 
     frozen = frozenset() if stage is Stage.BACKBONE_PRETRAIN \
         else frozenset({ParamGroup.BACKBONE})
@@ -265,14 +263,10 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
             feats = bundle.backbone.forward_images(images)
             logits = bundle.head(feats)
             if seg:
-                preds = np.argmax(logits.data, axis=1)
-                for s, p in zip(batch, preds):
-                    pred_masks.append(p)
-                    gt_masks.append(s.mask)
+                pred_masks.extend(np.argmax(logits.data, axis=1))
+                gt_masks.extend(s.mask for s in batch)
             else:
-                z = logits.data - logits.data.max(axis=-1, keepdims=True)
-                e = np.exp(z)
-                scores.append(e / e.sum(axis=-1, keepdims=True))
+                scores.append(T.softmax(logits, 1.0).data)
                 labels.extend(s.label for s in batch)
     if seg:
         return segmentation_report(pred_masks, gt_masks)
@@ -283,25 +277,13 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
 # -- stage runner -------------------------------------------------------------
 
 
-def _batch_images(samples, indices, policy: str, rng: SeededRng, epoch: int) -> np.ndarray:
+def _batch_images(samples, indices, policy: str, rng: SeededRng) -> np.ndarray:
+    """[B,C,H,W] stack of `samples[indices]`; sample i is augmented under `policy`
+    from the stream `rng.child(f"sample{i}")`, and "none" draws nothing."""
     if policy == "none":
         return np.stack([samples[i].image for i in indices])
-    return np.stack([
-        augment(rng.child(f"augment/epoch{epoch}/sample{i}"), samples[i].image, policy)
-        for i in indices
-    ])
-
-
-def _dino_views(samples, indices, dino_cfg: DinoConfig, rng: SeededRng, epoch: int) -> list[Tensor]:
-    views = []
-    for v in range(dino_cfg.num_global_views + dino_cfg.num_local_views):
-        policy = "dino_global" if v < dino_cfg.num_global_views else "dino_local"
-        views.append(Tensor(np.stack([
-            augment(rng.child(f"dino/epoch{epoch}/view{v}/sample{i}"),
-                    samples[i].image, policy)
-            for i in indices
-        ])))
-    return views
+    return np.stack([augment(rng.child(f"sample{i}"), samples[i].image, policy)
+                     for i in indices])
 
 
 def _segmentation_loss(bundle: ModelBundle, images: Tensor, masks: np.ndarray) -> Tensor:
@@ -312,12 +294,6 @@ def _segmentation_loss(bundle: ModelBundle, images: Tensor, masks: np.ndarray) -
     probs = T.softmax(logits, 1.0, axis=1)
     fg = T.reshape(T.narrow(probs, 1, 1, 1), (bsz, h, w))
     return T.add(ce, T.dice_loss(fg, Tensor(masks.astype(np.float64))))
-
-
-def _frozen_hashes(registry: ParamRegistry, frozen_groups) -> dict[str, int]:
-    """Content hash of every frozen param: compares bytes, so NaN equals itself
-    and a 0.0 -> -0.0 change is seen, as in `audit_freeze`."""
-    return {p.name: _hash_array(p.data) for p in registry if p.group in frozen_groups}
 
 
 def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Dataset,
@@ -350,7 +326,9 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     if plan.objective is Objective.DINO:
         dino.init_teacher()
 
-    frozen_before = _frozen_hashes(bundle.registry, plan.frozen_groups)
+    # bytes, as in `audit_freeze`: NaN equals itself, 0.0 -> -0.0 is a change
+    frozen_before = {p.name: _hash_array(p.data) for p in bundle.registry
+                     if p.group in plan.frozen_groups}
 
     optimizer = AdamW(bundle.registry.params(trainable=True), plan.optimizer)
     n = len(train)
@@ -381,10 +359,15 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         wd = wd_at(plan.schedule, step, total_steps)
         try:  # the step's tape is freed however the step ends
             if plan.objective is Objective.DINO:
-                views = _dino_views(train.samples, indices, bundle.dino.cfg, rng, epoch)
+                g = dino.cfg.num_global_views
+                views = [Tensor(_batch_images(
+                    train.samples, indices, "dino_global" if v < g else "dino_local",
+                    rng.child(f"dino/epoch{epoch}/view{v}")))
+                    for v in range(g + dino.cfg.num_local_views)]
                 loss, teacher_out = dino.step_loss(views)
             else:
-                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy, rng, epoch))
+                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy,
+                                              rng.child(f"augment/epoch{epoch}")))
             if plan.objective is Objective.MAE:
                 loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
                                 sample_keys=[int(i) for i in indices])
@@ -412,16 +395,15 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     if plan.eval_each_epoch and val is not None:
         log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
 
-    frozen_after = _frozen_hashes(bundle.registry, plan.frozen_groups)
-    violations = [name for name, h in frozen_before.items() if frozen_after[name] != h]
-    if violations:
-        raise StateError(f"freeze violation: frozen params changed: {violations}")
-
     ckpt = Checkpoint.from_registry(
         bundle.registry, stage=plan.stage.value,
         config=_plan_snapshot(plan, base_lr, total_steps),
         rng_state={"seed": rng.seed, "path": rng.path},
     )
+    frozen_after = ckpt.hashes()
+    violations = [name for name, h in frozen_before.items() if frozen_after[name] != h]
+    if violations:
+        raise StateError(f"freeze violation: frozen params changed: {violations}")
     return ckpt, log
 
 

@@ -217,28 +217,24 @@ def center_update(center: np.ndarray, teacher_outputs: np.ndarray, momentum: flo
     return momentum * center + (1.0 - momentum) * teacher_outputs.mean(axis=0)
 
 
-def dino_loss(student_logits: list[Tensor], teacher_logits: list[np.ndarray],
+def dino_loss(student_logits: list[Tensor], teacher_logits: np.ndarray,
               center: np.ndarray, cfg: DinoConfig) -> Tensor:
     """Mean cross-entropy over (teacher global view, student view) pairs.
 
-    Teacher probabilities are softmax((t - center)/teacher_temp) with no
-    gradient; pairs where the student view index equals the teacher's
-    global view index are skipped.
+    `teacher_logits` stacks the teacher outputs of the global views on the
+    batch axis, view 0 first. Teacher probabilities are softmax((t -
+    center)/teacher_temp) with no gradient; pairs where the student view
+    index equals the teacher's global view index are skipped.
     """
     if cfg.teacher_temp <= 0 or cfg.student_temp <= 0:
         raise ArgumentError("temperatures must be > 0")
-    if len(teacher_logits) < 2:
-        raise ArgumentError("need at least 2 teacher global views")
-    terms = []
-    for g, t in enumerate(teacher_logits):
-        z = (t - center) / cfg.teacher_temp
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        pt = e / e.sum(axis=-1, keepdims=True)
-        for v, s in enumerate(student_logits):
-            if v == g:
-                continue
-            terms.append(T.soft_cross_entropy(pt, s, cfg.student_temp))
+    g, bsz = cfg.num_global_views, student_logits[0].shape[0]
+    if teacher_logits.shape[0] != g * bsz:
+        raise ArgumentError(f"teacher logits have {teacher_logits.shape[0]} rows, expected "
+                            f"{g} global views x batch {bsz}")
+    probs = T.softmax(Tensor((teacher_logits - center) / cfg.teacher_temp), 1.0).data
+    terms = [T.soft_cross_entropy(probs[t * bsz:(t + 1) * bsz], s, cfg.student_temp)
+             for t in range(g) for v, s in enumerate(student_logits) if v != t]
     total = terms[0]
     for term in terms[1:]:
         total = T.add(total, term)
@@ -282,14 +278,17 @@ class SelfDistillation:
             return self.student_forward(images).data
 
     def step_loss(self, views: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-        """Loss over all views plus stacked teacher outputs for the center update."""
+        """Loss over all views, and the stacked teacher outputs for the center update.
+
+        One teacher forward runs over the global views stacked on the batch axis
+        (each row keeps the bits of its own view's forward); the student runs
+        once per view, which keeps the order of its weight-gradient sums."""
         g = self.cfg.num_global_views
         if len(views) < g:
             raise ArgumentError(f"got {len(views)} views, need {g} global views")
-        teacher_outs = [self.teacher_forward(views[i]) for i in range(g)]
+        teacher_out = self.teacher_forward(T.concat(views[:g], axis=0))
         student_outs = [self.student_forward(v) for v in views]
-        loss = dino_loss(student_outs, teacher_outs, self.center, self.cfg)
-        return loss, np.concatenate(teacher_outs, axis=0)
+        return dino_loss(student_outs, teacher_out, self.center, self.cfg), teacher_out
 
     def after_step(self, teacher_batch_outputs: np.ndarray) -> None:
         teacher_update(self.teacher, self.model.registry, self.cfg.teacher_momentum)

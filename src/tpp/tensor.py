@@ -142,50 +142,9 @@ class Tensor:
         tag = (" " + ",".join(flags)) if flags else ""
         return f"Tensor(shape={list(self.shape)}{tag})"
 
-    # -- operators --------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape))
 
 
 def _as_tensor(x) -> Tensor:
@@ -506,17 +465,13 @@ def scatter_tokens(visible: Tensor, idx: np.ndarray, fill: Tensor, num_tokens: i
 # -- reductions ---------------------------------------------------------------
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every entry, as a 0-d tensor."""
     x = _as_tensor(x)
-    out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
+    out = Tensor(np.sum(x.data))
     xshape = x.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, xshape).copy(),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, xshape).copy(),)
 
     return _record(out, (x,), vjp)
@@ -617,6 +572,12 @@ def mse_masked(pred: Tensor, target: Tensor, mask: np.ndarray) -> Tensor:
     return _record(out, (pred, target), vjp)
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Stable log-softmax along the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood; classes along the last axis.
 
@@ -628,9 +589,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(
             f"cross_entropy: labels {list(labels.shape)} must match {list(logits.shape[:-1])}"
         )
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    logp = _log_softmax(logits.data)
     flat_logp = logp.reshape(-1, logits.shape[-1])
     flat_labels = labels.reshape(-1)
     n = flat_labels.shape[0]
@@ -654,15 +613,12 @@ def soft_cross_entropy(teacher_probs, student_logits: Tensor, temperature: float
     if temperature <= 0:
         raise ArgumentError(f"soft_cross_entropy: temperature must be > 0, got {temperature}")
     student_logits = _as_tensor(student_logits)
-    pt = teacher_probs.data if isinstance(teacher_probs, Tensor) else np.asarray(teacher_probs, dtype=np.float64)
+    pt = np.asarray(teacher_probs, dtype=np.float64)
     if pt.shape != student_logits.shape:
         raise ShapeError(
             f"soft_cross_entropy: teacher {list(pt.shape)} and student {list(student_logits.shape)} differ"
         )
-    s = student_logits.data / temperature
-    z = s - s.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    logp = _log_softmax(student_logits.data / temperature)
     k = student_logits.shape[-1]
     n = student_logits.data.size // k
     out = Tensor(np.array(-(pt * logp).sum() / n))

@@ -76,36 +76,28 @@ HeadSpec = ClassificationSpec | SegmentationSpec
 # -- patch layout ---------------------------------------------------------
 
 
-def patchify(image: Tensor, patch_size: int) -> Tensor:
-    """Split [C,H,W] (or [B,C,H,W]) into row-major [N, C*p*p] patches."""
-    single = image.ndim == 3
-    x = T.reshape(image, (1,) + image.shape) if single else image
-    if x.ndim != 4:
-        raise ShapeError(f"patchify: expected [C,H,W] or [B,C,H,W], got {list(image.shape)}")
-    b, c, h, w = x.shape
+def patchify(images: Tensor, patch_size: int) -> Tensor:
+    """Split [B,C,H,W] images into row-major [B, N, C*p*p] patches."""
+    b, c, h, w = images.shape
     p = patch_size
     if h % p != 0 or w % p != 0:
         raise ArgumentError(f"patchify: dims {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
-    x = T.reshape(x, (b, c, gh, p, gw, p))
+    x = T.reshape(images, (b, c, gh, p, gw, p))
     x = T.transpose(x, (0, 2, 4, 1, 3, 5))
-    x = T.reshape(x, (b, gh * gw, c * p * p))
-    return T.reshape(x, x.shape[1:]) if single else x
+    return T.reshape(x, (b, gh * gw, c * p * p))
 
 
 def unpatchify(patches: Tensor, patch_size: int, channels: int, image_size: int) -> Tensor:
-    """Inverse of patchify: [N, C*p*p] (or [B,N,...]) back to [C,H,W] / [B,C,H,W]."""
-    single = patches.ndim == 2
-    x = T.reshape(patches, (1,) + patches.shape) if single else patches
-    b, n, _ = x.shape
+    """Inverse of patchify: [B, N, C*p*p] back to [B, C, H, W]."""
+    b, n, _ = patches.shape
     p = patch_size
     g = image_size // p
     if n != g * g:
         raise ShapeError(f"unpatchify: {n} patches do not tile a {g}x{g} grid")
-    x = T.reshape(x, (b, g, g, channels, p, p))
+    x = T.reshape(patches, (b, g, g, channels, p, p))
     x = T.transpose(x, (0, 3, 1, 4, 2, 5))
-    x = T.reshape(x, (b, channels, g * p, g * p))
-    return T.reshape(x, x.shape[1:]) if single else x
+    return T.reshape(x, (b, channels, g * p, g * p))
 
 
 # -- building blocks ------------------------------------------------------

@@ -35,31 +35,31 @@ def closed_form_backbone_count(cfg: ViTConfig) -> int:
 
 class TestPatchify:
     def test_roundtrip_exact(self):
-        x = T.Tensor(np.random.default_rng(0).random((1, 4, 4)))
+        x = T.Tensor(np.random.default_rng(0).random((1, 1, 4, 4)))
         patches = patchify(x, 2)
-        assert patches.shape == (4, 4)
+        assert patches.shape == (1, 4, 4)
         back = unpatchify(patches, 2, 1, 4)
         assert np.array_equal(back.data, x.data)
 
     def test_paper_scale_grid(self):
-        x = T.Tensor(np.zeros((3, 224, 224)))
-        assert patchify(x, 16).shape == (196, 3 * 16 * 16)
+        x = T.Tensor(np.zeros((1, 3, 224, 224)))
+        assert patchify(x, 16).shape == (1, 196, 3 * 16 * 16)
 
     def test_row_major_patch_order(self):
         # patch 1 of a 4x4 image at p=2 holds pixel rows 0..1, cols 2..3
-        img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
+        img = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         patches = patchify(T.Tensor(img), 2)
-        assert patches.data[1].tolist() == [2.0, 3.0, 6.0, 7.0]
+        assert patches.data[0, 1].tolist() == [2.0, 3.0, 6.0, 7.0]
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ArgumentError):
-            patchify(T.Tensor(np.zeros((1, 5, 4))), 2)
+            patchify(T.Tensor(np.zeros((1, 1, 5, 4))), 2)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3))
     def test_property_roundtrip_for_divisible_shapes(self, c, grid, p):
         size = grid * p
-        x = np.random.default_rng(c * 10 + grid).random((c, size, size))
+        x = np.random.default_rng(c * 10 + grid).random((1, c, size, size))
         back = unpatchify(patchify(T.Tensor(x), p), p, c, size)
         assert np.array_equal(back.data, x)
 

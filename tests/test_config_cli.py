@@ -118,6 +118,15 @@ MALFORMED_INPUTS = {
     "stage_lr_negative": (1, "[stage] lr: learning rate must be finite and > 0, got -0.001"),
     "stage_lr_zero_in_tpp": (1, "[stage] lr: learning rate must be finite and > 0, got 0.0"),
     "stage_lr_nan_in_pretrain": (1, "[stage] lr: learning rate must be finite and > 0, got nan"),
+    "val_split_empty": (1, "the val split is empty"),
+    "test_split_empty": (1, "the test split is empty"),
+    "train_split_empty_in_pretrain": (1, "the train split is empty"),
+    "train_split_empty_in_tpp": (1, "the train split is empty"),
+    "stage_batch_zero": (1, "[stage] batch_size must be >= 1, got 0"),
+    "stage_epochs_zero_in_pretrain": (1, "[stage] max_epochs must be >= 1, got 0"),
+    "stage_iterations_negative_in_tpp": (1, "[stage] max_iterations must be >= 1, got -1"),
+    "folder_class_mismatch": (
+        1, "the val split has classes ['a', 'c'], but train has ['a', 'b', 'c']"),
 }
 
 
@@ -343,7 +352,27 @@ class TestCli:
                        + "loss = ce\n",
                        "stage_lr_negative": BASE_CFG.replace("lr = 0.001", "lr = -0.001"),
                        "stage_lr_zero_in_tpp": BASE_CFG.replace("lr = 0.001", "lr = 0"),
-                       "stage_lr_nan_in_pretrain": BASE_CFG.replace("lr = 0.001", "lr = nan")}
+                       "stage_lr_nan_in_pretrain": BASE_CFG.replace("lr = 0.001", "lr = nan"),
+                       "val_split_empty": BASE_CFG.replace("val_count = 8", "val_count = 0"),
+                       "test_split_empty": BASE_CFG.replace("test_count = 8", "test_count = 0"),
+                       "train_split_empty_in_pretrain":
+                           BASE_CFG.replace("train_count = 16", "train_count = 0"),
+                       "train_split_empty_in_tpp":
+                           BASE_CFG.replace("train_count = 16", "train_count = 0"),
+                       "stage_batch_zero": BASE_CFG.replace("batch_size = 8", "batch_size = 0"),
+                       "stage_epochs_zero_in_pretrain":
+                           BASE_CFG.replace("iterations = 6", "epochs = 0"),
+                       "stage_iterations_negative_in_tpp":
+                           BASE_CFG.replace("iterations = 6", "iterations = -1"),
+                       "folder_class_mismatch": BASE_CFG.replace(
+                           "kind = synthetic_cls", f"kind = folder\npath = {tmp_path / 'cls'}")}
+        if case == "folder_class_mismatch":
+            rng = np.random.default_rng(0)
+            for split, classes in (("train", "abc"), ("val", "ac"), ("test", "abc")):
+                for name in classes:
+                    (tmp_path / "cls" / split / name).mkdir(parents=True)
+                    write_tppt(str(tmp_path / "cls" / split / name / "s0.tppt"),
+                               rng.random((1, 16, 16)))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config_text.get(case, BASE_CFG))
         common = ["--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "o")]
@@ -365,9 +394,9 @@ class TestCli:
             argv = ["report", str(log)]
         elif case in grid:
             argv = finetune + [f"--grid={grid[case]}"]
-        elif case == "stage_lr_zero_in_tpp":
+        elif case.endswith("_in_tpp"):
             argv = ["tpp", *common, "--backbone", workspace["backbone"]]
-        elif case == "stage_lr_nan_in_pretrain":
+        elif case.endswith("_in_pretrain"):
             argv = ["pretrain-backbone", *common]
         else:
             argv = finetune

@@ -15,7 +15,7 @@ from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec, reinit_target_params
 from tpp.pipeline import (InitSpec, Objective, Stage, build_bundle, default_plan,
                           evaluate, grid_search, run_stage, target_checkpoint)
 from tpp.pretext import SelfDistillation
-from tpp.registry import ParamGroup
+from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
 from tpp.vit import ClassificationSpec, SegmentationSpec, ViTConfig
 
@@ -202,6 +202,18 @@ class TestInitModes:
         plan = _quick_plan(Stage.TPP, Objective.DINO, steps=1, init=InitSpec("random"))
         run_stage(plan, bundle, _splits(), SeededRng(0, "stage/tpp"))
         assert differing == [[]]
+
+    def test_one_dino_step_runs_the_teacher_once_under_one_swap(self, monkeypatch):
+        calls = []
+        real_forward, real_swap = SelfDistillation.teacher_forward, ParamRegistry.swap
+        monkeypatch.setattr(SelfDistillation, "teacher_forward", lambda dino, images:
+                            calls.append("teacher_forward") or real_forward(dino, images))
+        monkeypatch.setattr(ParamRegistry, "swap", lambda registry, values:
+                            calls.append("swap") or real_swap(registry, values))
+        bundle = build_bundle(TINY, seed=0, peft_spec=LoraSpec(rank=2))
+        plan = _quick_plan(Stage.TPP, Objective.DINO, steps=1)
+        run_stage(plan, bundle, _splits(), SeededRng(0, "stage/tpp"))
+        assert calls == ["teacher_forward", "swap"]
 
     @pytest.mark.parametrize("mode", ["transfer", "upstream", "bogus", "from_checkpoint"])
     def test_unknown_mode_rejected(self, mode):

@@ -170,7 +170,7 @@ class TestDinoLoss:
         cfg = DinoConfig(teacher_temp=0.1, student_temp=0.1, head_output_dim=4)
         logits = np.random.default_rng(2).standard_normal((3, 4))
         center = np.zeros(4)
-        teacher = [logits, logits.copy()]
+        teacher = np.concatenate([logits, logits])
         student = [T.Tensor(logits), T.Tensor(logits.copy())]
         loss = dino_loss(student, teacher, center, cfg)
         z = logits / 0.1
@@ -181,7 +181,7 @@ class TestDinoLoss:
 
     def test_sharpening_limit(self):
         cfg = DinoConfig(teacher_temp=0.04, student_temp=1.0, head_output_dim=2)
-        teacher = [np.array([[10.0, -10.0]]), np.array([[10.0, -10.0]])]
+        teacher = np.array([[10.0, -10.0], [10.0, -10.0]])
         student_logits = np.array([[0.3, -0.2]])
         student = [T.Tensor(student_logits), T.Tensor(student_logits.copy())]
         loss = dino_loss(student, teacher, np.zeros(2), cfg)
@@ -192,7 +192,7 @@ class TestDinoLoss:
     def test_loss_is_nonnegative(self):
         cfg = DinoConfig(head_output_dim=6)
         rng = np.random.default_rng(3)
-        teacher = [rng.standard_normal((4, 6)) for _ in range(2)]
+        teacher = rng.standard_normal((2 * 4, 6))
         student = [T.Tensor(rng.standard_normal((4, 6))) for _ in range(4)]
         loss = dino_loss(student, teacher, rng.standard_normal(6), cfg)
         assert float(loss.data) >= 0.0
@@ -202,7 +202,7 @@ class TestDinoLoss:
         object.__setattr__(cfg, "teacher_temp", 0.0)
         with pytest.raises(ArgumentError):
             dino_loss([T.Tensor(np.zeros((1, 2)))] * 2,
-                      [np.zeros((1, 2))] * 2, np.zeros(2), cfg)
+                      np.zeros((2, 2)), np.zeros(2), cfg)
 
     def test_student_head_gradient_matches_finite_differences(self):
         bundle = build_bundle(TINY, 8)

@@ -67,7 +67,7 @@ class TestElementwise:
         weights = rng.standard_normal((5, 10))
 
         def loss():
-            return T.mul(builder(a, b), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(builder(a, b), T.Tensor(weights)))
 
         T.backward(loss())
         x, y, w = a.data, b.data, weights
@@ -83,7 +83,7 @@ class TestElementwise:
         weights = _rand((50,), seed=8)
 
         def loss():
-            return T.mul(T.gelu(x), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(T.gelu(x), T.Tensor(weights)))
 
         T.backward(loss())
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
@@ -103,11 +103,11 @@ class TestMatmul:
     def test_sum_gradient_equals_ones_matmul_b_transpose(self):
         a = T.Tensor(_rand((4, 5), seed=1), requires_grad=True)
         b = T.Tensor(_rand((5, 3), seed=2), requires_grad=True)
-        T.backward(T.matmul(a, b).sum())
+        T.backward(T.tsum(T.matmul(a, b)))
         assert np.allclose(a.grad, np.ones((4, 3)) @ b.data.T, atol=1e-12)
         # and the independent oracle agrees
         def loss():
-            return T.matmul(a, b).sum()
+            return T.tsum(T.matmul(a, b))
         fd = finite_difference(lambda: run_forward_loss(loss), a.data)
         assert rel_err(a.grad, fd) < 1e-6
 
@@ -117,7 +117,7 @@ class TestMatmul:
         weights = _rand((2, 3, 5), seed=5)
 
         def loss():
-            return T.mul(T.matmul(a, b), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(T.matmul(a, b), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (a, b):
@@ -141,7 +141,7 @@ class TestShapeOps:
 
         def loss():
             y = getattr(T, op)(x, *args)
-            return T.mul(y, T.Tensor(weights)).sum()
+            return T.tsum(T.mul(y, T.Tensor(weights)))
 
         T.backward(loss())
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
@@ -156,7 +156,7 @@ class TestShapeOps:
         weights = _rand((2, 2), seed=10)
 
         def loss():
-            return T.mul(T.narrow(T.concat([a, b], axis=1), 1, 2, 2), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(T.narrow(T.concat([a, b], axis=1), 1, 2, 2), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (a, b):
@@ -172,7 +172,7 @@ class TestShapeOps:
         def loss():
             picked = T.take_tokens(x, idx)
             full = T.scatter_tokens(picked, idx, fill, 5)
-            return T.mul(full, T.Tensor(weights)).sum()
+            return T.tsum(T.mul(full, T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, fill):
@@ -185,7 +185,7 @@ class TestShapeOps:
         weights = _rand((2, 3, 3), seed=15)
 
         def loss():
-            return T.mul(T.index_rows(x, idx), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(T.index_rows(x, idx), T.Tensor(weights)))
 
         T.backward(loss())
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
@@ -211,7 +211,7 @@ class TestLayerNorm:
         weights = _rand((3, 8), seed=20)
 
         def loss():
-            return T.mul(T.layer_norm(x, gamma, beta, 1e-5), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(T.layer_norm(x, gamma, beta, 1e-5), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, gamma, beta):
@@ -246,7 +246,7 @@ class TestSoftmax:
         weights = _rand((4, 6), seed=23)
 
         def loss():
-            return T.mul(T.softmax(x, 0.7), T.Tensor(weights)).sum()
+            return T.tsum(T.mul(T.softmax(x, 0.7), T.Tensor(weights)))
 
         T.backward(loss())
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
@@ -350,12 +350,12 @@ class TestBackwardContract:
     def test_linear_loss_gradient_is_the_fixed_input(self):
         x = np.array([1.0, -2.0, 3.0])
         w = T.Tensor(np.zeros(3), requires_grad=True)
-        T.backward(T.mul(w, T.Tensor(x)).sum())
+        T.backward(T.tsum(T.mul(w, T.Tensor(x))))
         assert np.array_equal(w.grad, x)
 
     def test_grads_accumulate_across_backward_calls(self):
         w = T.Tensor(np.ones(3), requires_grad=True)
-        loss = T.mul(w, T.Tensor([1.0, 2.0, 3.0])).sum()
+        loss = T.tsum(T.mul(w, T.Tensor([1.0, 2.0, 3.0])))
         T.backward(loss)
         first = w.grad.copy()
         T.backward(loss)
@@ -372,7 +372,7 @@ class TestBackwardContract:
 
     def test_cleared_tape_cannot_backprop(self):
         w = T.Tensor(np.ones(3), requires_grad=True)
-        loss = T.mul(w, w).sum()
+        loss = T.tsum(T.mul(w, w))
         T.clear_tape()
         with pytest.raises(StateError):
             T.backward(loss)
@@ -393,7 +393,7 @@ class TestBackwardContract:
     def test_no_gradient_leakage_to_frozen_tensors(self):
         frozen = T.Tensor(_rand((4, 4), seed=33), requires_grad=False)
         live = T.Tensor(_rand((4, 4), seed=34), requires_grad=True)
-        T.backward(T.matmul(frozen, live).sum())
+        T.backward(T.tsum(T.matmul(frozen, live)))
         assert frozen.grad is None
         assert live.grad is not None
 
@@ -408,14 +408,14 @@ class TestBackwardContract:
     def test_no_grad_context_records_nothing(self):
         w = T.Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
-            out = T.mul(w, w).sum()
+            out = T.tsum(T.mul(w, w))
         assert out.node is None
 
     def test_determinism_same_ops_same_bits(self):
         def run():
             x = T.Tensor(_rand((8, 8), seed=35), requires_grad=True)
             y = T.softmax(T.matmul(x, x), 0.5)
-            loss = T.mul(y, y).sum()
+            loss = T.tsum(T.mul(y, y))
             T.backward(loss)
             return loss.data.copy(), x.grad.copy()
 
@@ -462,7 +462,7 @@ class TestTapeLiveness:
             h = T.scale(x, 1.5)
             refs.append(weakref.ref(h.data))
             y = apply(h)
-            return T.mul(y, T.Tensor(_rand(y.shape, seed=44))).sum()
+            return T.tsum(T.mul(y, T.Tensor(_rand(y.shape, seed=44))))
 
         out = loss()
         gc.collect()
@@ -487,7 +487,7 @@ class TestTapeLiveness:
         beta = T.Tensor(np.zeros(5), requires_grad=True)  # BitFit trains biases only
         out = T.layer_norm(x, T.Tensor(np.ones(5)), beta)
         assert all(a.size <= 5 for a in _saved_arrays(out.node))
-        T.backward(T.mul(out, T.Tensor(_rand((3, 5), seed=49))).sum())
+        T.backward(T.tsum(T.mul(out, T.Tensor(_rand((3, 5), seed=49)))))
         assert np.array_equal(beta.grad, _rand((3, 5), seed=49).sum(axis=0))
 
     def test_gelu_keeps_exactly_one_input_sized_array(self):
