@@ -223,7 +223,7 @@ class Checkpoint:
                 offenders.append(
                     f"{name}: shape {list(entry.data.shape)} in file vs {list(p.data.shape)} in model")
                 continue
-            p.tensor.data = entry.data.copy()
+            p.data = entry.data.copy()
             applied.append(name)
         if offenders:
             raise StructuralError("checkpoint/model mismatches: " + "; ".join(offenders))

@@ -178,11 +178,11 @@ def cmd_pretrain_backbone(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     task, data = _task_and_data(cfg, args.seed)
     objective = _pretext_objective(cfg)
+    mae_cfg, dino_cfg = cfg.mae_config(), cfg.dino_config()
     plan = _stage_plan(cfg, Stage.BACKBONE_PRETRAIN, objective, task)
     bundle = build_bundle(cfg.vit_config(), args.seed)
     rng = SeededRng(args.seed, "stage/pretrain")
-    ckpt, log = run_stage(plan, bundle, data, rng,
-                          mae_cfg=cfg.mae_config(), dino_cfg=cfg.dino_config())
+    ckpt, log = run_stage(plan, bundle, data, rng, mae_cfg=mae_cfg, dino_cfg=dino_cfg)
     log.log(event="effective_config", seed=args.seed, **cfg.effective())
     path = _write_outputs(args.out, "backbone", ckpt, log)
     print(f"wrote {path}")
@@ -224,6 +224,7 @@ def cmd_tpp(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     task, data = _task_and_data(cfg, args.seed)
     objective = _pretext_objective(cfg)
+    mae_cfg, dino_cfg = cfg.mae_config(), cfg.dino_config()
     peft_spec = cfg.peft_spec(args.peft)
     if peft_spec is None:
         raise ConfigError("tpp requires a PEFT method that introduces target parameters")
@@ -239,8 +240,7 @@ def cmd_tpp(args) -> int:
     if objective is Objective.MAE:
         if _prepare_decoder(cfg, bundle, backbone_ckpt, task, rng) == "freeze":
             plan = replace(plan, frozen_groups=frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD}))
-    ckpt, log = run_stage(plan, bundle, data, rng,
-                          mae_cfg=cfg.mae_config(), dino_cfg=cfg.dino_config())
+    ckpt, log = run_stage(plan, bundle, data, rng, mae_cfg=mae_cfg, dino_cfg=dino_cfg)
     log.log(event="effective_config", seed=args.seed, **cfg.effective())
 
     ratio = bundle.registry.trainable_ratio()

@@ -284,6 +284,11 @@ class SyntheticTaskSpec:
     val_count: int = 64
     test_count: int = 64
 
+    def __post_init__(self):
+        for name in ("num_classes", "image_size"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _class_template(cls: int, size: int, separation: float) -> np.ndarray:
     """Deterministic per-class pattern: oriented grating masked by a shape."""

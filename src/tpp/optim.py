@@ -94,19 +94,19 @@ class AdamW:
         """One update; `weight_decay` comes from the stage's schedule (`wd_at`)."""
         b1, b2, eps = self.spec.beta1, self.spec.beta2, self.spec.eps
         for p in self.params:
-            g = p.tensor.grad
-            if g is None or not p.trainable:
+            g = p.grad
+            if g is None or not p.requires_grad:
                 continue
             t = self._t[p.name] + 1
             self._t[p.name] = t
             if weight_decay != 0.0:
-                p.tensor.data = p.tensor.data * (1.0 - lr * weight_decay)
+                p.data = p.data * (1.0 - lr * weight_decay)
             m = self._m[p.name] = b1 * self._m[p.name] + (1 - b1) * g
             v = self._v[p.name] = b2 * self._v[p.name] + (1 - b2) * (g * g)
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
-            p.tensor.data = p.tensor.data - lr * mhat / (np.sqrt(vhat) + eps)
+            p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.tensor.grad = None
+            p.grad = None

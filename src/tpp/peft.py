@@ -112,7 +112,7 @@ class _Overwrite:
 
     def register(self, name: str, data, group: ParamGroup) -> Param:
         param = self.registry.get(name)
-        param.tensor.data = np.asarray(data, dtype=np.float64)
+        param.data = np.asarray(data, dtype=np.float64)
         return param
 
 

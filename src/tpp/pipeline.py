@@ -107,6 +107,9 @@ class StagePlan:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise StateError(f"{name} must be >= 1, got {value}")
+        warmup = self.schedule.warmup_epochs
+        if not (math.isfinite(warmup) and warmup >= 0):
+            raise StateError(f"warmup_epochs must be finite and >= 0, got {warmup}")
 
 
 def default_plan(stage: Stage, objective: Objective, task: str = "classification",
@@ -309,6 +312,8 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     val = data.val if isinstance(data, SplitDatasets) else None
     if len(train) == 0:
         raise ArgumentError("run_stage: empty training dataset")
+    if plan.eval_each_epoch and val is not None and len(val) == 0:
+        raise ArgumentError("run_stage: the plan evaluates each epoch, but the val split is empty")
 
     # scaffolding first (it may add params), then apply the plan's freezing
     if plan.objective is Objective.MAE:

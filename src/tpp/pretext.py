@@ -151,9 +151,9 @@ class MaskedReconstruction:
         nvis = vis_idx.shape[1]
         cls_part = T.narrow(dec, 1, 0, 1)
         vis_part = T.narrow(dec, 1, 1, nvis)
-        full = T.scatter_tokens(vis_part, vis_idx, self.mask_token.tensor, n)
-        full = T.add(full, T.narrow(self.dec_pos.tensor, 0, 1, n))
-        cls_part = T.add(cls_part, T.narrow(self.dec_pos.tensor, 0, 0, 1))
+        full = T.scatter_tokens(vis_part, vis_idx, self.mask_token, n)
+        full = T.add(full, T.narrow(self.dec_pos, 0, 1, n))
+        cls_part = T.add(cls_part, T.narrow(self.dec_pos, 0, 0, 1))
         x = T.concat([cls_part, full], axis=1)
         for block in self.blocks:
             x = block(x)
@@ -182,6 +182,8 @@ class DinoConfig:
             raise ArgumentError(f"center_momentum must be in [0,1), got {self.center_momentum}")
         if self.num_global_views < 2:
             raise ArgumentError("self-distillation needs at least 2 global views")
+        if self.head_output_dim < 1:
+            raise ArgumentError(f"head_output_dim must be >= 1, got {self.head_output_dim}")
 
 
 class ProjectionHead:
@@ -238,7 +240,7 @@ def dino_loss(student_logits: list[Tensor], teacher_logits: np.ndarray,
     total = terms[0]
     for term in terms[1:]:
         total = T.add(total, term)
-    return T.scale(total, 1.0 / len(terms))
+    return T.mul(total, 1.0 / len(terms))
 
 
 class SelfDistillation:

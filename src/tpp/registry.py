@@ -1,12 +1,13 @@
-"""Named parameters with group tags and trainability flags.
+"""Named parameters with group tags.
 
-Every learnable tensor in a model lives in exactly one registry under a
-unique hierarchical name and carries one of three group tags: Backbone
-(the pre-trained trunk), Target (parameters a PEFT mechanism introduces),
-or Head (task heads and reconstruction scaffolding). Freezing is enforced
-at the tensor level: a non-trainable param has ``requires_grad=False`` so
-backward never computes a gradient for it, and optimizers only ever see
-trainable params.
+A parameter is a ``Param``: a leaf ``Tensor`` that also carries a unique
+hierarchical name and one of three group tags: Backbone (the pre-trained
+trunk), Target (parameters a PEFT mechanism introduces), or Head (task
+heads and reconstruction scaffolding). Every learnable tensor in a model
+lives in exactly one registry, and model code passes the ``Param`` itself
+to the tape ops. ``requires_grad`` is the one trainability flag: a frozen
+param has it off, so backward never computes a gradient for it, and
+optimizers only ever see params that have it on.
 """
 
 from __future__ import annotations
@@ -26,32 +27,19 @@ class ParamGroup(Enum):
     HEAD = "head"
 
 
-class Param:
-    """One named parameter: tensor + group tag; `trainable` is the tensor's requires_grad."""
+class Param(Tensor):
+    """One named parameter: a trainable leaf tensor with a name and a group tag."""
 
-    __slots__ = ("name", "tensor", "group")
+    __slots__ = ("name", "group")
 
-    def __init__(self, name: str, tensor: Tensor, group: ParamGroup):
+    def __init__(self, name: str, data, group: ParamGroup):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = tensor
         self.group = group
 
-    @property
-    def trainable(self) -> bool:
-        return self.tensor.requires_grad
-
-    @trainable.setter
-    def trainable(self, flag: bool) -> None:
-        self.tensor.requires_grad = bool(flag)
-        if not flag:
-            self.tensor.grad = None
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
     def __repr__(self) -> str:
-        return f"Param({self.name}, shape={list(self.tensor.shape)}, group={self.group.value}, trainable={self.trainable})"
+        return (f"Param({self.name}, shape={list(self.shape)}, group={self.group.value}, "
+                f"requires_grad={self.requires_grad})")
 
 
 class ParamRegistry:
@@ -64,7 +52,7 @@ class ParamRegistry:
         """Add a trainable param; a stage's plan decides what stays trainable."""
         if name in self._params:
             raise StateError(f"parameter name already registered: {name}")
-        param = Param(name, Tensor(data, requires_grad=True), group)
+        param = Param(name, data, group)
         self._params[name] = param
         return param
 
@@ -92,7 +80,7 @@ class ParamRegistry:
         for p in self._params.values():
             if group is not None and p.group is not group:
                 continue
-            if trainable is not None and p.trainable is not trainable:
+            if trainable is not None and p.requires_grad is not trainable:
                 continue
             if prefix is not None and not p.name.startswith(prefix):
                 continue
@@ -103,7 +91,7 @@ class ParamRegistry:
 
     def count(self, group: ParamGroup | None = None, trainable: bool | None = None) -> int:
         """Total number of scalar parameters matching the filters."""
-        return sum(p.tensor.size for p in self.params(group, trainable))
+        return sum(p.size for p in self.params(group, trainable))
 
     def trainable_ratio(self) -> float:
         """Trainable / total parameters, as a percentage."""
@@ -115,8 +103,11 @@ class ParamRegistry:
     # -- freezing ------------------------------------------------------
 
     def set_group_trainable(self, group: ParamGroup, flag: bool) -> None:
+        """Set `requires_grad` on every param of `group`; freezing drops a stale grad."""
         for p in self.params(group):
-            p.trainable = flag
+            p.requires_grad = bool(flag)
+            if not flag:
+                p.grad = None
 
     # -- state movement --------------------------------------------------
 
@@ -127,9 +118,9 @@ class ParamRegistry:
         try:
             for name, arr in values.items():
                 p = self.get(name)
-                saved[name] = p.tensor.data
-                p.tensor.data = arr
+                saved[name] = p.data
+                p.data = arr
             yield self
         finally:
             for name, arr in saved.items():
-                self._params[name].tensor.data = arr
+                self._params[name].data = arr

@@ -1,19 +1,21 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every differentiable primitive records a node on a process-global tape
-(a Wengert list: append order is topological order). ``backward`` walks
-the tape in strict reverse append order, propagating cotangents.
+Every differentiable primitive records a node on a process-global tape,
+one list of nodes (a Wengert list: append order is topological order).
+``backward`` walks it in strict reverse append order, propagating cotangents.
 
 Contracts the rest of the package relies on:
 
 * all data is float64; results are deterministic for a fixed op sequence;
+* ``requires_grad`` is the one grad flag: trainable leaves (model
+  parameters are tensors, see ``registry.Param``) and recorded outputs have it;
 * leaf tensors with ``requires_grad=True`` accumulate into ``.grad``
   across ``backward`` calls until the grad is explicitly zeroed;
 * tensors with ``requires_grad=False`` never receive a grad buffer, and
   no vector-Jacobian product is ever evaluated for them (frozen
   parameters cost nothing beyond the forward pass);
-* an op records a node only if at least one input is grad-relevant, so
-  subgraphs built purely from frozen values stay off the tape;
+* an op records a node only if at least one input has ``requires_grad``,
+  so subgraphs built purely from frozen values stay off the tape;
 * the tape holds only what a needed cotangent reads. A node links to its
   parents' nodes and to trainable leaves, never to intermediate tensors,
   and its vjp closure keeps only the arrays that the cotangents needed at
@@ -41,51 +43,32 @@ class Node:
     per parent (None for parents that do not need one). Its closure holds
     only the arrays that those cotangents read, chosen when the op records
     (a frozen-weight linear keeps the weight, not its input); they are
-    freed when the tape is cleared.
+    freed when the tape is cleared. ``idx`` is the node's position on the tape.
     """
 
-    __slots__ = ("parents", "vjp", "idx", "tape", "alive")
+    __slots__ = ("parents", "vjp", "idx", "alive")
 
-    def __init__(self, parents, vjp, idx, tape):
+    def __init__(self, parents, vjp, idx):
         self.parents = parents
         self.vjp = vjp
         self.idx = idx
-        self.tape = tape
         self.alive = True
 
 
-class Tape:
-    """Append-only op record; cleared between training steps."""
-
-    def __init__(self):
-        self.nodes: list[Node] = []
-
-    def record(self, parents, vjp) -> Node:
-        node = Node(parents, vjp, len(self.nodes), self)
-        self.nodes.append(node)
-        return node
-
-    def clear(self) -> None:
-        """Free all saved activations; recorded results can no longer backprop."""
-        for node in self.nodes:
-            node.alive = False
-            node.vjp = None
-            node.parents = ()
-        self.nodes.clear()
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-_TAPE = Tape()
+_TAPE: list[Node] = []  # append-only op record; cleared between training steps
 _GRAD_ENABLED = True
 
 
-def tape() -> Tape:
+def tape() -> list[Node]:
     return _TAPE
 
 
 def clear_tape() -> None:
+    """Free all saved activations; recorded results can no longer backprop."""
+    for node in _TAPE:
+        node.alive = False
+        node.vjp = None
+        node.parents = ()
     _TAPE.clear()
 
 
@@ -105,7 +88,7 @@ class no_grad:
 
 
 class Tensor:
-    """n-dimensional float64 array with optional grad and tape linkage."""
+    """n-dimensional float64 array; ``node`` is its tape node, None for a leaf."""
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
@@ -128,10 +111,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def _needs_grad(self) -> bool:
-        # grad-relevant: a trainable leaf, or the output of a recorded op
-        return (self.node is not None) or self.requires_grad
 
     def __repr__(self) -> str:
         flags = []
@@ -160,14 +139,15 @@ def _link(t: Tensor) -> Node | Tensor | None:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Attach a tape node if recording is on and any parent is grad-relevant.
+    """Attach a tape node if recording is on and any parent has requires_grad.
 
     The node links to the parents' nodes or trainable leaves (see `Node`),
     so only `vjp` keeps arrays alive: each primitive captures just the
-    arrays that the cotangents of its grad-relevant inputs read.
+    arrays that the cotangents of its requires_grad inputs read.
     """
-    if _GRAD_ENABLED and any(p._needs_grad() for p in parents):
-        out.node = _TAPE.record(tuple(_link(p) for p in parents), vjp)
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        out.node = Node(tuple(_link(p) for p in parents), vjp, len(_TAPE))
+        _TAPE.append(out.node)
         out.requires_grad = True
     return out
 
@@ -200,7 +180,7 @@ def add(a, b) -> Tensor:
     _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
     ash, bsh = a.shape, b.shape
-    na, nb = a._needs_grad(), b._needs_grad()
+    na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
         ga = _unbroadcast(g, ash) if na else None
@@ -215,7 +195,7 @@ def sub(a, b) -> Tensor:
     _check_broadcast(a, b, "sub")
     out = Tensor(a.data - b.data)
     ash, bsh = a.shape, b.shape
-    na, nb = a._needs_grad(), b._needs_grad()
+    na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
         ga = _unbroadcast(g, ash) if na else None
@@ -230,7 +210,7 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
     ash, bsh = a.shape, b.shape
-    na, nb = a._needs_grad(), b._needs_grad()
+    na, nb = a.requires_grad, b.requires_grad
     # each cotangent reads only the other operand
     ad = a.data if nb else None
     bd = b.data if na else None
@@ -250,7 +230,7 @@ def div(a, b) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(a.data / b.data)
     ash, bsh = a.shape, b.shape
-    na, nb = a._needs_grad(), b._needs_grad()
+    na, nb = a.requires_grad, b.requires_grad
     ad = a.data if nb else None
     bd = b.data
 
@@ -263,17 +243,6 @@ def div(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    x = _as_tensor(x)
-    s = float(s)
-    out = Tensor(x.data * s)
-
-    def vjp(g):
-        return (g * s,)
-
-    return _record(out, (x,), vjp)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
 
@@ -284,7 +253,7 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
     out = Tensor(xd * cdf)
-    if not (_GRAD_ENABLED and x._needs_grad()):
+    if not (_GRAD_ENABLED and x.requires_grad):
         return out
     pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
     dydx = cdf + xd * pdf
@@ -316,7 +285,7 @@ def matmul(a, b) -> Tensor:
         ) from None
     out = Tensor(np.matmul(a.data, b.data))
     ash, bsh = a.shape, b.shape
-    na, nb = a._needs_grad(), b._needs_grad()
+    na, nb = a.requires_grad, b.requires_grad
     # x @ W with W frozen keeps W only: the input's activation is not saved
     ad = a.data if nb else None
     bd = b.data if na else None
@@ -360,7 +329,7 @@ def concat(tensors, axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    needs = [t._needs_grad() for t in tensors]
+    needs = [t.requires_grad for t in tensors]
 
     def vjp(g):
         grads = []
@@ -449,7 +418,7 @@ def scatter_tokens(visible: Tensor, idx: np.ndarray, fill: Tensor, num_tokens: i
     out = Tensor(data)
     filled = np.ones((bsz, num_tokens), dtype=bool)
     filled[batch, idx] = False
-    nvis, nfill = visible._needs_grad(), fill._needs_grad()
+    nvis, nfill = visible.requires_grad, fill.requires_grad
     fshape = fill.shape
 
     def vjp(g):
@@ -496,7 +465,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = (x.data - mean) * inv
     out = Tensor(xhat * gamma.data + beta.data)
     gdat = gamma.data
-    nx, ngamma, nbeta = x._needs_grad(), gamma._needs_grad(), beta._needs_grad()
+    nx, ngamma, nbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
     if not (nx or ngamma):  # beta's cotangent alone reads no saved array
         xhat = None
 
@@ -561,7 +530,7 @@ def mse_masked(pred: Tensor, target: Tensor, mask: np.ndarray) -> Tensor:
     denom = count * pred.shape[-1]
     diff = (pred.data - target.data) * mask[..., None]
     out = Tensor(np.array((diff * diff).sum() / denom))
-    npred, ntarget = pred._needs_grad(), target._needs_grad()
+    npred, ntarget = pred.requires_grad, target.requires_grad
 
     def vjp(g):
         base = (2.0 / denom) * diff * g
@@ -640,7 +609,7 @@ def dice_loss(probs: Tensor, target: Tensor, smooth: float = 1e-5) -> Tensor:
         )
     inter = tsum(mul(probs, target))
     total = add(tsum(probs), tsum(target))
-    ratio = div(add(scale(inter, 2.0), smooth), add(total, smooth))
+    ratio = div(add(mul(inter, 2.0), smooth), add(total, smooth))
     return sub(1.0, ratio)
 
 
@@ -660,13 +629,12 @@ def backward(loss: Tensor) -> None:
         raise StateError("backward: loss is not attached to the tape")
     if not node.alive:
         raise StateError("backward: tape was cleared; cannot backpropagate")
-    tape_nodes = node.tape.nodes
     cot: dict[int, np.ndarray] = {node.idx: np.ones_like(loss.data)}
     for i in range(node.idx, -1, -1):
         g = cot.pop(i, None)
         if g is None:
             continue
-        n = tape_nodes[i]
+        n = _TAPE[i]
         grads = n.vjp(g)
         for parent, pg in zip(n.parents, grads):
             if pg is None or parent is None:

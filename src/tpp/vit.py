@@ -34,6 +34,9 @@ class ViTConfig:
     num_channels: int = 1
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "embed_dim", "num_heads", "num_channels"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size != 0:
             raise ArgumentError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -119,7 +122,7 @@ class Linear:
         self.bias = registry.register(f"{name}.bias", np.zeros(dout), group)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight.tensor), self.bias.tensor)
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm:
@@ -129,7 +132,7 @@ class LayerNorm:
         self.eps = 1e-5
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.weight.tensor, self.bias.tensor, self.eps)
+        return T.layer_norm(x, self.weight, self.bias, self.eps)
 
 
 class TransformerBlock:
@@ -158,14 +161,14 @@ class TransformerBlock:
         if self.ssf is None:
             return x
         gamma, beta = self.ssf[site]
-        return T.add(T.mul(x, gamma.tensor), beta.tensor)
+        return T.add(T.mul(x, gamma), beta)
 
     def _project(self, which: str, layer: Linear, x: Tensor) -> Tensor:
         out = layer(x)
         if self.lora is not None and which in self.lora:
             a, b, scaling = self.lora[which]
-            low = T.matmul(T.matmul(x, a.tensor), b.tensor)
-            out = T.add(out, T.scale(low, scaling))
+            low = T.matmul(T.matmul(x, a), b)
+            out = T.add(out, T.mul(low, scaling))
         return self._modulate(which, out)
 
     def _attention(self, x: Tensor) -> Tensor:
@@ -178,7 +181,7 @@ class TransformerBlock:
         q = split_heads(self._project("q", self.q, x))
         k = split_heads(self._project("k", self.k, x))
         v = split_heads(self._project("v", self.v, x))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
         attn = T.softmax(scores, 1.0)
         out = T.matmul(attn, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, seq, dim))
@@ -198,7 +201,7 @@ class TransformerBlock:
         out = T.add(x, m)
         if self.adaptformer is not None:
             down, up, s = self.adaptformer
-            out = T.add(out, T.scale(up(T.gelu(down(h))), s))
+            out = T.add(out, T.mul(up(T.gelu(down(h))), s))
         return out
 
 
@@ -251,7 +254,7 @@ class VisionTransformer:
         if tokens.shape[-1] != d:
             raise ShapeError(f"forward_features: token dim {tokens.shape[-1]} != embed_dim {d}")
         bsz, k = tokens.shape[0], tokens.shape[1]
-        pos_patches = T.narrow(self.pos_embed.tensor, 0, 1, self.cfg.num_patches)
+        pos_patches = T.narrow(self.pos_embed, 0, 1, self.cfg.num_patches)
         if patch_index is None:
             if k != self.cfg.num_patches:
                 raise ShapeError(
@@ -260,7 +263,7 @@ class VisionTransformer:
             x = T.add(tokens, pos_patches)
         else:
             x = T.add(tokens, T.index_rows(pos_patches, patch_index))
-        cls = T.add(self.cls_token.tensor, T.narrow(self.pos_embed.tensor, 0, 0, 1))
+        cls = T.add(self.cls_token, T.narrow(self.pos_embed, 0, 0, 1))
         x = T.concat([self._broadcast_rows(cls, bsz), x], axis=1)
 
         for i, block in enumerate(self.blocks):
@@ -268,7 +271,7 @@ class VisionTransformer:
                 # [cls, block i's prompts, patch tokens]: replaces block i-1's prompts
                 x = T.concat([
                     T.narrow(x, 1, 0, 1),
-                    self._broadcast_rows(self.prompts[i].tensor, bsz),
+                    self._broadcast_rows(self.prompts[i], bsz),
                     T.narrow(x, 1, x.shape[1] - k, k),
                 ], axis=1)
             x = block(x)

@@ -107,7 +107,7 @@ class TestForwardFeatures:
         T.backward(loss())
         for p in reg:
             fd = finite_difference(lambda: run_forward_loss(loss), p.data)
-            assert rel_err_tensor(p.tensor.grad, fd) < 1e-4, p.name
+            assert rel_err_tensor(p.grad, fd) < 1e-4, p.name
 
 
 class TestAccounting:
@@ -151,7 +151,7 @@ class TestSegDecoder:
     def test_zero_weight_decoder_gives_uniform_class_probabilities(self):
         reg = build_bundle(TINY, 0).registry
         head = build_head(TINY, SegmentationSpec(2), reg, SeededRng(0, "init/head"))
-        reg.get("head.proj.weight").tensor.data = np.zeros_like(reg.get("head.proj.weight").data)
+        reg.get("head.proj.weight").data = np.zeros_like(reg.get("head.proj.weight").data)
         feats = T.Tensor(np.random.default_rng(5).standard_normal((1, 17, 16)))
         probs = T.softmax(head(feats), 1.0, axis=1)
         assert np.allclose(probs.data, 0.5, atol=1e-15)
@@ -178,7 +178,7 @@ class TestSegDecoder:
         for name in ("head.proj.weight", "backbone.blocks.0.attn.q.weight"):
             p = reg.get(name)
             fd = finite_difference(lambda: run_forward_loss(loss), p.data)
-            assert rel_err_tensor(p.tensor.grad, fd) < 1e-4, name
+            assert rel_err_tensor(p.grad, fd) < 1e-4, name
 
 
 class TestDeterminismAndFreezing:
@@ -209,3 +209,17 @@ class TestDeterminismAndFreezing:
         # and the head moved
         assert not np.array_equal(head.fc.weight.data,
                                   np.zeros_like(head.fc.weight.data))
+
+    def test_freezing_a_group_drops_its_grads_and_no_others(self):
+        bundle = build_bundle(TINY, 0)
+        model, reg = bundle.backbone, bundle.registry
+        head = build_head(TINY, ClassificationSpec(2), reg, SeededRng(0, "init/head"))
+        images = T.Tensor(np.random.default_rng(10).random((2, 1, 16, 16)))
+        T.backward(T.cross_entropy(head(model.forward_images(images)), np.array([0, 1])))
+        assert all(p.grad is not None for p in reg)
+        head_grads = {p.name: p.grad for p in reg.params(group=ParamGroup.HEAD)}
+        reg.set_group_trainable(ParamGroup.BACKBONE, False)
+        for p in reg.params(group=ParamGroup.BACKBONE):
+            assert p.grad is None and not p.requires_grad, p.name
+        for p in reg.params(group=ParamGroup.HEAD):
+            assert p.grad is head_grads[p.name] and p.requires_grad, p.name

@@ -1,0 +1,41 @@
+"""The benchmark's canary: each `tppbench` workload's tiny pass on seed 0.
+
+`run.Run.canary` runs a workload's tiny variant in a fresh directory and
+checks it: no failures, and outputs within rel 1e-12 of the `<name>:tiny`
+entry of `tppbench/references.json`. `run.py --smoke` runs the same passes,
+but it also checks the tracer's entry points, so it fails whenever a traced
+function is renamed. Nothing under `tppbench/` is written.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+RUN_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "tppbench", "run.py")
+
+
+def _load_run():
+    """Import `tppbench/run.py` (which puts `tppbench/` on the path) and `workloads`."""
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no __pycache__
+    try:
+        spec = importlib.util.spec_from_file_location("tppbench_run", RUN_PY)
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        import workloads
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return run, workloads
+
+
+run, workloads = _load_run()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_tiny_pass_matches_its_reference(name, tmp_path):
+    assert run.CANARY_SEED == 0
+    bench = run.Run(workloads.WORKLOADS[name](), str(tmp_path), run.load_references())
+    bench.canary()
+    assert bench.failures == []

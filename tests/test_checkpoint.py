@@ -244,7 +244,7 @@ class TestAuditFreeze:
         target = reg.get("backbone.blocks.0.attn.q.weight")
         flipped = target.data.copy()
         flipped[0, 0] = np.nextafter(flipped[0, 0], np.inf)
-        target.tensor.data = flipped
+        target.data = flipped
         after = Checkpoint.from_registry(reg, stage="y")
         report = audit_freeze(before, after, {ParamGroup.BACKBONE})
         assert report.changed == ["backbone.blocks.0.attn.q.weight"]
@@ -255,7 +255,7 @@ class TestAuditFreeze:
         reg = _registry()
         before = Checkpoint.from_registry(reg, stage="x")
         head = reg.get("head.fc.weight")
-        head.tensor.data = head.data + 1.0
+        head.data = head.data + 1.0
         after = Checkpoint.from_registry(reg, stage="y")
         assert audit_freeze(before, after, {ParamGroup.BACKBONE}).passed
         assert not audit_freeze(before, after, {ParamGroup.HEAD}).passed

@@ -127,6 +127,11 @@ MALFORMED_INPUTS = {
     "stage_iterations_negative_in_tpp": (1, "[stage] max_iterations must be >= 1, got -1"),
     "folder_class_mismatch": (
         1, "the val split has classes ['a', 'c'], but train has ['a', 'b', 'c']"),
+    "data_num_classes_zero": (1, "num_classes must be >= 1, got 0"),
+    "data_num_classes_negative": (1, "num_classes must be >= 1, got -1"),
+    "model_image_size_zero": (1, "image_size must be >= 1, got 0"),
+    "dino_head_output_dim_zero_in_tpp": (1, "head_output_dim must be >= 1, got 0"),
+    "stage_warmup_negative": (1, "[stage] warmup_epochs must be finite and >= 0, got -5.0"),
 }
 
 
@@ -365,7 +370,17 @@ class TestCli:
                        "stage_iterations_negative_in_tpp":
                            BASE_CFG.replace("iterations = 6", "iterations = -1"),
                        "folder_class_mismatch": BASE_CFG.replace(
-                           "kind = synthetic_cls", f"kind = folder\npath = {tmp_path / 'cls'}")}
+                           "kind = synthetic_cls", f"kind = folder\npath = {tmp_path / 'cls'}"),
+                       "data_num_classes_zero": BASE_CFG.replace("num_classes = 2",
+                                                                 "num_classes = 0"),
+                       "data_num_classes_negative": BASE_CFG.replace("num_classes = 2",
+                                                                     "num_classes = -1"),
+                       "model_image_size_zero": BASE_CFG.replace("image_size = 16",
+                                                                 "image_size = 0"),
+                       "dino_head_output_dim_zero_in_tpp":
+                           BASE_CFG + "\n[pretext]\ntask = dino\nhead_output_dim = 0\n",
+                       "stage_warmup_negative": BASE_CFG.replace("warmup_epochs = 0",
+                                                                 "warmup_epochs = -5")}
         if case == "folder_class_mismatch":
             rng = np.random.default_rng(0)
             for split, classes in (("train", "abc"), ("val", "ac"), ("test", "abc")):

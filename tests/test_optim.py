@@ -16,7 +16,7 @@ def _param(value):
 class TestAdamW:
     def test_zero_gradient_without_decay_leaves_param_unchanged(self):
         p = _param([1.0, -2.0])
-        p.tensor.grad = np.zeros(2)
+        p.grad = np.zeros(2)
         opt = AdamW([p])
         opt.step(lr=0.1, weight_decay=0.0)
         assert np.array_equal(p.data, [1.0, -2.0])
@@ -29,7 +29,7 @@ class TestAdamW:
 
     def test_decoupled_decay_scales_before_moment_update(self):
         p = _param([1.0])
-        p.tensor.grad = np.zeros(1)
+        p.grad = np.zeros(1)
         opt = AdamW([p])
         opt.step(lr=0.01, weight_decay=0.1)
         assert p.data[0] == 1.0 * (1.0 - 0.001)
@@ -41,7 +41,7 @@ class TestAdamW:
         g = np.array([0.37])
         prev = p.data.copy()
         for step in range(1000):
-            p.tensor.grad = g.copy()
+            p.grad = g.copy()
             prev = p.data.copy()
             opt.step(lr=lr, weight_decay=0.0)
         last_update = prev - p.data
@@ -49,8 +49,8 @@ class TestAdamW:
 
     def test_frozen_param_never_touched(self):
         p = _param([3.0])
-        p.trainable = False
-        p.tensor.grad = np.ones(1)  # simulate stale grad
+        p.requires_grad = False
+        p.grad = np.ones(1)  # simulate stale grad
         opt = AdamW([p])
         opt.step(lr=0.1, weight_decay=0.1)
         assert p.data[0] == 3.0

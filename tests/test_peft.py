@@ -82,7 +82,7 @@ class TestIdentityAtInit:
         model, reg = _fresh(seed=5)
         attach(model, VptSpec(num_tokens=4, mode="deep"), SeededRng(5, "init/peft"))
         for p in reg.params(prefix="vpt."):
-            p.tensor.data = np.zeros_like(p.data)
+            p.data = np.zeros_like(p.data)
         with T.no_grad():
             out = model.forward_images(T.Tensor(images)).data
         assert out.shape == ref.shape
@@ -120,7 +120,7 @@ class TestCounts:
         assert set(reg.names()) == before_names
         target = reg.params(group=ParamGroup.TARGET)
         assert target and all(p.name.endswith(".bias") for p in target)
-        assert all(p.trainable for p in target)
+        assert all(p.requires_grad for p in target)
 
     @pytest.mark.parametrize("make_spec,formula", [
         (lambda r: AdapterSpec(bottleneck=r), adapter_count),
@@ -185,10 +185,10 @@ class TestGradientIsolation:
         images = T.Tensor(_random_images(TINY, n=4, seed=8))
         loss = T.cross_entropy(head(model.forward_images(images)), np.array([0, 1, 1, 0]))
         T.backward(loss)
-        with_grad = {p.name for p in reg if p.tensor.grad is not None}
+        with_grad = {p.name for p in reg if p.grad is not None}
         expected = {p.name for p in reg if p.group in (ParamGroup.TARGET, ParamGroup.HEAD)}
         assert with_grad == expected
-        assert all(p.tensor.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
+        assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
 
     def test_bitfit_gradients_cover_biases_and_head(self):
         model, reg = _fresh(seed=7)
@@ -198,7 +198,7 @@ class TestGradientIsolation:
         images = T.Tensor(_random_images(TINY, n=2, seed=9))
         loss = T.cross_entropy(head(model.forward_images(images)), np.array([0, 1]))
         T.backward(loss)
-        with_grad = {p.name for p in reg if p.tensor.grad is not None}
+        with_grad = {p.name for p in reg if p.grad is not None}
         expected = {p.name for p in reg
                     if p.group in (ParamGroup.TARGET, ParamGroup.HEAD)}
         assert with_grad == expected
@@ -236,7 +236,7 @@ class TestLora:
         attach(model, LoraSpec(rank=2, alpha=8.0), SeededRng(3, "init/peft"))
         # train-like perturbation so B is nonzero
         for p in reg.params(prefix="lora."):
-            p.tensor.data = p.data + 0.01 * np.random.default_rng(4).standard_normal(p.data.shape)
+            p.data = p.data + 0.01 * np.random.default_rng(4).standard_normal(p.data.shape)
         images = _random_images(TINY, n=3, seed=5)
         with T.no_grad():
             hooked = model.forward_images(T.Tensor(images)).data
@@ -270,7 +270,7 @@ class TestReinit:
         attach(model, spec, SeededRng(4, "init/peft"))
         noise = np.random.default_rng(0)
         for p in reg.params(group=ParamGroup.TARGET):
-            p.tensor.data = p.data + noise.standard_normal(p.data.shape)
+            p.data = p.data + noise.standard_normal(p.data.shape)
         perturbed = {p.name: p.data.copy() for p in reg.params(group=ParamGroup.TARGET)}
         reinit_target_params(model, SeededRng(4, "x"))
 

@@ -70,9 +70,9 @@ def _step_digest(name: str, monkeypatch) -> str:
         real_backward(loss)
         h = hashlib.blake2b(np.ascontiguousarray(loss.data).tobytes(), digest_size=16)
         for p in sorted(bundle.registry.params(trainable=True), key=lambda p: p.name):
-            assert p.tensor.grad is not None, p.name
+            assert p.grad is not None, p.name
             h.update(p.name.encode())
-            h.update(np.ascontiguousarray(p.tensor.grad).tobytes())
+            h.update(np.ascontiguousarray(p.grad).tobytes())
         digests.append(h.hexdigest())
 
     monkeypatch.setattr(T, "backward", hashing_backward)

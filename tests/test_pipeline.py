@@ -98,7 +98,7 @@ class TestFreezeTheorem:
         bundle = build_bundle(TINY, seed=4, head_spec=ClassificationSpec(2),
                               peft_spec=AdapterSpec(4))
         head = bundle.registry.get("head.fc.weight")
-        head.tensor.data = np.full_like(head.data, np.nan)
+        head.data = np.full_like(head.data, np.nan)
         plan = _quick_plan(Stage.TPP, Objective.MAE, steps=2,
                            frozen_groups=frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD}))
         after, _ = run_stage(plan, bundle, _splits(), SeededRng(4, "stage/tpp"))
@@ -110,15 +110,15 @@ class TestFreezeTheorem:
                               peft_spec=AdapterSpec(4))
         victim = bundle.registry.get("backbone.cls_token")
         if change == "signed_zero":
-            victim.tensor.data = np.zeros_like(victim.data)
+            victim.data = np.zeros_like(victim.data)
         real_step = AdamW.step
 
         def step_and_touch(self, lr, weight_decay):
             real_step(self, lr, weight_decay)
             if change == "ulp":
-                victim.tensor.data = np.nextafter(victim.data, np.inf)
+                victim.data = np.nextafter(victim.data, np.inf)
             else:
-                victim.tensor.data = -victim.data
+                victim.data = -victim.data
 
         monkeypatch.setattr(AdamW, "step", step_and_touch)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=1)
@@ -169,6 +169,22 @@ class TestLogs:
         _, log = run_stage(plan, bundle, splits, SeededRng(5, "stage/ft"))
         vals = [r for r in log.records if r.get("split") == "val" and r["metric"] == "acc"]
         assert len(vals) == 2
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_empty_val_split_is_rejected_before_the_first_step(self, task, monkeypatch):
+        seg = task == "segmentation"
+        spec = SyntheticTaskSpec(kind="blob_seg" if seg else "textured_shapes_cls",
+                                 num_classes=2, image_size=16, train_count=8,
+                                 val_count=0, test_count=4)
+        splits = generate_synthetic(spec, SeededRng(0, "data"))
+        head = SegmentationSpec(2) if seg else ClassificationSpec(2)
+        bundle = build_bundle(TINY, seed=5, head_spec=head, peft_spec=AdapterSpec(2))
+        plan = _quick_plan(Stage.FINETUNE, Objective.DICE_CE if seg else Objective.CE,
+                           steps=2, eval_each_epoch=True)
+        monkeypatch.setattr(pipeline.T, "backward",
+                            lambda loss: pytest.fail("trained with an empty val split"))
+        with pytest.raises(ArgumentError, match="val split is empty"):
+            run_stage(plan, bundle, splits, SeededRng(5, "stage/ft"))
 
 
 class TestInitModes:
@@ -267,7 +283,7 @@ def _pretrained_backbone(seed):
     src = build_bundle(TINY, seed=seed)
     rng = SeededRng(seed, "test/perturb")
     for p in src.registry.params(group=ParamGroup.BACKBONE):
-        p.tensor.data = p.data + rng.normal(p.data.shape, std=0.1)
+        p.data = p.data + rng.normal(p.data.shape, std=0.1)
     return Checkpoint.from_registry(src.registry, stage="backbone_pretrain")
 
 

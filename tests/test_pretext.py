@@ -116,8 +116,8 @@ class TestMaskedReconstruction:
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         images = T.Tensor(np.random.default_rng(6).random((2, 1, 16, 16)))
         T.backward(mae.loss(images, SeededRng(7, "mask")))
-        assert all(p.tensor.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
-        assert all(p.tensor.grad is not None
+        assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
+        assert all(p.grad is not None
                    for p in reg.params(group=ParamGroup.TARGET))
 
 
@@ -223,7 +223,7 @@ class TestDinoLoss:
         for name in ("pretext.dino_head.fc2.weight", "pretext.dino_head.fc1.weight"):
             p = reg.get(name)
             fd = finite_difference(lambda: run_forward_loss(loss), p.data)
-            assert rel_err_tensor(p.tensor.grad, fd) < 1e-4, name
+            assert rel_err_tensor(p.grad, fd) < 1e-4, name
 
     def test_teacher_holds_no_gradients_after_backward(self):
         bundle = build_bundle(TINY, 10)
@@ -238,7 +238,7 @@ class TestDinoLoss:
         loss, teacher_out = dist.step_loss(views)
         T.backward(loss)
         # teacher buffers are plain arrays; the frozen backbone holds no grads
-        assert all(p.tensor.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
+        assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
         dist.after_step(teacher_out)  # EMA + center update run cleanly
         assert dist.center.shape == (8,)
 

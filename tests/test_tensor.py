@@ -42,7 +42,7 @@ class TestElementwise:
 
     def test_scale(self):
         x = T.Tensor(_rand((5,)))
-        assert np.array_equal(T.scale(x, 2.0).data, x.data * 2.0)
+        assert np.array_equal(T.mul(x, 2.0).data, x.data * 2.0)
 
     def test_gelu_at_zero(self):
         assert T.gelu(T.Tensor([0.0])).data[0] == 0.0
@@ -381,9 +381,9 @@ class TestBackwardContract:
         # its dead node's index would route a cotangent to another node
         w = T.Tensor(np.ones(1), requires_grad=True)
         v = T.Tensor(np.ones(1), requires_grad=True)
-        stale = T.scale(w, 3.0)
+        stale = T.mul(w, 3.0)
         T.clear_tape()
-        a = T.scale(v, 2.0)
+        a = T.mul(v, 2.0)
         with pytest.raises(StateError):
             T.mul(a, stale)
         assert len(T.tape()) == 1
@@ -459,7 +459,7 @@ class TestTapeLiveness:
         refs = []
 
         def loss():
-            h = T.scale(x, 1.5)
+            h = T.mul(x, 1.5)
             refs.append(weakref.ref(h.data))
             y = apply(h)
             return T.tsum(T.mul(y, T.Tensor(_rand(y.shape, seed=44))))
@@ -469,7 +469,7 @@ class TestTapeLiveness:
         assert refs[0]() is None
         assert out.node.alive and len(T.tape()) == 4
         # a node links to parent nodes and trainable leaves, never to an intermediate
-        for node in T.tape().nodes:
+        for node in T.tape():
             for parent in node.parents:
                 assert parent is None or isinstance(parent, T.Node) or parent is x
         T.backward(out)
@@ -478,7 +478,7 @@ class TestTapeLiveness:
 
     def test_frozen_weight_matmul_saves_only_the_weight(self):
         w = T.Tensor(_rand((5, 2), seed=45))
-        h = T.scale(T.Tensor(_rand((3, 5), seed=46), requires_grad=True), 2.0)
+        h = T.mul(T.Tensor(_rand((3, 5), seed=46), requires_grad=True), 2.0)
         out = T.matmul(h, w)
         assert [a is w.data for a in _saved_arrays(out.node)] == [True]
 
@@ -491,7 +491,7 @@ class TestTapeLiveness:
         assert np.array_equal(beta.grad, _rand((3, 5), seed=49).sum(axis=0))
 
     def test_gelu_keeps_exactly_one_input_sized_array(self):
-        h = T.scale(T.Tensor(_rand((3, 5), seed=47), requires_grad=True), 2.0)
+        h = T.mul(T.Tensor(_rand((3, 5), seed=47), requires_grad=True), 2.0)
         out = T.gelu(h)
         saved = _saved_arrays(out.node)
         assert [a.shape for a in saved] == [h.shape]
