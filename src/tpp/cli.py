@@ -19,7 +19,6 @@ Every command is idempotent on its outputs given --seed and identical inputs.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -27,8 +26,8 @@ from dataclasses import replace
 import numpy as np
 
 from .checkpoint import Checkpoint, audit_freeze
-from .config import AUTO, ExperimentConfig
-from .errors import ArgumentError, ConfigError, StateError, StructuralError, TrainingDiverged
+from .config import AUTO, SCHEMA, ExperimentConfig, check
+from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverged
 from .optim import AdamWSpec, ScheduleSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
@@ -45,6 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tpp",
                                      description="Target-parameter pre-training workflows")
     sub = parser.add_subparsers(dest="command", required=True)
+    peft_help = f"override [peft] method ({'|'.join(SCHEMA['peft']['method'][2])})"
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment config file")
@@ -57,13 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tpp", help="pre-train target parameters with the configured pretext task")
     common(p)
     p.add_argument("--backbone", required=True, help="backbone checkpoint")
-    p.add_argument("--peft", default=None,
-                   help="override [peft] method (adapter|adaptformer|vpt|ssf|bitfit|lora)")
+    p.add_argument("--peft", default=None, help=peft_help)
 
     p = sub.add_parser("finetune", help="supervised fine-tuning of target + head params")
     common(p)
     p.add_argument("--backbone", required=True, help="backbone checkpoint")
-    p.add_argument("--peft", default=None, help="override [peft] method")
+    p.add_argument("--peft", default=None, help=peft_help)
     p.add_argument("--target-init", default="random",
                    help="'random' or a target-parameter checkpoint path")
     p.add_argument("--grid", default=None,
@@ -85,17 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _check_lr(lr: float, where: str) -> float:
-    """A learning rate must be finite and > 0: lr <= 0 trains gradient ascent or nothing."""
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"{where}: learning rate must be finite and > 0, got {lr!r}")
-    return lr
-
-
 def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task: str) -> StagePlan:
     plan = default_plan(stage, objective, task)
     schedule = plan.schedule
-    lr = _check_lr(cfg.resolved("stage", "lr", schedule.base_lr), "[stage] lr")
+    lr = cfg.resolved("stage", "lr", schedule.base_lr)
     warmup = cfg.resolved("stage", "warmup_epochs", schedule.warmup_epochs)
     wd = cfg.resolved("stage", "weight_decay", schedule.wd_start)
     wd_end = cfg.resolved("stage", "wd_end", schedule.wd_end)
@@ -115,13 +107,8 @@ def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task:
     augment = cfg.resolved("stage", "augment", plan.augment_policy)
     s = cfg.values["stage"]
     optimizer = AdamWSpec(beta1=s["beta1"], beta2=s["beta2"], eps=s["eps"])
-    plan = replace(plan, schedule=schedule, batch_size=int(batch),
+    return replace(plan, schedule=schedule, batch_size=int(batch),
                    augment_policy=augment, optimizer=optimizer, **budget)
-    try:
-        plan.validate()
-    except StateError as exc:
-        raise ConfigError(f"[stage] {exc}") from None
-    return plan
 
 
 def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
@@ -154,15 +141,6 @@ def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
     return data.train.task, data
 
 
-def _pretext_objective(cfg: ExperimentConfig) -> Objective:
-    name = cfg.get("pretext", "task")
-    if name == "mae":
-        return Objective.MAE
-    if name == "dino":
-        return Objective.DINO
-    raise ConfigError(f"unknown pretext task: {name!r}")
-
-
 def _write_outputs(out_dir: str, name: str, ckpt: Checkpoint, log: MetricLog) -> str:
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, f"{name}.tppc")
@@ -177,7 +155,7 @@ def _write_outputs(out_dir: str, name: str, ckpt: Checkpoint, log: MetricLog) ->
 def cmd_pretrain_backbone(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     task, data = _task_and_data(cfg, args.seed)
-    objective = _pretext_objective(cfg)
+    objective = Objective(cfg.get("pretext", "task"))
     mae_cfg, dino_cfg = cfg.mae_config(), cfg.dino_config()
     plan = _stage_plan(cfg, Stage.BACKBONE_PRETRAIN, objective, task)
     bundle = build_bundle(cfg.vit_config(), args.seed)
@@ -214,23 +192,20 @@ def _prepare_decoder(cfg: ExperimentConfig, bundle: ModelBundle,
                 f"checkpoint has none")
         # the decoder is the bundle's whole Head group at this point
         backbone_ckpt.apply_to_registry(bundle.registry, groups={ParamGroup.HEAD})
-        return mode
-    if mode == "random":
-        return mode
-    raise ConfigError(f"unknown decoder_mode: {mode!r}")
+    return mode
 
 
 def cmd_tpp(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    task, data = _task_and_data(cfg, args.seed)
-    objective = _pretext_objective(cfg)
-    mae_cfg, dino_cfg = cfg.mae_config(), cfg.dino_config()
     peft_spec = cfg.peft_spec(args.peft)
     if peft_spec is None:
         raise ConfigError("tpp requires a PEFT method that introduces target parameters")
     if isinstance(peft_spec, BitFitSpec):
         print("warning: BitFit adds no parameters; pre-training its biases is experimental",
               file=sys.stderr)
+    task, data = _task_and_data(cfg, args.seed)
+    objective = Objective(cfg.get("pretext", "task"))
+    mae_cfg, dino_cfg = cfg.mae_config(), cfg.dino_config()
     plan = _stage_plan(cfg, Stage.TPP, objective, task)
     backbone_ckpt = Checkpoint.load(args.backbone)
     bundle = build_bundle(cfg.vit_config(), args.seed, peft_spec=peft_spec,
@@ -260,10 +235,9 @@ def cmd_tpp(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = ExperimentConfig.load(args.config)
+    peft_spec = cfg.peft_spec(args.peft)
     task, data = _task_and_data(cfg, args.seed, needed=("train", "val", "test"))
     loss = cfg.resolved("stage", "loss", "ce" if task == "classification" else "dice_ce")
-    if loss not in ("ce", "dice_ce"):
-        raise ConfigError(f"unknown loss: {loss!r}")
     if (loss == "ce") != (task == "classification"):
         raise ConfigError(f"loss/task mismatch: {loss} on a {task} task")
     objective = Objective(loss)
@@ -271,8 +245,6 @@ def cmd_finetune(args) -> int:
     primary = cfg.resolved("eval", "primary", task_metrics[0])
     if primary not in task_metrics:
         raise ConfigError(f"[eval] primary = {primary!r} is not a {task} metric {task_metrics}")
-    if cfg.get("eval", "batch_size") < 1:
-        raise ConfigError("[eval] batch_size must be >= 1")
     plan = _stage_plan(cfg, Stage.FINETUNE, objective, task)
     try:
         lr_grid = ([float(v) for v in args.grid.split(",") if v.strip()] if args.grid
@@ -280,8 +252,7 @@ def cmd_finetune(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--grid {args.grid}: {exc}") from None
     for lr in lr_grid:
-        _check_lr(lr, f"--grid {args.grid}")
-    peft_spec = cfg.peft_spec(args.peft)
+        check("stage", "lr", lr, f"--grid {args.grid}: ")
     head_spec = cfg.head_spec(task, data.train.num_classes)
     backbone_ckpt = Checkpoint.load(args.backbone)
     target_ckpt = None if args.target_init == "random" else Checkpoint.load(args.target_init)

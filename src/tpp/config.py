@@ -11,98 +11,126 @@ A config file looks like:
     bottleneck = 8
 
 Every key has a documented default (the SCHEMA below); unknown sections
-or keys are hard errors. Several [stage] keys default to "auto" and are
-resolved per command/objective. The fully resolved config plus the seed
-determines a run, and the effective config is echoed into checkpoints
-and logs.
+or keys are hard errors. Several keys default to "auto", accept it, and
+are resolved per command/objective. The fully resolved config plus the
+seed determines a run, and the effective config is echoed into
+checkpoints and logs.
+
+Each SCHEMA entry is (default, type, domain). The domain holds the legal
+values, checked as each value is parsed, before any data or model
+exists: a tuple of choices, "> x" or ">= x", an interval such as
+"[0, 1)", or "finite". Numeric domains exclude nan and inf. A "str_list"
+value is a comma-separated list of at least one of the choices.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 from .data import SplitDatasets, SyntheticTaskSpec, generate_synthetic, load_folder, subset
 from .errors import ConfigError
-from .peft import (AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
+from .peft import (LORA_TARGET_MAP, AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
                    PeftSpec, SsfSpec, VptSpec)
-from .pretext import DinoConfig, MaeConfig
+from .pipeline import HIGHER_IS_BETTER
+from .pretext import POLICIES, DinoConfig, MaeConfig
 from .rng import SeededRng
 from .vit import ClassificationSpec, SegmentationSpec, ViTConfig
 
 AUTO = "auto"
 
-# section -> key -> (default, type). Type "auto_float"/"auto_int" accept
-# the literal string "auto" or a number of that type.
-SCHEMA: dict[str, dict[str, tuple] ] = {
+
+def _items(value: str) -> tuple[str, ...]:
+    """The non-empty items of a comma-separated list."""
+    return tuple(t.strip() for t in value.split(",") if t.strip())
+
+
+def _build(cls, section: dict):
+    """A `cls` whose every field takes the config value of the same name."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
+
+
+# [peft] method -> its spec, built from the [peft] section
+_PEFT_SPECS = {
+    "adapter": lambda p: AdapterSpec(bottleneck=p["bottleneck"]),
+    "adaptformer": lambda p: AdaptFormerSpec(bottleneck=p["bottleneck"], scale=p["scale"]),
+    "vpt": lambda p: VptSpec(num_tokens=p["num_tokens"], mode=p["vpt_mode"]),
+    "ssf": lambda p: SsfSpec(),
+    "bitfit": lambda p: BitFitSpec(),
+    "lora": lambda p: LoraSpec(rank=p["rank"], alpha=p["alpha"],
+                               targets=_items(p["lora_targets"])),
+    "none": lambda p: None,
+}
+
+# section -> key -> (default, type, domain)
+SCHEMA: dict[str, dict[str, tuple]] = {
     "model": {
-        "image_size": (32, int),
-        "patch_size": (8, int),
-        "embed_dim": (64, int),
-        "depth": (4, int),
-        "num_heads": (4, int),
-        "mlp_ratio": (4.0, float),
-        "num_channels": (1, int),
+        "image_size": (32, int, ">= 1"),
+        "patch_size": (8, int, ">= 1"),
+        "embed_dim": (64, int, ">= 1"),
+        "depth": (4, int, ">= 1"),
+        "num_heads": (4, int, ">= 1"),
+        "mlp_ratio": (4.0, float, "> 0"),
+        "num_channels": (1, int, ">= 1"),
     },
     "peft": {
-        "method": ("adapter", str),     # adapter|adaptformer|vpt|ssf|bitfit|lora|none
-        "bottleneck": (8, int),
-        "scale": (0.1, float),
-        "num_tokens": (10, int),
-        "vpt_mode": ("deep", str),
-        "rank": (4, int),
-        "alpha": (4.0, float),
-        "lora_targets": ("query,value", str),
+        "method": ("adapter", str, tuple(_PEFT_SPECS)),
+        "bottleneck": (8, int, ">= 1"),
+        "scale": (0.1, float, "finite"),
+        "num_tokens": (10, int, ">= 1"),
+        "vpt_mode": ("deep", str, ("shallow", "deep")),
+        "rank": (4, int, ">= 1"),
+        "alpha": (4.0, float, "finite"),
+        "lora_targets": ("query,value", "str_list", tuple(LORA_TARGET_MAP)),
     },
     "pretext": {
-        "task": ("mae", str),           # mae|dino
-        "mask_ratio": (0.75, float),
-        "decoder_dim": (0, int),        # 0 = embed_dim // 2
-        "decoder_depth": (1, int),
-        "norm_pix_targets": (False, bool),
-        "decoder_mode": ("auto", str),  # auto|random|freeze|update
-        "teacher_momentum": (0.996, float),
-        "center_momentum": (0.9, float),
-        "teacher_temp": (0.04, float),
-        "student_temp": (0.1, float),
-        "head_output_dim": (256, int),
-        "num_global_views": (2, int),
-        "num_local_views": (2, int),
+        "task": ("mae", str, ("mae", "dino")),
+        "mask_ratio": (0.75, float, "(0, 1)"),
+        "decoder_dim": (0, int, ">= 0"),        # 0 = embed_dim // 2
+        "decoder_depth": (1, int, ">= 0"),
+        "norm_pix_targets": (False, bool, (False, True)),
+        "decoder_mode": ("auto", str, ("auto", "random", "freeze", "update")),
+        "teacher_momentum": (0.996, float, "[0, 1)"),
+        "center_momentum": (0.9, float, "[0, 1)"),
+        "teacher_temp": (0.04, float, "> 0"),
+        "student_temp": (0.1, float, "> 0"),
+        "head_output_dim": (256, int, ">= 1"),
+        "num_global_views": (2, int, ">= 2"),
+        "num_local_views": (2, int, ">= 0"),
     },
     "stage": {
-        "loss": (AUTO, "auto_str"),     # finetune: ce | dice_ce
-        "lr": (AUTO, "auto_float"),
-        "batch_size": (AUTO, "auto_int"),
-        "epochs": (AUTO, "auto_int"),
-        "iterations": (AUTO, "auto_int"),
-        "warmup_epochs": (AUTO, "auto_float"),
-        "weight_decay": (AUTO, "auto_float"),
-        "wd_end": (AUTO, "auto_float"),
-        "augment": (AUTO, "auto_str"),
-        "beta1": (0.9, float),
-        "beta2": (0.999, float),
-        "eps": (1e-8, float),
+        "loss": (AUTO, str, ("ce", "dice_ce")),
+        "lr": (AUTO, float, "> 0"),
+        "batch_size": (AUTO, int, ">= 1"),
+        "epochs": (AUTO, int, ">= 1"),
+        "iterations": (AUTO, int, ">= 1"),
+        "warmup_epochs": (AUTO, float, ">= 0"),
+        "weight_decay": (AUTO, float, ">= 0"),
+        "wd_end": (AUTO, float, ">= 0"),
+        "augment": (AUTO, str, tuple(POLICIES)),
+        "beta1": (0.9, float, "[0, 1)"),
+        "beta2": (0.999, float, "[0, 1)"),
+        "eps": (1e-8, float, "> 0"),
     },
     "data": {
-        "kind": ("synthetic_cls", str),  # synthetic_cls|synthetic_seg|folder
-        "path": ("", str),
-        "num_classes": (4, int),
-        "noise": (0.25, float),
-        "separation": (0.8, float),
-        "train_count": (128, int),
-        "val_count": (64, int),
-        "test_count": (64, int),
-        "annotation_ratio": (1.0, float),
+        "kind": ("synthetic_cls", str, ("synthetic_cls", "synthetic_seg", "folder")),
+        "path": ("", str, None),
+        "num_classes": (4, int, ">= 1"),
+        "noise": (0.25, float, ">= 0"),
+        "separation": (0.8, float, "finite"),
+        "train_count": (128, int, ">= 0"),
+        "val_count": (64, int, ">= 0"),
+        "test_count": (64, int, ">= 0"),
+        "annotation_ratio": (1.0, float, "(0, 1]"),
     },
     "eval": {
-        "primary": (AUTO, "auto_str"),   # acc for classification, dice for segmentation
-        "batch_size": (64, int),
+        "primary": (AUTO, str, tuple(HIGHER_IS_BETTER)),  # auto: acc or dice
+        "batch_size": (64, int, ">= 1"),
     },
 }
 
-
 def _parse_value(raw: str, kind, where: str):
-    if kind in ("auto_float", "auto_int", "auto_str"):
-        if raw == AUTO:
-            return AUTO
-        kind = {"auto_float": float, "auto_int": int, "auto_str": str}[kind]
+    kind = str if kind == "str_list" else kind
     try:
         if kind is bool:
             low = raw.lower()
@@ -116,25 +144,55 @@ def _parse_value(raw: str, kind, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
+def _bounds(domain: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low is closed, high is closed) of a numeric domain."""
+    if domain[0] in "[(":
+        low, high = domain[1:-1].split(",")
+        return float(low), float(high), domain[0] == "[", domain[-1] == "]"
+    op, bound = domain.split() if domain != "finite" else (">", "-inf")
+    return float(bound), math.inf, op == ">=", False
+
+
+def check(section: str, key: str, value, source: str = "") -> None:
+    """Raise ConfigError unless `value` lies in the domain of [section] key.
+
+    `source` prefixes the message for a value given elsewhere, e.g. by a flag.
+    """
+    default, kind, domain = SCHEMA[section][key]
+    if domain is None or value == AUTO == default:
+        return
+    if isinstance(domain, tuple):
+        items = _items(value) if kind == "str_list" else (value,)
+        if items and all(item in domain for item in items):
+            return
+        expected = (f"a non-empty comma-separated list of {domain}" if kind == "str_list"
+                    else f"one of {domain}")
+    else:
+        low, high, closed_low, closed_high = _bounds(domain)
+        if (low <= value if closed_low else low < value) and \
+                (value <= high if closed_high else value < high):
+            return
+        expected = f"in {domain}" if domain[0] in "[(" else domain
+        if not math.isfinite(value) and domain != "finite":
+            expected = f"finite and {expected}"
+    raise ConfigError(f"{source}[{section}] {key} must be {expected}, got {value!r}")
+
+
 class ExperimentConfig:
     """Parsed config: schema defaults overlaid with file values."""
 
-    def __init__(self, values: dict[str, dict] | None = None):
+    def __init__(self):
         self.values = {
             section: {key: spec[0] for key, spec in keys.items()}
             for section, keys in SCHEMA.items()
         }
-        for section, keys in (values or {}).items():
-            for key, val in keys.items():
-                self._set(section, key, val)
 
-    def _set(self, section: str, key: str, value) -> None:
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+    def _set(self, section: str, key: str, raw: str) -> None:
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        if isinstance(value, str):
-            value = _parse_value(value, SCHEMA[section][key][1], f"[{section}] {key}")
+        default, kind, _ = SCHEMA[section][key]
+        value = AUTO if raw == AUTO == default else _parse_value(raw, kind, f"[{section}] {key}")
+        check(section, key, value)
         self.values[section][key] = value
 
     @classmethod
@@ -187,47 +245,19 @@ class ExperimentConfig:
     # -- builders -----------------------------------------------------------
 
     def vit_config(self) -> ViTConfig:
-        m = self.values["model"]
-        return ViTConfig(image_size=m["image_size"], patch_size=m["patch_size"],
-                         embed_dim=m["embed_dim"], depth=m["depth"],
-                         num_heads=m["num_heads"], mlp_ratio=m["mlp_ratio"],
-                         num_channels=m["num_channels"])
+        return _build(ViTConfig, self.values["model"])
 
     def peft_spec(self, override: str | None = None) -> PeftSpec | None:
-        p = self.values["peft"]
-        method = override or p["method"]
-        if method == "none":
-            return None
-        if method == "adapter":
-            return AdapterSpec(bottleneck=p["bottleneck"])
-        if method == "adaptformer":
-            return AdaptFormerSpec(bottleneck=p["bottleneck"], scale=p["scale"])
-        if method == "vpt":
-            return VptSpec(num_tokens=p["num_tokens"], mode=p["vpt_mode"])
-        if method == "ssf":
-            return SsfSpec()
-        if method == "bitfit":
-            return BitFitSpec()
-        if method == "lora":
-            targets = tuple(t.strip() for t in p["lora_targets"].split(",") if t.strip())
-            return LoraSpec(rank=p["rank"], alpha=p["alpha"], targets=targets)
-        raise ConfigError(f"unknown peft method: {method!r}")
+        """The [peft] method's spec, or `override`'s (the --peft flag) when given."""
+        if override:
+            check("peft", "method", override, "--peft: ")
+        return _PEFT_SPECS[override or self.values["peft"]["method"]](self.values["peft"])
 
     def mae_config(self) -> MaeConfig:
-        p = self.values["pretext"]
-        return MaeConfig(mask_ratio=p["mask_ratio"], decoder_dim=p["decoder_dim"],
-                         decoder_depth=p["decoder_depth"],
-                         norm_pix_targets=p["norm_pix_targets"])
+        return _build(MaeConfig, self.values["pretext"])
 
     def dino_config(self) -> DinoConfig:
-        p = self.values["pretext"]
-        return DinoConfig(teacher_momentum=p["teacher_momentum"],
-                          center_momentum=p["center_momentum"],
-                          teacher_temp=p["teacher_temp"],
-                          student_temp=p["student_temp"],
-                          head_output_dim=p["head_output_dim"],
-                          num_global_views=p["num_global_views"],
-                          num_local_views=p["num_local_views"])
+        return _build(DinoConfig, self.values["pretext"])
 
     def head_spec(self, task: str, num_classes: int):
         if task == "classification":
@@ -236,17 +266,7 @@ class ExperimentConfig:
 
     def load_data(self, seed: int) -> SplitDatasets:
         d = self.values["data"]
-        kind = d["kind"]
-        if kind in ("synthetic_cls", "synthetic_seg"):
-            spec = SyntheticTaskSpec(
-                kind="textured_shapes_cls" if kind == "synthetic_cls" else "blob_seg",
-                num_classes=d["num_classes"],
-                image_size=self.values["model"]["image_size"],
-                noise=d["noise"], separation=d["separation"],
-                train_count=d["train_count"], val_count=d["val_count"],
-                test_count=d["test_count"])
-            splits = generate_synthetic(spec, SeededRng(seed, "data"))
-        elif kind == "folder":
+        if d["kind"] == "folder":
             if not d["path"]:
                 raise ConfigError("[data] kind=folder requires a path")
             size = self.values["model"]["image_size"]
@@ -255,7 +275,14 @@ class ExperimentConfig:
                 val=load_folder(f"{d['path']}/val", image_size=size),
                 test=load_folder(f"{d['path']}/test", image_size=size))
         else:
-            raise ConfigError(f"unknown data kind: {kind!r}")
+            spec = SyntheticTaskSpec(
+                kind="textured_shapes_cls" if d["kind"] == "synthetic_cls" else "blob_seg",
+                num_classes=d["num_classes"],
+                image_size=self.values["model"]["image_size"],
+                noise=d["noise"], separation=d["separation"],
+                train_count=d["train_count"], val_count=d["val_count"],
+                test_count=d["test_count"])
+            splits = generate_synthetic(spec, SeededRng(seed, "data"))
         ratio = d["annotation_ratio"]
         if ratio != 1.0:
             splits = SplitDatasets(train=subset(splits.train, ratio, seed),

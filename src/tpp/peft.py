@@ -68,7 +68,7 @@ PeftSpec = AdapterSpec | AdaptFormerSpec | VptSpec | SsfSpec | BitFitSpec | Lora
 # sites modulated by SSF inside each block, with their channel width key
 SSF_SITES = ("ln1", "q", "k", "v", "proj", "ln2", "fc1", "fc2")
 
-_LORA_TARGET_MAP = {"query": "q", "value": "v"}
+LORA_TARGET_MAP = {"query": "q", "value": "v"}
 
 
 def mechanism_name(spec: PeftSpec) -> str:
@@ -182,7 +182,7 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
             raise ArgumentError(f"lora rank must be >= 1, got {spec.rank}")
         if spec.rank > d:
             raise ArgumentError(f"lora rank {spec.rank} exceeds embed_dim {d}")
-        bad = [t for t in spec.targets if t not in _LORA_TARGET_MAP]
+        bad = [t for t in spec.targets if t not in LORA_TARGET_MAP]
         if bad:
             raise ArgumentError(f"unknown lora targets: {bad}; allowed: query, value")
         scaling = spec.alpha / spec.rank
@@ -190,7 +190,7 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
             brng = rng.child(f"block{i}")
             slots = {}
             for target in spec.targets:
-                key = _LORA_TARGET_MAP[target]
+                key = LORA_TARGET_MAP[target]
                 a = registry.register(f"lora.blocks.{i}.{key}.A",
                                       brng.child(f"{key}A").normal((d, spec.rank), std=0.02),
                                       ParamGroup.TARGET)
@@ -216,7 +216,7 @@ def merged_lora_weights(model: VisionTransformer) -> dict[str, np.ndarray]:
     out = {}
     for i in range(model.cfg.depth):
         for target in spec.targets:
-            key = _LORA_TARGET_MAP[target]
+            key = LORA_TARGET_MAP[target]
             a = registry.get(f"lora.blocks.{i}.{key}.A").data
             b = registry.get(f"lora.blocks.{i}.{key}.B").data
             w_name = f"backbone.blocks.{i}.attn.{key}.weight"

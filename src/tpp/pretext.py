@@ -119,9 +119,10 @@ class MaskedReconstruction:
                 sample_keys: list[int] | None = None):
         """Predictions, per-patch pixel targets, and the boolean patch mask.
 
-        Mask draws derive per-sample sub-streams keyed by sample_keys
-        (dataset indices by default batch position), so parallel batch
-        assembly can never change the masks.
+        Each sample's mask draws from its own sub-stream keyed by its
+        entry in sample_keys (dataset indices; batch positions when
+        omitted), so a sample's mask does not depend on batch order or
+        batch composition.
         """
         vit_cfg = self.model.cfg
         n = vit_cfg.num_patches

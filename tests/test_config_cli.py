@@ -9,7 +9,7 @@ import tpp.cli as cli
 import tpp.pipeline as pipeline
 from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
-from tpp.config import ExperimentConfig
+from tpp.config import SCHEMA, ExperimentConfig, check
 from tpp.data import write_tppt
 from tpp.errors import ConfigError
 from tpp.peft import AdapterSpec, LoraSpec
@@ -90,6 +90,25 @@ class TestConfigParsing:
                                                  targets=("query", "value"))
         assert cfg.peft_spec("none") is None
 
+    def test_every_schema_default_lies_in_its_domain(self):
+        undomained = []
+        for section, keys in SCHEMA.items():
+            for key, entry in keys.items():
+                assert len(entry) == 3, (section, key)
+                default, _, domain = entry
+                if domain is None:
+                    undomained.append((section, key))
+                check(section, key, default)
+        assert undomained == [("data", "path")]
+
+    def test_closed_domain_bounds_are_legal(self):
+        cfg = ExperimentConfig.parse("[pretext]\nteacher_momentum = 0\nnum_global_views = 2\n"
+                                     "[data]\nannotation_ratio = 1\ntrain_count = 0\n"
+                                     "[peft]\nlora_targets = value\n")
+        assert cfg.get("pretext", "teacher_momentum") == 0.0
+        assert cfg.get("data", "annotation_ratio") == 1.0
+        assert cfg.get("peft", "lora_targets") == "value"
+
     def test_vit_config_roundtrip(self):
         cfg = ExperimentConfig.parse(BASE_CFG)
         vit = cfg.vit_config()
@@ -101,7 +120,8 @@ MALFORMED_INPUTS = {
     "grid_token": (1, "--grid 0.001,abc: could not convert string to float: 'abc'"),
     "primary_of_other_task": (
         1, "[eval] primary = 'dice' is not a classification metric ('acc', 'auc', 'f1')"),
-    "unknown_primary": (1, "[eval] primary = 'bogus' is not a classification metric"),
+    "unknown_primary": (1, "[eval] primary must be one of ('acc', 'auc', 'f1', 'dice', 'hd95'), "
+                           "got 'bogus'"),
     "eval_batch_zero": (1, "[eval] batch_size must be >= 1"),
     "ce_on_segmentation": (1, "loss/task mismatch: ce on a segmentation task"),
     "report_not_json": (2, "log.jsonl line 2: Expecting property name"),
@@ -112,27 +132,81 @@ MALFORMED_INPUTS = {
     "report_test_without_metric": (
         2, "log.jsonl: record {'split': 'test', 'value': 1.0} has no 'metric' field"),
     "report_test_value_not_a_number": (2, "'value': 'high'} has a str 'value'"),
-    "grid_negative_lr": (1, "--grid -0.5,0.001: learning rate must be finite and > 0, got -0.5"),
-    "grid_nan_lr": (1, "--grid 0.001,nan: learning rate must be finite and > 0, got nan"),
-    "grid_inf_lr": (1, "--grid inf: learning rate must be finite and > 0, got inf"),
-    "stage_lr_negative": (1, "[stage] lr: learning rate must be finite and > 0, got -0.001"),
-    "stage_lr_zero_in_tpp": (1, "[stage] lr: learning rate must be finite and > 0, got 0.0"),
-    "stage_lr_nan_in_pretrain": (1, "[stage] lr: learning rate must be finite and > 0, got nan"),
+    "grid_negative_lr": (1, "--grid -0.5,0.001: [stage] lr must be > 0, got -0.5"),
+    "grid_nan_lr": (1, "--grid 0.001,nan: [stage] lr must be finite and > 0, got nan"),
+    "grid_inf_lr": (1, "--grid inf: [stage] lr must be finite and > 0, got inf"),
+    "stage_lr_negative": (1, "[stage] lr must be > 0, got -0.001"),
+    "stage_lr_zero_in_tpp": (1, "[stage] lr must be > 0, got 0.0"),
+    "stage_lr_nan_in_pretrain": (1, "[stage] lr must be finite and > 0, got nan"),
     "val_split_empty": (1, "the val split is empty"),
     "test_split_empty": (1, "the test split is empty"),
     "train_split_empty_in_pretrain": (1, "the train split is empty"),
     "train_split_empty_in_tpp": (1, "the train split is empty"),
     "stage_batch_zero": (1, "[stage] batch_size must be >= 1, got 0"),
-    "stage_epochs_zero_in_pretrain": (1, "[stage] max_epochs must be >= 1, got 0"),
-    "stage_iterations_negative_in_tpp": (1, "[stage] max_iterations must be >= 1, got -1"),
+    "stage_epochs_zero_in_pretrain": (1, "[stage] epochs must be >= 1, got 0"),
+    "stage_iterations_negative_in_tpp": (1, "[stage] iterations must be >= 1, got -1"),
     "folder_class_mismatch": (
         1, "the val split has classes ['a', 'c'], but train has ['a', 'b', 'c']"),
     "data_num_classes_zero": (1, "num_classes must be >= 1, got 0"),
     "data_num_classes_negative": (1, "num_classes must be >= 1, got -1"),
     "model_image_size_zero": (1, "image_size must be >= 1, got 0"),
     "dino_head_output_dim_zero_in_tpp": (1, "head_output_dim must be >= 1, got 0"),
-    "stage_warmup_negative": (1, "[stage] warmup_epochs must be finite and >= 0, got -5.0"),
+    "stage_warmup_negative": (1, "[stage] warmup_epochs must be >= 0, got -5.0"),
+    "lora_targets_empty_in_tpp": (
+        1, "[peft] lora_targets must be a non-empty comma-separated list of ('query', 'value'), "
+           "got ','"),
+    "lora_targets_empty_decoder_update_in_tpp": (1, "[peft] lora_targets must be a non-empty"),
+    "adaptformer_scale_nan_in_tpp": (1, "[peft] scale must be finite, got nan"),
+    "peft_flag_unknown": (1, "--peft: [peft] method must be one of ('adapter', "),
 }
+
+
+# every numeric key -> one value just outside its domain
+OUTSIDE_DOMAIN = {
+    ("model", "image_size"): "0", ("model", "patch_size"): "0", ("model", "embed_dim"): "0",
+    ("model", "depth"): "0", ("model", "num_heads"): "0", ("model", "mlp_ratio"): "0",
+    ("model", "num_channels"): "0",
+    ("peft", "bottleneck"): "0", ("peft", "scale"): "nan", ("peft", "num_tokens"): "0",
+    ("peft", "rank"): "0", ("peft", "alpha"): "inf",
+    ("pretext", "mask_ratio"): "1", ("pretext", "decoder_dim"): "-1",
+    ("pretext", "decoder_depth"): "-1", ("pretext", "teacher_momentum"): "1",
+    ("pretext", "center_momentum"): "-1e-9", ("pretext", "teacher_temp"): "0",
+    ("pretext", "student_temp"): "0", ("pretext", "head_output_dim"): "0",
+    ("pretext", "num_global_views"): "1", ("pretext", "num_local_views"): "-1",
+    ("stage", "lr"): "0", ("stage", "batch_size"): "0", ("stage", "epochs"): "0",
+    ("stage", "iterations"): "0", ("stage", "warmup_epochs"): "-1e-9",
+    ("stage", "weight_decay"): "-1e-9", ("stage", "wd_end"): "-1e-9", ("stage", "beta1"): "1",
+    ("stage", "beta2"): "1", ("stage", "eps"): "0",
+    ("data", "num_classes"): "0", ("data", "noise"): "-1e-9", ("data", "separation"): "nan",
+    ("data", "train_count"): "-1", ("data", "val_count"): "-1", ("data", "test_count"): "-1",
+    ("data", "annotation_ratio"): "0",
+    ("eval", "batch_size"): "0",
+}
+CHOICE_KEYS = [(section, key) for section, keys in SCHEMA.items()
+               for key, (_, _, domain) in keys.items() if isinstance(domain, tuple)]
+
+
+def test_the_outside_values_cover_every_numeric_key():
+    numeric = {(section, key) for section, keys in SCHEMA.items()
+               for key, (_, _, domain) in keys.items() if isinstance(domain, str)}
+    assert set(OUTSIDE_DOMAIN) == numeric and len(numeric) == 40
+
+
+@pytest.mark.parametrize("section, key, value",
+                         [(*k, v) for k, v in OUTSIDE_DOMAIN.items()]
+                         + [(*k, "bogus") for k in CHOICE_KEYS])
+def test_a_value_outside_its_domain_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            section, key, value):
+    fail = lambda *a, **k: pytest.fail("did work on a malformed config")  # noqa: E731
+    monkeypatch.setattr(pipeline, "run_stage", fail)
+    monkeypatch.setattr(cli, "run_stage", fail)
+    monkeypatch.setattr(cli, "build_bundle", fail)
+    monkeypatch.setattr(ExperimentConfig, "load_data", fail)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE_CFG + f"\n[{section}]\n{key} = {value}\n")
+    assert main(["pretrain-backbone", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key}") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +454,14 @@ class TestCli:
                        "dino_head_output_dim_zero_in_tpp":
                            BASE_CFG + "\n[pretext]\ntask = dino\nhead_output_dim = 0\n",
                        "stage_warmup_negative": BASE_CFG.replace("warmup_epochs = 0",
-                                                                 "warmup_epochs = -5")}
+                                                                 "warmup_epochs = -5"),
+                       "lora_targets_empty_in_tpp": BASE_CFG.replace(
+                           "method = adapter", "method = lora\nlora_targets = ,"),
+                       "lora_targets_empty_decoder_update_in_tpp": BASE_CFG.replace(
+                           "method = adapter", "method = lora\nlora_targets = ,")
+                       + "\n[pretext]\ndecoder_mode = update\n",
+                       "adaptformer_scale_nan_in_tpp": BASE_CFG.replace(
+                           "method = adapter", "method = adaptformer\nscale = nan")}
         if case == "folder_class_mismatch":
             rng = np.random.default_rng(0)
             for split, classes in (("train", "abc"), ("val", "ac"), ("test", "abc")):
@@ -409,6 +490,8 @@ class TestCli:
             argv = ["report", str(log)]
         elif case in grid:
             argv = finetune + [f"--grid={grid[case]}"]
+        elif case == "peft_flag_unknown":
+            argv = finetune + ["--peft", "bogus"]
         elif case.endswith("_in_tpp"):
             argv = ["tpp", *common, "--backbone", workspace["backbone"]]
         elif case.endswith("_in_pretrain"):
