@@ -236,6 +236,14 @@ def cmd_tpp(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     peft_spec = cfg.peft_spec(args.peft)
+    try:  # --grid is checked before any data is loaded
+        grid = [float(v) for v in args.grid.split(",") if v.strip()] if args.grid else None
+    except ValueError as exc:
+        raise ConfigError(f"--grid {args.grid}: {exc}") from None
+    if grid == []:
+        raise ConfigError(f"--grid {args.grid}: no learning rate given")
+    for lr in grid or ():
+        check("stage", "lr", lr, f"--grid {args.grid}: ")
     task, data = _task_and_data(cfg, args.seed, needed=("train", "val", "test"))
     loss = cfg.resolved("stage", "loss", "ce" if task == "classification" else "dice_ce")
     if (loss == "ce") != (task == "classification"):
@@ -246,13 +254,7 @@ def cmd_finetune(args) -> int:
     if primary not in task_metrics:
         raise ConfigError(f"[eval] primary = {primary!r} is not a {task} metric {task_metrics}")
     plan = _stage_plan(cfg, Stage.FINETUNE, objective, task)
-    try:
-        lr_grid = ([float(v) for v in args.grid.split(",") if v.strip()] if args.grid
-                   else [plan.schedule.base_lr])
-    except ValueError as exc:
-        raise ConfigError(f"--grid {args.grid}: {exc}") from None
-    for lr in lr_grid:
-        check("stage", "lr", lr, f"--grid {args.grid}: ")
+    lr_grid = [plan.schedule.base_lr] if grid is None else grid
     head_spec = cfg.head_spec(task, data.train.num_classes)
     backbone_ckpt = Checkpoint.load(args.backbone)
     target_ckpt = None if args.target_init == "random" else Checkpoint.load(args.target_init)

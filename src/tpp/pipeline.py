@@ -51,6 +51,10 @@ class Objective(Enum):
     DICE_CE = "dice_ce"
 
 
+# the objectives that score the val split after each epoch
+_SUPERVISED = (Objective.CE, Objective.DICE_CE)
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Re-draw the Target params before a stage.
@@ -78,6 +82,8 @@ class StagePlan:
     `run_stage` sets each param's trainability from `frozen_groups` alone,
     after adding the objective's scaffolding (the MAE decoder, the DINO
     projection head), so those params train unless their group is frozen.
+    CE and Dice+CE stages score the val split after each epoch, when one
+    is given; MAE and DINO stages never do.
     """
 
     stage: Stage
@@ -90,7 +96,6 @@ class StagePlan:
     max_iterations: int | None = None
     init: InitSpec | None = None
     augment_policy: str = "none"
-    eval_each_epoch: bool = False
 
     def validate(self) -> None:
         if self.stage is Stage.TPP:
@@ -135,10 +140,8 @@ def default_plan(stage: Stage, objective: Objective, task: str = "classification
     frozen = frozenset() if stage is Stage.BACKBONE_PRETRAIN \
         else frozenset({ParamGroup.BACKBONE})
     plan = StagePlan(stage=stage, objective=objective, frozen_groups=frozen,
-                     schedule=schedule, batch_size=batch, max_epochs=epochs)
-    if objective in (Objective.CE, Objective.DICE_CE):
-        plan = replace(plan, max_epochs=None, max_iterations=1000,
-                       eval_each_epoch=True)
+                     schedule=schedule, batch_size=batch, max_epochs=epochs,
+                     max_iterations=None if epochs else 1000)
     return replace(plan, **overrides) if overrides else plan
 
 
@@ -269,7 +272,7 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
                 pred_masks.extend(np.argmax(logits.data, axis=1))
                 gt_masks.extend(s.mask for s in batch)
             else:
-                scores.append(T.softmax(logits, 1.0).data)
+                scores.append(T.softmax(logits).data)
                 labels.extend(s.label for s in batch)
     if seg:
         return segmentation_report(pred_masks, gt_masks)
@@ -289,16 +292,6 @@ def _batch_images(samples, indices, policy: str, rng: SeededRng) -> np.ndarray:
                      for i in indices])
 
 
-def _segmentation_loss(bundle: ModelBundle, images: Tensor, masks: np.ndarray) -> Tensor:
-    logits = bundle.head(bundle.backbone.forward_images(images))  # [B,C,H,W]
-    bsz, ncls, h, w = logits.shape
-    pixel_logits = T.transpose(logits, (0, 2, 3, 1))
-    ce = T.cross_entropy(pixel_logits, masks)
-    probs = T.softmax(logits, 1.0, axis=1)
-    fg = T.reshape(T.narrow(probs, 1, 1, 1), (bsz, h, w))
-    return T.add(ce, T.dice_loss(fg, Tensor(masks.astype(np.float64))))
-
-
 def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Dataset,
               rng: SeededRng, mae_cfg: MaeConfig | None = None,
               dino_cfg: DinoConfig | None = None) -> tuple[Checkpoint, MetricLog]:
@@ -312,7 +305,8 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     val = data.val if isinstance(data, SplitDatasets) else None
     if len(train) == 0:
         raise ArgumentError("run_stage: empty training dataset")
-    if plan.eval_each_epoch and val is not None and len(val) == 0:
+    evaluates = plan.objective in _SUPERVISED and val is not None
+    if evaluates and len(val) == 0:
         raise ArgumentError("run_stage: the plan evaluates each epoch, but the val split is empty")
 
     # scaffolding first (it may add params), then apply the plan's freezing
@@ -353,7 +347,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     for step in range(total_steps):
         new_epoch = step // spe
         if new_epoch != epoch:
-            if plan.eval_each_epoch and val is not None and epoch >= 0:
+            if evaluates and epoch >= 0:
                 log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
             epoch = new_epoch
             order = rng.child(f"order/epoch{epoch}").permutation(n)
@@ -381,7 +375,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
                 loss = T.cross_entropy(bundle.head(bundle.backbone.forward_images(images)), labels)
             elif plan.objective is Objective.DICE_CE:
                 masks = np.stack([train.samples[i].mask for i in indices])
-                loss = _segmentation_loss(bundle, images, masks)
+                loss = T.dice_ce(bundle.head(bundle.backbone.forward_images(images)), masks)
 
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
@@ -397,7 +391,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
 
         log.log(stage=plan.stage.value, step=step, epoch=epoch, lr=lr, wd=wd, loss=loss_value)
 
-    if plan.eval_each_epoch and val is not None:
+    if evaluates:
         log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
 
     ckpt = Checkpoint.from_registry(
@@ -449,8 +443,9 @@ def grid_search(base_plan: StagePlan, lr_grid: list[float], make_bundle,
     """
     if not lr_grid:
         raise ArgumentError("grid_search: empty learning-rate grid")
-    if not base_plan.eval_each_epoch:
-        raise ArgumentError("grid_search: the plan must evaluate each epoch")
+    if base_plan.objective not in _SUPERVISED:
+        raise ArgumentError(f"grid_search: the plan must evaluate each epoch, "
+                            f"and a {base_plan.objective.value} plan never does")
     higher = HIGHER_IS_BETTER[primary_metric]
     best = best_score = first_divergence = None
     ok, diverged = [], []

@@ -190,21 +190,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    ash, bsh = a.shape, b.shape
-    na, nb = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        ga = _unbroadcast(g, ash) if na else None
-        gb = -_unbroadcast(g, bsh) if nb else None
-        return ga, gb
-
-    return _record(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
@@ -218,26 +203,6 @@ def mul(a, b) -> Tensor:
     def vjp(g):
         ga = _unbroadcast(g * bd, ash) if na else None
         gb = _unbroadcast(g * ad, bsh) if nb else None
-        return ga, gb
-
-    return _record(out, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b, "div")
-    # division by zero propagates as +-inf by design
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(a.data / b.data)
-    ash, bsh = a.shape, b.shape
-    na, nb = a.requires_grad, b.requires_grad
-    ad = a.data if nb else None
-    bd = b.data
-
-    def vjp(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ga = _unbroadcast(g / bd, ash) if na else None
-            gb = _unbroadcast(-g * ad / (bd * bd), bsh) if nb else None
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -326,7 +291,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = tuple(_as_tensor(t) for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    out = Tensor(np.concatenate([t.data for t in tensors], axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
     needs = [t.requires_grad for t in tensors]
@@ -487,19 +452,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record(out, (x, gamma, beta), vjp)
 
 
-def softmax(x: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
-    """Stable softmax of x / temperature along `axis` (rows sum to 1)."""
+def softmax(x: Tensor) -> Tensor:
+    """Stable softmax along the last axis (rows sum to 1)."""
     x = _as_tensor(x)
-    if temperature <= 0:
-        raise ArgumentError(f"softmax: temperature must be > 0, got {temperature}")
-    z = (x.data - x.data.max(axis=axis, keepdims=True)) / temperature
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
 
     def vjp(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        return ((p * (g - inner)) / temperature,)
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        return (p * (g - inner),)
 
     return _record(out, (x,), vjp)
 
@@ -547,6 +510,21 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _nll(z: np.ndarray, labels: np.ndarray):
+    """Mean negative log-likelihood of integer labels, classes on the last axis
+    of z, and the function that maps its cotangent to d/dz."""
+    flat_logp = _log_softmax(z).reshape(-1, z.shape[-1])
+    flat_labels = labels.reshape(-1)
+    n, shape = flat_labels.shape[0], z.shape
+
+    def grad(g):
+        p = np.exp(flat_logp)
+        p[np.arange(n), flat_labels] -= 1.0
+        return (g / n) * p.reshape(shape)
+
+    return -flat_logp[np.arange(n), flat_labels].mean(), grad
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood; classes along the last axis.
 
@@ -558,19 +536,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(
             f"cross_entropy: labels {list(labels.shape)} must match {list(logits.shape[:-1])}"
         )
-    logp = _log_softmax(logits.data)
-    flat_logp = logp.reshape(-1, logits.shape[-1])
-    flat_labels = labels.reshape(-1)
-    n = flat_labels.shape[0]
-    out = Tensor(np.array(-flat_logp[np.arange(n), flat_labels].mean()))
-    shape = logits.shape
-
-    def vjp(g):
-        p = np.exp(flat_logp)
-        p[np.arange(n), flat_labels] -= 1.0
-        return ((g / n) * p.reshape(shape),)
-
-    return _record(out, (logits,), vjp)
+    value, grad = _nll(logits.data, labels)
+    return _record(Tensor(np.array(value)), (logits,), lambda g: (grad(g),))
 
 
 def soft_cross_entropy(teacher_probs, student_logits: Tensor, temperature: float = 1.0) -> Tensor:
@@ -579,7 +546,7 @@ def soft_cross_entropy(teacher_probs, student_logits: Tensor, temperature: float
     The teacher distribution is treated as a constant (no gradient flows
     to it); only the student logits are differentiated.
     """
-    if temperature <= 0:
+    if not temperature > 0:  # nan included
         raise ArgumentError(f"soft_cross_entropy: temperature must be > 0, got {temperature}")
     student_logits = _as_tensor(student_logits)
     pt = np.asarray(teacher_probs, dtype=np.float64)
@@ -600,17 +567,45 @@ def soft_cross_entropy(teacher_probs, student_logits: Tensor, temperature: float
     return _record(out, (student_logits,), vjp)
 
 
-def dice_loss(probs: Tensor, target: Tensor, smooth: float = 1e-5) -> Tensor:
-    """1 - (2*sum(p*q) + s) / (sum(p) + sum(q) + s) on foreground probabilities."""
-    probs, target = _as_tensor(probs), _as_tensor(target)
-    if probs.shape != target.shape:
+_DICE_SMOOTH = 1e-5
+
+
+def dice_ce(logits: Tensor, masks: np.ndarray) -> Tensor:
+    """Mean pixel cross-entropy plus the foreground Dice loss (V-Net), as one node.
+
+    logits is [B, C, H, W] with C >= 2; masks holds class indices [B, H, W].
+    Dice is 1 - (2*sum(p*q) + s) / (sum(p) + sum(q) + s), with p the class-1
+    softmax probability, q the mask as float and s = 1e-5.
+    """
+    logits = _as_tensor(logits)
+    labels = np.asarray(masks, dtype=np.intp)
+    if logits.ndim != 4 or logits.shape[1] < 2 or \
+            labels.shape != logits.shape[:1] + logits.shape[2:]:
         raise ShapeError(
-            f"dice_loss: probs {list(probs.shape)} and target {list(target.shape)} differ"
+            f"dice_ce: expected logits [B, C>=2, H, W] and masks [B, H, W], "
+            f"got {list(logits.shape)} and {list(labels.shape)}"
         )
-    inter = tsum(mul(probs, target))
-    total = add(tsum(probs), tsum(target))
-    ratio = div(add(mul(inter, 2.0), smooth), add(total, smooth))
-    return sub(1.0, ratio)
+    bsz, _, h, w = logits.shape
+    # the sums depend on array layout: CE reads the channels-last view,
+    # Dice the class-1 slice of the channel softmax
+    ce, ce_grad = _nll(np.transpose(logits.data, (0, 2, 3, 1)), labels)
+    e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    fg = np.reshape(p[:, 1:2], (bsz, h, w))
+    q = labels.astype(np.float64)
+    num = np.sum(fg * q) * 2.0 + _DICE_SMOOTH
+    den = np.sum(fg) + np.sum(q) + _DICE_SMOOTH
+    out = Tensor(np.array(ce + (1.0 - num / den)))
+
+    def vjp(g):
+        d_num = -g / den
+        d_den = g * num / (den * den)
+        g_probs = np.zeros(p.shape)
+        g_probs[:, 1:2] = np.reshape(d_den + (d_num * 2.0) * q, (bsz, 1, h, w))
+        g_logits = p * (g_probs - (g_probs * p).sum(axis=1, keepdims=True))
+        return (g_logits + np.transpose(ce_grad(g), (0, 3, 1, 2)),)
+
+    return _record(out, (logits,), vjp)
 
 
 # -- backward -----------------------------------------------------------------

@@ -45,6 +45,10 @@ class ViTConfig:
             raise ArgumentError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
+        if not self.embed_dim * self.mlp_ratio >= 1:  # the MLP width, nan included
+            raise ArgumentError(
+                f"embed_dim * mlp_ratio must be >= 1, got {self.embed_dim} * {self.mlp_ratio}"
+            )
 
     @property
     def grid(self) -> int:
@@ -182,7 +186,7 @@ class TransformerBlock:
         k = split_heads(self._project("k", self.k, x))
         v = split_heads(self._project("v", self.v, x))
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        attn = T.softmax(scores, 1.0)
+        attn = T.softmax(scores)
         out = T.matmul(attn, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, seq, dim))
         return self._project("proj", self.proj, out)

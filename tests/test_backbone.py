@@ -132,6 +132,13 @@ class TestAccounting:
         assert reg.count() == total
         assert reg.trainable_ratio() == pytest.approx(100.0 * head_count / total, abs=1e-12)
 
+    @pytest.mark.parametrize("mlp_ratio", [0.01, 0.0625 - 1e-12, float("nan")])
+    def test_an_mlp_narrower_than_one_unit_is_rejected(self, mlp_ratio):
+        with pytest.raises(ArgumentError, match=r"embed_dim \* mlp_ratio must be >= 1"):
+            ViTConfig(image_size=16, patch_size=4, embed_dim=16, num_heads=2,
+                      mlp_ratio=mlp_ratio)
+        assert ViTConfig(embed_dim=16, num_heads=2, mlp_ratio=0.0625).mlp_dim == 1
+
     def test_backbone_count_closed_form(self):
         for cfg in (TINY, ViTConfig(image_size=32, patch_size=8, embed_dim=64,
                                     depth=4, num_heads=4)):
@@ -153,7 +160,7 @@ class TestSegDecoder:
         head = build_head(TINY, SegmentationSpec(2), reg, SeededRng(0, "init/head"))
         reg.get("head.proj.weight").data = np.zeros_like(reg.get("head.proj.weight").data)
         feats = T.Tensor(np.random.default_rng(5).standard_normal((1, 17, 16)))
-        probs = T.softmax(head(feats), 1.0, axis=1)
+        probs = T.softmax(T.transpose(head(feats), (0, 2, 3, 1)))  # classes last
         assert np.allclose(probs.data, 0.5, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):

@@ -150,6 +150,7 @@ MALFORMED_INPUTS = {
     "data_num_classes_zero": (1, "num_classes must be >= 1, got 0"),
     "data_num_classes_negative": (1, "num_classes must be >= 1, got -1"),
     "model_image_size_zero": (1, "image_size must be >= 1, got 0"),
+    "model_mlp_width_zero_in_pretrain": (1, "embed_dim * mlp_ratio must be >= 1, got 16 * 0.01"),
     "dino_head_output_dim_zero_in_tpp": (1, "head_output_dim must be >= 1, got 0"),
     "stage_warmup_negative": (1, "[stage] warmup_epochs must be >= 0, got -5.0"),
     "lora_targets_empty_in_tpp": (
@@ -416,6 +417,25 @@ class TestCli:
         assert grid == alone
         assert "non-finite loss at step 1" in grid and "recent losses: []" not in grid
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0.001,-1", "--grid 0.001,-1: [stage] lr must be > 0, got -1.0"),
+        (",", "--grid ,: no learning rate given")])
+    def test_a_bad_grid_is_rejected_before_any_data_is_loaded(self, workspace, tmp_path,
+                                                              capsys, monkeypatch, grid, message):
+        loads = []
+        real_load_data = ExperimentConfig.load_data
+
+        def counting_load_data(self, seed):
+            loads.append(seed)
+            return real_load_data(self, seed)
+
+        monkeypatch.setattr(ExperimentConfig, "load_data", counting_load_data)
+        assert main(["finetune", "--config", workspace["cfg"], "--seed", "0",
+                     "--backbone", workspace["backbone"], f"--grid={grid}",
+                     "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert loads == []
+
     @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
     def test_malformed_input_is_a_typed_exit(self, workspace, tmp_path, capsys, monkeypatch,
                                              case):
@@ -451,6 +471,8 @@ class TestCli:
                                                                      "num_classes = -1"),
                        "model_image_size_zero": BASE_CFG.replace("image_size = 16",
                                                                  "image_size = 0"),
+                       "model_mlp_width_zero_in_pretrain": BASE_CFG.replace(
+                           "num_heads = 2", "num_heads = 2\nmlp_ratio = 0.01"),
                        "dino_head_output_dim_zero_in_tpp":
                            BASE_CFG + "\n[pretext]\ntask = dino\nhead_output_dim = 0\n",
                        "stage_warmup_negative": BASE_CFG.replace("warmup_epochs = 0",

@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and importing the
-package stays cheap."""
+"""Source hygiene: no module imports a name it never uses, importing the
+package stays cheap, and every tape primitive has a finite-difference test."""
 
 import ast
 import os
@@ -44,6 +44,55 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+FD_ORACLES = {"finite_difference", "finite_difference_sampled"}
+
+
+def taped_primitives(source: str) -> set[str]:
+    """Public module-level functions that record a tape node (call `_record`)."""
+    return {f.name for f in ast.parse(source).body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "_record" for n in ast.walk(f))}
+
+
+def ops_checked_by_finite_differences(source: str) -> set[str]:
+    """Names that a test calling a finite-difference oracle gives its ops.
+
+    A test names an op as `T.<op>` or as a string in its decorators (a
+    `parametrize` list that the test resolves with `getattr(T, op)`).
+    """
+    named = set()
+    for f in ast.walk(ast.parse(source)):
+        if not (isinstance(f, ast.FunctionDef) and f.name.startswith("test_")):
+            continue
+        if not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id in FD_ORACLES for n in ast.walk(f)):
+            continue
+        named |= {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)
+                  and isinstance(n.value, ast.Name) and n.value.id == "T"}
+        named |= {n.value for d in f.decorator_list for n in ast.walk(d)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return named
+
+
+def test_the_coverage_scan_sees_an_unchecked_primitive():
+    assert taped_primitives("def a(x):\n    return _record(x)\n"
+                            "def _b(x):\n    return _record(x)\n"
+                            "def c(x):\n    return x\n") == {"a"}
+    tests = ("@pytest.mark.parametrize('op', ['a'])\n"
+             "def test_a(op):\n    finite_difference(lambda: getattr(T, op)(1), x)\n"
+             "def test_b():\n    T.b(1)\n"
+             "def test_c():\n    finite_difference_sampled(lambda: T.c(1), x, i)\n")
+    assert ops_checked_by_finite_differences(tests) == {"op", "a", "c"}
+
+
+def test_every_taped_primitive_is_checked_against_finite_differences():
+    primitives = taped_primitives((ROOT / "src" / "tpp" / "tensor.py").read_text())
+    checked = ops_checked_by_finite_differences((ROOT / "tests" / "test_tensor.py").read_text())
+    assert {"matmul", "softmax", "dice_ce"} <= primitives
+    assert sorted(primitives - checked) == []
 
 
 def test_importing_the_package_loads_no_scipy_stats():

@@ -164,8 +164,8 @@ class TestLogs:
         splits = _splits(train=16)
         bundle = build_bundle(TINY, seed=5, head_spec=ClassificationSpec(2),
                               peft_spec=AdapterSpec(2))
-        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=4, batch=8,
-                           eval_each_epoch=True)  # 2 steps per epoch -> 2 epochs
+        # 2 steps per epoch -> 2 epochs
+        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=4, batch=8)
         _, log = run_stage(plan, bundle, splits, SeededRng(5, "stage/ft"))
         vals = [r for r in log.records if r.get("split") == "val" and r["metric"] == "acc"]
         assert len(vals) == 2
@@ -180,7 +180,7 @@ class TestLogs:
         head = SegmentationSpec(2) if seg else ClassificationSpec(2)
         bundle = build_bundle(TINY, seed=5, head_spec=head, peft_spec=AdapterSpec(2))
         plan = _quick_plan(Stage.FINETUNE, Objective.DICE_CE if seg else Objective.CE,
-                           steps=2, eval_each_epoch=True)
+                           steps=2)
         monkeypatch.setattr(pipeline.T, "backward",
                             lambda loss: pytest.fail("trained with an empty val split"))
         with pytest.raises(ArgumentError, match="val split is empty"):
@@ -430,10 +430,10 @@ class TestGridSearch:
             grid_search(plan, [], self._make_factory(splits), splits, seed=48)
 
     def test_plan_without_val_scores_rejected(self):
-        plan = replace(_quick_plan(Stage.FINETUNE, Objective.CE, steps=2),
-                       eval_each_epoch=False)
-        with pytest.raises(ArgumentError, match="evaluate each epoch"):
-            grid_search(plan, [1e-3], self._make_factory(None), _splits(seed=49), seed=49)
+        for objective in (Objective.MAE, Objective.DINO):  # pretext objectives never evaluate
+            plan = _quick_plan(Stage.TPP, objective, steps=2)
+            with pytest.raises(ArgumentError, match="evaluate each epoch"):
+                grid_search(plan, [1e-3], self._make_factory(None), _splits(seed=49), seed=49)
 
     def test_strictly_better_run_wins_and_ties_keep_the_earlier_lr(self, monkeypatch):
         scores = {1e-1: 50.0, 1e-2: 70.0, 1e-3: 70.0, 1e-4: 60.0}
