@@ -114,8 +114,10 @@ def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task:
 def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
     """Load the data and check it fits [model] before any model is built.
 
-    Each split in `needed` must be non-empty, and every split must have
-    train's class names (a folder split labels by its own class directories).
+    Each split in `needed` must be non-empty, and a classification split in
+    `needed` other than train must hold at least 2 distinct labels (AUC needs
+    both). Every split must have train's class names (a folder split labels
+    by its own class directories).
     Every image must be [num_channels, image_size, image_size], and every
     segmentation mask binary (the loss and head assume 2 classes).
     """
@@ -126,6 +128,12 @@ def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
         dataset = getattr(data, split)
         if split in needed and len(dataset) == 0:
             raise ConfigError(f"the {split} split is empty; check [data] {split}_count or path")
+        if split in needed and split != "train" and dataset.task == "classification":
+            labels = np.unique(dataset.labels()).tolist()
+            if len(labels) < 2:
+                raise ConfigError(
+                    f"the {split} split holds labels {labels} only; AUC needs at least 2 "
+                    f"distinct labels; check [data] {split}_count, num_classes or path")
         if dataset.class_names != data.train.class_names:
             raise ConfigError(f"the {split} split has classes {dataset.class_names}, "
                               f"but train has {data.train.class_names}")
@@ -177,7 +185,7 @@ def _prepare_decoder(cfg: ExperimentConfig, bundle: ModelBundle,
     config error.
     """
     mode = cfg.get("pretext", "decoder_mode")
-    mae = ensure_mae(bundle, cfg.mae_config(), rng)
+    ensure_mae(bundle, cfg.mae_config(), rng)
     decoder_names = {p.name for p in bundle.registry.params(prefix="pretext.mae.")}
     available = decoder_names <= set(backbone_ckpt.entries)
     if mode == "auto":

@@ -2,8 +2,11 @@
 
 Each mechanism adds Target-group parameters to a built backbone (except
 BitFit, which re-tags existing biases) and instruments the forward pass
-through the block slots. All param-adding mechanisms are identity at
-initialization: the instrumented forward equals the baseline forward
+through slots that stay None until attached. A mechanism instruments
+layers (SSF scales and shifts each block's Linear and LayerNorm outputs,
+LoRA adds a low-rank term to the q/v Linears), blocks (the adapters) or
+the token sequence (VPT prompts). All param-adding mechanisms are identity
+at initialization: the instrumented forward equals the baseline forward
 exactly until a training step changes the new parameters. VPT is the
 documented exception, because extra attention keys renormalize the
 softmax even when the prompts are zero.
@@ -65,7 +68,7 @@ class LoraSpec:
 
 PeftSpec = AdapterSpec | AdaptFormerSpec | VptSpec | SsfSpec | BitFitSpec | LoraSpec
 
-# sites modulated by SSF inside each block, with their channel width key
+# the block layers whose outputs SSF scales and shifts (attribute names)
 SSF_SITES = ("ln1", "q", "k", "v", "proj", "ln2", "fc1", "fc2")
 
 LORA_TARGET_MAP = {"query": "q", "value": "v"}
@@ -161,15 +164,13 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
     elif isinstance(spec, SsfSpec):
         mlp_dim = cfg.mlp_dim
         for i, block in enumerate(model.blocks):
-            sites = {}
             for site in SSF_SITES:
                 channels = mlp_dim if site == "fc1" else d
                 gamma = registry.register(f"ssf.blocks.{i}.{site}.gamma",
                                           np.ones(channels), ParamGroup.TARGET)
                 beta = registry.register(f"ssf.blocks.{i}.{site}.beta",
                                          np.zeros(channels), ParamGroup.TARGET)
-                sites[site] = (gamma, beta)
-            block.ssf = sites
+                getattr(block, site).ssf = (gamma, beta)
 
     elif isinstance(spec, BitFitSpec):
         # the model's registry, not the view: on reinit no Backbone bias is left
@@ -188,7 +189,6 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
         scaling = spec.alpha / spec.rank
         for i, block in enumerate(model.blocks):
             brng = rng.child(f"block{i}")
-            slots = {}
             for target in spec.targets:
                 key = LORA_TARGET_MAP[target]
                 a = registry.register(f"lora.blocks.{i}.{key}.A",
@@ -196,8 +196,7 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
                                       ParamGroup.TARGET)
                 b = registry.register(f"lora.blocks.{i}.{key}.B",
                                       np.zeros((spec.rank, d)), ParamGroup.TARGET)
-                slots[key] = (a, b, scaling)
-            block.lora = slots
+                getattr(block, key).lora = (a, b, scaling)
 
     else:
         raise ArgumentError(f"unknown PEFT spec: {spec!r}")

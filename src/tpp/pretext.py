@@ -144,18 +144,13 @@ class MaskedReconstruction:
             targets = (targets - mu) / np.sqrt(var + 1e-6)
         targets = Tensor(targets)
 
-        tokens = self.model.patch_embed(patches)
-        tokens_vis = T.take_tokens(tokens, vis_idx)
-        feats = self.model.forward_features(tokens_vis, patch_index=vis_idx)
+        tokens = T.take_tokens(self.model.embed_patches(patches), vis_idx)
+        feats = self.model.forward_features(tokens)
 
         dec = self.enc2dec(feats)  # [B, 1+V, dd]
-        nvis = vis_idx.shape[1]
-        cls_part = T.narrow(dec, 1, 0, 1)
-        vis_part = T.narrow(dec, 1, 1, nvis)
-        full = T.scatter_tokens(vis_part, vis_idx, self.mask_token, n)
-        full = T.add(full, T.narrow(self.dec_pos, 0, 1, n))
-        cls_part = T.add(cls_part, T.narrow(self.dec_pos, 0, 0, 1))
-        x = T.concat([cls_part, full], axis=1)
+        full = T.scatter_tokens(T.narrow(dec, 1, 1, vis_idx.shape[1]), vis_idx,
+                                self.mask_token, n)
+        x = T.add(T.concat([T.narrow(dec, 1, 0, 1), full], axis=1), self.dec_pos)
         for block in self.blocks:
             x = block(x)
         x = self.ln(x)

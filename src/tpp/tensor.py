@@ -331,21 +331,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def index_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a [N, d] tensor; idx may be any integer array shape."""
-    x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[idx])
-    xshape = x.shape
-
-    def vjp(g):
-        gx = np.zeros(xshape)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _record(out, (x,), vjp)
-
-
 def take_tokens(x: Tensor, idx: np.ndarray) -> Tensor:
     """Per-sample token gather: x [B, N, d], idx [B, K] -> [B, K, d]."""
     x = _as_tensor(x)

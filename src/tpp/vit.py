@@ -3,8 +3,9 @@
 The backbone is deliberately plain: linear patch embedding, learnable
 class token and positional embeddings, pre-norm blocks (LN -> MHSA ->
 residual, LN -> MLP -> residual), final LN. PEFT mechanisms instrument
-the blocks through optional slots that stay None until attached, so an
-uninstrumented model pays nothing for them.
+layers (SSF on a Linear or LayerNorm output, LoRA on a Linear), blocks
+(adapters) or the token sequence (VPT prompts) through slots that stay
+None until attached, so an uninstrumented model pays nothing for them.
 
 Heads are a single linear map from the class token (classification) or a
 per-patch linear projection unpatchified to full resolution (segmentation).
@@ -110,8 +111,16 @@ def unpatchify(patches: Tensor, patch_size: int, channels: int, image_size: int)
 # -- building blocks ------------------------------------------------------
 
 
+def _modulate(x: Tensor, ssf) -> Tensor:
+    """SSF's per-channel scale and shift of a layer output; identity when `ssf` is None."""
+    if ssf is None:
+        return x
+    gamma, beta = ssf
+    return T.add(T.mul(x, gamma), beta)
+
+
 class Linear:
-    """y = x @ W + b with params registered under `name`."""
+    """y = x @ W + b with params registered under `name`, plus its PEFT terms."""
 
     def __init__(self, registry: ParamRegistry, rng: SeededRng, name: str,
                  din: int, dout: int, group: ParamGroup,
@@ -124,9 +133,16 @@ class Linear:
             raise ArgumentError(f"unknown init: {init}")
         self.weight = registry.register(f"{name}.weight", w, group)
         self.bias = registry.register(f"{name}.bias", np.zeros(dout), group)
+        # PEFT slots, filled by peft.attach
+        self.lora = None  # (A: Param, B: Param, scaling: float)
+        self.ssf = None   # (gamma: Param, beta: Param)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        out = T.add(T.matmul(x, self.weight), self.bias)
+        if self.lora is not None:
+            a, b, scaling = self.lora
+            out = T.add(out, T.mul(T.matmul(T.matmul(x, a), b), scaling))
+        return _modulate(out, self.ssf)
 
 
 class LayerNorm:
@@ -134,13 +150,14 @@ class LayerNorm:
         self.weight = registry.register(f"{name}.weight", np.ones(dim), group)
         self.bias = registry.register(f"{name}.bias", np.zeros(dim), group)
         self.eps = 1e-5
+        self.ssf = None  # (gamma: Param, beta: Param), filled by peft.attach
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.weight, self.bias, self.eps)
+        return _modulate(T.layer_norm(x, self.weight, self.bias, self.eps), self.ssf)
 
 
 class TransformerBlock:
-    """Pre-norm block; PEFT slots filled by peft.attach, None otherwise."""
+    """Pre-norm block; adapter slots filled by peft.attach, None otherwise."""
 
     def __init__(self, registry: ParamRegistry, rng: SeededRng, name: str,
                  dim: int, num_heads: int, mlp_dim: int, group: ParamGroup):
@@ -158,22 +175,6 @@ class TransformerBlock:
         # PEFT instrumentation slots
         self.adapter = None       # (down: Linear, up: Linear)
         self.adaptformer = None   # (down: Linear, up: Linear, scale: float)
-        self.ssf = None           # dict site -> (gamma: Param, beta: Param)
-        self.lora = None          # dict {"q"|"v"} -> (A: Param, B: Param, scaling: float)
-
-    def _modulate(self, site: str, x: Tensor) -> Tensor:
-        if self.ssf is None:
-            return x
-        gamma, beta = self.ssf[site]
-        return T.add(T.mul(x, gamma), beta)
-
-    def _project(self, which: str, layer: Linear, x: Tensor) -> Tensor:
-        out = layer(x)
-        if self.lora is not None and which in self.lora:
-            a, b, scaling = self.lora[which]
-            low = T.matmul(T.matmul(x, a), b)
-            out = T.add(out, T.mul(low, scaling))
-        return self._modulate(which, out)
 
     def _attention(self, x: Tensor) -> Tensor:
         bsz, seq, dim = x.shape
@@ -182,22 +183,21 @@ class TransformerBlock:
         def split_heads(t: Tensor) -> Tensor:
             return T.transpose(T.reshape(t, (bsz, seq, h, hd)), (0, 2, 1, 3))
 
-        q = split_heads(self._project("q", self.q, x))
-        k = split_heads(self._project("k", self.k, x))
-        v = split_heads(self._project("v", self.v, x))
+        q = split_heads(self.q(x))
+        k = split_heads(self.k(x))
+        v = split_heads(self.v(x))
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
         attn = T.softmax(scores)
         out = T.matmul(attn, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, seq, dim))
-        return self._project("proj", self.proj, out)
+        return self.proj(out)
 
     def _mlp(self, h: Tensor) -> Tensor:
-        m = T.gelu(self._modulate("fc1", self.fc1(h)))
-        return self._modulate("fc2", self.fc2(m))
+        return self.fc2(T.gelu(self.fc1(h)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = T.add(x, self._attention(self._modulate("ln1", self.ln1(x))))
-        h = self._modulate("ln2", self.ln2(x))
+        x = T.add(x, self._attention(self.ln1(x)))
+        h = self.ln2(x)
         m = self._mlp(h)
         if self.adapter is not None:
             down, up = self.adapter
@@ -235,21 +235,25 @@ class VisionTransformer:
 
     # -- forward -----------------------------------------------------------
 
-    def embed_patches(self, images: Tensor) -> Tensor:
-        """[B,C,H,W] -> [B,N,embed_dim] patch tokens (no positions added)."""
-        return self.patch_embed(patchify(images, self.cfg.patch_size))
+    def embed_patches(self, patches: Tensor) -> Tensor:
+        """[B,N,patch_dim] patches -> [B,N,embed_dim] tokens, positions added."""
+        n = self.cfg.num_patches
+        if patches.shape[1] != n:  # a smaller grid would broadcast against the positions
+            raise ShapeError(
+                f"embed_patches: got {patches.shape[1]} tokens, config builds {n} patches")
+        return T.add(self.patch_embed(patches), T.narrow(self.pos_embed, 0, 1, n))
 
     def _broadcast_rows(self, rows: Tensor, bsz: int) -> Tensor:
         # [K,d] learnable rows tiled to [B,K,d] through a broadcasting add
         k, d = rows.shape
         return T.add(T.reshape(rows, (1, k, d)), T.zeros((bsz, 1, d)))
 
-    def forward_features(self, tokens: Tensor, patch_index: np.ndarray | None = None) -> Tensor:
+    def forward_features(self, tokens: Tensor) -> Tensor:
         """Run class token + patch tokens through the blocks and final LN.
 
-        tokens: [B,K,embed_dim] patch tokens. When patch_index is given
-        (shape [B,K]) positional embeddings are gathered per sample, which
-        is how the masked-reconstruction encoder sees only visible patches.
+        tokens: [B,K,embed_dim] patch tokens that already carry their
+        positions (`embed_patches`): all N of them, or each sample's visible
+        ones, which is how the masked-reconstruction encoder sees its input.
         Block i < len(prompts) sees the VPT prompt tokens prompts[i] right
         after the class token, in place of the previous block's; they are
         dropped again before returning, so the output is always [B, 1+K, d].
@@ -258,17 +262,8 @@ class VisionTransformer:
         if tokens.shape[-1] != d:
             raise ShapeError(f"forward_features: token dim {tokens.shape[-1]} != embed_dim {d}")
         bsz, k = tokens.shape[0], tokens.shape[1]
-        pos_patches = T.narrow(self.pos_embed, 0, 1, self.cfg.num_patches)
-        if patch_index is None:
-            if k != self.cfg.num_patches:
-                raise ShapeError(
-                    f"forward_features: got {k} tokens, config builds {self.cfg.num_patches} patches"
-                )
-            x = T.add(tokens, pos_patches)
-        else:
-            x = T.add(tokens, T.index_rows(pos_patches, patch_index))
         cls = T.add(self.cls_token, T.narrow(self.pos_embed, 0, 0, 1))
-        x = T.concat([self._broadcast_rows(cls, bsz), x], axis=1)
+        x = T.concat([self._broadcast_rows(cls, bsz), tokens], axis=1)
 
         for i, block in enumerate(self.blocks):
             if i < len(self.prompts):
@@ -287,7 +282,7 @@ class VisionTransformer:
 
     def forward_images(self, images: Tensor) -> Tensor:
         """[B,C,H,W] -> [B, 1+N, embed_dim] features."""
-        return self.forward_features(self.embed_patches(images))
+        return self.forward_features(self.embed_patches(patchify(images, self.cfg.patch_size)))
 
 
 class ClassificationHead:

@@ -69,18 +69,29 @@ class TestForwardFeatures:
         cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=0, num_heads=2)
         bundle = build_bundle(cfg, 0)
         model, reg = bundle.backbone, bundle.registry
-        tokens = T.Tensor(np.random.default_rng(1).standard_normal((2, 4, 8)))
-        out = model.forward_features(tokens)
+        tokens = T.Tensor(np.random.default_rng(1).standard_normal((2, 4, 16)))  # patches
+        out = model.forward_features(model.embed_patches(tokens))
         pos = reg.get("backbone.pos_embed").data
         cls = reg.get("backbone.cls_token").data
+        embedded = model.patch_embed(tokens).data + pos[1:]
         expected_tokens = np.concatenate(
-            [np.tile((cls + pos[0])[None, None], (2, 1, 1)), tokens.data + pos[1:]], axis=1)
+            [np.tile((cls + pos[0])[None, None], (2, 1, 1)), embedded], axis=1)
         gamma = reg.get("backbone.ln.weight").data
         beta = reg.get("backbone.ln.bias").data
         mu = expected_tokens.mean(-1, keepdims=True)
         var = expected_tokens.var(-1, keepdims=True)
         expected = (expected_tokens - mu) / np.sqrt(var + 1e-5) * gamma + beta
         assert np.allclose(out.data, expected, atol=1e-12)
+
+    def test_patch_tokens_get_no_positions(self):
+        # positions are `embed_patches`' job; forward_features positions the class token only
+        cfg = ViTConfig(image_size=8, patch_size=4, embed_dim=8, depth=0, num_heads=2)
+        model = build_bundle(cfg, 0).backbone  # final LN at init: unit scale, zero shift
+        tokens = np.random.default_rng(1).standard_normal((2, 4, 8))
+        out = model.forward_features(T.Tensor(tokens)).data
+        centred = tokens - tokens.mean(-1, keepdims=True)
+        expected = centred / np.sqrt(tokens.var(-1, keepdims=True) + 1e-5)
+        assert np.allclose(out[:, 1:], expected, atol=1e-12)
 
     def test_output_shape_contract(self):
         cfg = ViTConfig(image_size=32, patch_size=8, embed_dim=32, depth=2, num_heads=4)
@@ -144,6 +155,35 @@ class TestAccounting:
                                     depth=4, num_heads=4)):
             reg = build_bundle(cfg, 1).registry
             assert reg.count() == closed_form_backbone_count(cfg)
+
+
+class TestEmbedPatches:
+    @staticmethod
+    def _patches():
+        images = np.random.default_rng(2).random((3, 1, TINY.image_size, TINY.image_size))
+        return patchify(T.Tensor(images), TINY.patch_size)
+
+    def test_positions_are_added_to_the_patch_embedding(self):
+        bundle = build_bundle(TINY, 0)
+        model, pos = bundle.backbone, bundle.registry.get("backbone.pos_embed").data
+        patches = self._patches()
+        expected = model.patch_embed(patches).data + pos[1:]
+        assert np.array_equal(model.embed_patches(patches).data, expected)
+
+    def test_a_visible_subset_carries_its_own_positions(self):
+        bundle = build_bundle(TINY, 0)
+        model, pos = bundle.backbone, bundle.registry.get("backbone.pos_embed").data
+        patches = self._patches()
+        vis = np.sort(np.stack([np.random.default_rng(b).permutation(16)[:5] for b in range(3)]))
+        tokens = T.take_tokens(model.embed_patches(patches), vis).data
+        expected = model.patch_embed(patches).data[np.arange(3)[:, None], vis] + pos[1 + vis]
+        assert np.array_equal(tokens, expected)
+
+    def test_a_smaller_grid_than_the_config_builds_is_rejected(self):
+        # a 4x4 image at patch 4 is one patch; it would broadcast against 16 positions
+        model = build_bundle(TINY, 0).backbone
+        with pytest.raises(ShapeError, match="got 1 tokens, config builds 16 patches"):
+            model.forward_images(T.Tensor(np.zeros((2, 1, 4, 4))))
 
 
 class TestSegDecoder:

@@ -140,6 +140,10 @@ MALFORMED_INPUTS = {
     "stage_lr_nan_in_pretrain": (1, "[stage] lr must be finite and > 0, got nan"),
     "val_split_empty": (1, "the val split is empty"),
     "test_split_empty": (1, "the test split is empty"),
+    # one class in an evaluated split: AUC would fail only after training
+    "val_split_one_class": (1, "the val split holds labels [0] only; AUC needs at least 2"),
+    "test_split_one_class": (1, "the test split holds labels [0] only; AUC needs at least 2"),
+    "data_num_classes_one": (1, "the val split holds labels [0] only"),
     "train_split_empty_in_pretrain": (1, "the train split is empty"),
     "train_split_empty_in_tpp": (1, "the train split is empty"),
     "stage_batch_zero": (1, "[stage] batch_size must be >= 1, got 0"),
@@ -454,6 +458,11 @@ class TestCli:
                        "stage_lr_nan_in_pretrain": BASE_CFG.replace("lr = 0.001", "lr = nan"),
                        "val_split_empty": BASE_CFG.replace("val_count = 8", "val_count = 0"),
                        "test_split_empty": BASE_CFG.replace("test_count = 8", "test_count = 0"),
+                       "val_split_one_class": BASE_CFG.replace("val_count = 8", "val_count = 1"),
+                       "test_split_one_class": BASE_CFG.replace("test_count = 8",
+                                                                "test_count = 1"),
+                       "data_num_classes_one": BASE_CFG.replace("num_classes = 2",
+                                                                "num_classes = 1"),
                        "train_split_empty_in_pretrain":
                            BASE_CFG.replace("train_count = 16", "train_count = 0"),
                        "train_split_empty_in_tpp":

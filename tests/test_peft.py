@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from tpp import tensor as T
 from tpp.checkpoint import Checkpoint, CheckpointEntry, _hash_array
 from tpp.errors import ArgumentError, StateError
-from tpp.peft import (AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
+from tpp.peft import (SSF_SITES, AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
                       SsfSpec, VptSpec, attach, mechanism_name, merged_lora_weights,
                       reinit_target_params)
-from tpp.pipeline import build_bundle
+from tpp.pipeline import build_bundle, ensure_dino, ensure_mae
+from tpp.pretext import DinoConfig, MaeConfig
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
-from tpp.vit import ClassificationSpec, TransformerBlock, ViTConfig, build_head
+from tpp.vit import (ClassificationSpec, LayerNorm, Linear, TransformerBlock, ViTConfig,
+                     build_head)
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -229,7 +231,7 @@ class TestLora:
     def test_alpha_equal_rank_gives_unit_scaling(self):
         model, _ = _fresh()
         attach(model, LoraSpec(rank=4, alpha=4.0), SeededRng(0, "init/peft"))
-        assert model.blocks[0].lora["q"][2] == 1.0
+        assert model.blocks[0].q.lora[2] == 1.0
 
     def test_merged_weights_match_hooked_forward(self):
         model, reg = _fresh(seed=3)
@@ -254,6 +256,55 @@ class TestLora:
         model, _ = _fresh()
         with pytest.raises(ArgumentError):
             attach(model, LoraSpec(rank=64), SeededRng(0, "init/peft"))
+
+
+def _layers(root) -> list:
+    """Every Linear and LayerNorm reachable from `root`'s attributes, once each."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Linear, LayerNorm)):
+            found.append(obj)
+        if isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif hasattr(obj, "__dict__") and not isinstance(obj, (T.Tensor, ViTConfig)):
+            todo.extend(vars(obj).values())
+    return found
+
+
+class TestLayerSlots:
+    """SSF and LoRA fill the slots of exactly the layers they modify."""
+
+    @staticmethod
+    def _bundle(spec):
+        bundle = build_bundle(TINY, 0, head_spec=ClassificationSpec(2), peft_spec=spec)
+        ensure_mae(bundle, MaeConfig(), SeededRng(0, "stage"))
+        ensure_dino(bundle, DinoConfig(head_output_dim=8), SeededRng(0, "stage"))
+        layers = _layers(bundle)
+        # patch embed, the blocks' 8 layers, final LN, head, MAE decoder, DINO head
+        assert bundle.backbone.patch_embed in layers and bundle.backbone.ln in layers
+        assert bundle.head.fc in layers and bundle.mae.pred in layers
+        assert bundle.dino.head.fc1 in layers
+        return bundle, layers
+
+    def test_ssf_instruments_the_eight_sites_of_each_block(self):
+        bundle, layers = self._bundle(SsfSpec())
+        sites = [getattr(block, site) for block in bundle.backbone.blocks for site in SSF_SITES]
+        assert len(sites) == 8 * TINY.depth
+        assert {id(layer) for layer in layers if layer.ssf is not None} == set(map(id, sites))
+        assert all(getattr(layer, "lora", None) is None for layer in layers)
+
+    def test_lora_instruments_only_the_q_and_v_linears(self):
+        bundle, layers = self._bundle(LoraSpec())
+        qv = [layer for block in bundle.backbone.blocks for layer in (block.q, block.v)]
+        instrumented = [layer for layer in layers if getattr(layer, "lora", None) is not None]
+        assert {id(layer) for layer in instrumented} == set(map(id, qv))
+        assert all(layer.ssf is None for layer in layers)
 
 
 class TestReinit:

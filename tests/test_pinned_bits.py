@@ -1,21 +1,31 @@
-"""Pinned bits: one training step's loss and gradients, hashed.
+"""Pinned bits: one training step's loss and gradients, and whole CLI chains, hashed.
 
-Each case runs one `run_stage` step on a tiny config and hashes the loss
-and the gradient of every trainable param, in name order, at the moment
-`backward` returns. The first three hashes were recorded before the tape
-stopped holding arrays that no needed cotangent reads, and the VPT and
+Each step case runs one `run_stage` step on a tiny config and hashes the
+loss and the gradient of every trainable param, in name order, at the
+moment `backward` returns. The first three hashes were recorded before the
+tape stopped holding arrays that no needed cotangent reads, and the VPT and
 frozen-decoder ones before trainability became a single flag read from the
 plan's frozen groups. Any change to the tape, the prompt insertion or the
 freezing that moves a single bit of a loss or a gradient fails here.
+
+Each chain case runs `pretrain-backbone -> tpp -> finetune` through
+`tpp.cli.main` and hashes every checkpoint it writes and the finetune log's
+records, except `run_info` (it names the config and the target-init path).
+The chain hashes were recorded before each ViT layer took over its own SSF
+and LoRA terms and the patch positions moved into `embed_patches`.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tpp import tensor as T
+from tpp.cli import main
 from tpp.data import SyntheticTaskSpec, generate_synthetic
 from tpp.optim import ScheduleSpec
 from tpp.peft import AdapterSpec, LoraSpec, SsfSpec, VptSpec
@@ -84,3 +94,81 @@ def _step_digest(name: str, monkeypatch) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_loss_and_grads_are_pinned(name, monkeypatch):
     assert _step_digest(name, monkeypatch) == PINNED[name]
+
+
+CHAIN_CONFIG = """
+[model]
+image_size = 16
+patch_size = 4
+embed_dim = 16
+depth = 2
+num_heads = 2
+
+[peft]
+method = {peft}
+
+[pretext]
+task = {task}
+
+[data]
+kind = {kind}
+num_classes = 2
+train_count = 8
+val_count = 4
+test_count = 4
+
+[stage]
+iterations = 2
+batch_size = 4
+lr = 0.001
+warmup_epochs = 0
+"""
+
+CHAINS = {
+    # name: (data kind, pretext task, peft method)
+    "seg-mae-ssf": ("synthetic_seg", "mae", "ssf"),
+    "cls-dino-lora": ("synthetic_cls", "dino", "lora"),
+}
+
+CHAIN_PINNED = {
+    "seg-mae-ssf": {
+        "pre/backbone.tppc": "eadafa768d009885c6ba186e38264164",
+        "tpp/target.tppc": "2137341feb436f6ead72f518d2718c59",
+        "ft/finetune.tppc": "433b5c2df98a453b52f9d979c85bcc75",
+        "ft/finetune.jsonl": "175ba99fecf7a5ebca528fd44b1d4220",
+    },
+    "cls-dino-lora": {
+        "pre/backbone.tppc": "186d3e600eedab3428f5f5b719a4064e",
+        "tpp/target.tppc": "d43c371e6dd5d92f10d3e5e4ee3794e0",
+        "ft/finetune.tppc": "6e3bbe98ad0e0b303046f8732c33ccb2",
+        "ft/finetune.jsonl": "ec23cc4c546632d54658c0edecdd4cae",
+    },
+}
+
+
+def _chain_digests(name: str, tmp_path, monkeypatch) -> dict[str, str]:
+    kind, task, peft = CHAINS[name]
+    monkeypatch.chdir(tmp_path)  # relative paths: the outputs do not depend on where it runs
+    with open("chain.cfg", "w") as fh:
+        fh.write(CHAIN_CONFIG.format(kind=kind, task=task, peft=peft))
+    common = ["--config", "chain.cfg", "--seed", "1"]
+    verbs = [["pretrain-backbone", *common, "--out", "pre"],
+             ["tpp", *common, "--backbone", "pre/backbone.tppc", "--out", "tpp"],
+             ["finetune", *common, "--backbone", "pre/backbone.tppc",
+              "--target-init", "tpp/target.tppc", "--out", "ft"]]
+    for argv in verbs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    digests = {}
+    for path in ("pre/backbone.tppc", "tpp/target.tppc", "ft/finetune.tppc"):
+        with open(path, "rb") as fh:
+            digests[path] = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+    with open("ft/finetune.jsonl", "rb") as fh:
+        lines = [line for line in fh if json.loads(line).get("event") != "run_info"]
+    digests["ft/finetune.jsonl"] = hashlib.blake2b(b"".join(lines), digest_size=16).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_cli_chain_outputs_are_pinned(name, tmp_path, monkeypatch):
+    assert _chain_digests(name, tmp_path, monkeypatch) == CHAIN_PINNED[name]

@@ -172,18 +172,6 @@ class TestShapeOps:
             fd = finite_difference(lambda: run_forward_loss(loss), t.data)
             assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
 
-    def test_index_rows_gradient(self):
-        x = T.Tensor(_rand((6, 3), seed=14), requires_grad=True)
-        idx = np.array([[0, 0, 5], [2, 3, 3]])
-        weights = _rand((2, 3, 3), seed=15)
-
-        def loss():
-            return T.tsum(T.mul(T.index_rows(x, idx), T.Tensor(weights)))
-
-        T.backward(loss())
-        fd = finite_difference(lambda: run_forward_loss(loss), x.data)
-        assert rel_err(x.grad, fd, floor=1e-6) < 1e-5
-
 
 class TestLayerNorm:
     def test_constant_row_normalizes_to_zero(self):
