@@ -118,8 +118,9 @@ def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
     `needed` other than train must hold at least 2 distinct labels (AUC needs
     both). Every split must have train's class names (a folder split labels
     by its own class directories).
-    Every image must be [num_channels, image_size, image_size], and every
-    segmentation mask binary (the loss and head assume 2 classes).
+    The images of each split must be [num_channels, image_size, image_size]
+    (`load_folder` makes them agree with each other), and every segmentation
+    mask binary (the loss and head assume 2 classes).
     """
     data = cfg.load_data(seed)
     m = cfg.values["model"]
@@ -129,7 +130,7 @@ def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
         if split in needed and len(dataset) == 0:
             raise ConfigError(f"the {split} split is empty; check [data] {split}_count or path")
         if split in needed and split != "train" and dataset.task == "classification":
-            labels = np.unique(dataset.labels()).tolist()
+            labels = np.unique(dataset.labels).tolist()
             if len(labels) < 2:
                 raise ConfigError(
                     f"the {split} split holds labels {labels} only; AUC needs at least 2 "
@@ -137,15 +138,17 @@ def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
         if dataset.class_names != data.train.class_names:
             raise ConfigError(f"the {split} split has classes {dataset.class_names}, "
                               f"but train has {data.train.class_names}")
-        for s in dataset.samples:
-            if s.image.shape != shape:
-                raise ConfigError(
-                    f"{split} sample {s.id}: image shape {list(s.image.shape)} does not match "
-                    f"[model] num_channels, image_size, image_size = {list(shape)}")
-            if s.mask is not None and (s.mask.min() < 0 or s.mask.max() > 1):
-                raise ConfigError(
-                    f"{split} sample {s.id}: mask labels {np.unique(s.mask).tolist()} "
-                    f"are not all in {{0, 1}}; segmentation is binary")
+        if len(dataset) and dataset.images.shape[1:] != shape:
+            raise ConfigError(
+                f"{split} sample {dataset.ids[0]}: image shape {list(dataset.images.shape[1:])} "
+                f"does not match [model] num_channels, image_size, image_size = {list(shape)}")
+        bad = [] if dataset.masks is None else \
+            np.flatnonzero(((dataset.masks < 0) | (dataset.masks > 1)).any(axis=(1, 2)))
+        if len(bad):
+            raise ConfigError(
+                f"{split} sample {dataset.ids[bad[0]]}: mask labels "
+                f"{np.unique(dataset.masks[bad[0]]).tolist()} "
+                f"are not all in {{0, 1}}; segmentation is binary")
     return data.train.task, data
 
 

@@ -1,19 +1,25 @@
 """Dataset ingestion, synthetic task generation, splits, and subsetting.
 
-Images are float64 [C,H,W] arrays in [0,1]. No mean/std normalization is
-applied anywhere; what a loader returns is what the model sees. Loading
-order, generation, and subsetting are deterministic under fixed seeds.
+A split is a `Dataset` of stacked arrays, row i of each being sample i:
+float64 `images` [N,C,H,W], a list of N `ids`, and intp `labels` [N]
+(classification) or `masks` [N,H,W] (segmentation). Pixels are not
+normalized: a PNM is scaled to [0,1] and a TPPT is kept as stored.
+Loading order, generation, and subsetting are deterministic under fixed seeds.
 
 File formats: binary PGM (P5) / PPM (P6) and a raw tensor container
 ("TPPT" magic, u32 rank, u64 dims, little-endian float64 payload).
 Folder layouts: ``<split>/<class>/<file>`` for classification, and
 ``images/`` + ``masks/`` with matching stems for segmentation.
 
-Segmentation masks are binary, 0 background and 1 foreground. A PNM mask
-stores 0/maxval (scaled to [0,1] on read, then rounded to the nearer
-label); a TPPT mask stores the labels 0/1 themselves. Any larger TPPT
-value is kept as a label, and `tpp` rejects it before training.
-Every malformed PNM or TPPT file raises a StructuralError naming it.
+An image file must hold a finite, non-empty [C,H,W] or [H,W] array; a
+mask file must also be one channel (a PGM, or an [H,W] or [1,H,W] TPPT,
+never a PPM) and have its image's size as read, before resizing. After
+resizing, the images of a split must agree in channel count. Mask labels
+are 0 background and 1 foreground: a PNM mask stores 0/maxval (rounded
+to the nearer label after scaling), a TPPT mask the labels themselves.
+A larger TPPT value is kept as a label, and `tpp` rejects it before
+training. A malformed file, or one that breaks these rules, raises a
+StructuralError naming it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,40 +37,33 @@ from .rng import SeededRng
 TPPT_MAGIC = b"TPPT"
 
 
-# -- samples and datasets ---------------------------------------------------
-
-
-@dataclass
-class Sample:
-    image: np.ndarray                 # [C,H,W] float64 in [0,1]
-    id: str
-    label: int | None = None          # classification
-    mask: np.ndarray | None = None    # [H,W] int class indices, segmentation
+# -- datasets ----------------------------------------------------------------
 
 
 @dataclass
 class Dataset:
-    samples: list[Sample]
     task: str                          # "classification" | "segmentation"
+    images: np.ndarray                 # [N,C,H,W] float64
+    ids: list[str]
+    labels: np.ndarray | None = None   # [N] intp, classification
+    masks: np.ndarray | None = None    # [N,H,W] intp class indices, segmentation
     class_names: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def __getitem__(self, i: int) -> Sample:
-        return self.samples[i]
+        return len(self.images)
 
     @property
     def num_classes(self) -> int:
         if self.task == "classification":
-            return len(self.class_names) or 1 + max(s.label for s in self.samples)
-        return 1 + max(int(s.mask.max()) for s in self.samples)
+            return len(self.class_names) or 1 + int(self.labels.max())
+        return 1 + int(self.masks.max())
 
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.intp)
-
-    def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
+    def take(self, rows) -> Dataset:
+        """The dataset of `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return replace(self, images=self.images[rows], ids=[self.ids[i] for i in rows],
+                       labels=None if self.labels is None else self.labels[rows],
+                       masks=None if self.masks is None else self.masks[rows])
 
 
 @dataclass
@@ -146,11 +145,11 @@ def read_pnm(path: str) -> np.ndarray:
         channels = 1 if magic == b"P5" else 3
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         count = width * height * channels
-        raw = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
-        if raw.size != count:
+        raw = fh.read(count * dtype.itemsize)
+        if len(raw) != count * dtype.itemsize:
             raise StructuralError(f"{path}: truncated pixel data")
-    img = raw.astype(np.float64).reshape(height, width, channels) / maxval
-    return np.moveaxis(img, 2, 0)
+    img = np.frombuffer(raw, dtype=dtype).astype(np.float64) / maxval
+    return np.moveaxis(img.reshape(height, width, channels), 2, 0)
 
 
 def write_pnm(path: str, image: np.ndarray, maxval: int = 255) -> None:
@@ -202,19 +201,31 @@ def read_tppt(path: str) -> np.ndarray:
 
 
 def _load_image_file(path: str) -> np.ndarray:
-    if path.endswith(".tppt"):
-        arr = read_tppt(path)
-        if arr.ndim == 2:
-            arr = arr[None]
-        return arr
-    return read_pnm(path)
+    """The finite, non-empty [C,H,W] array of a PNM or TPPT file."""
+    arr = read_tppt(path) if path.endswith(".tppt") else read_pnm(path)
+    if arr.ndim == 2:
+        arr = arr[None]
+    if arr.ndim != 3 or 0 in arr.shape:
+        raise StructuralError(f"{path}: expected a non-empty [C,H,W] or [H,W] array, "
+                              f"got shape {list(arr.shape)}")
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"{path}: holds non-finite values")
+    return arr
+
+
+def _load_mask_file(path: str) -> np.ndarray:
+    """The [H,W] intp labels of a one-channel mask file."""
+    arr = _load_image_file(path)
+    if arr.shape[0] != 1:
+        raise StructuralError(f"{path}: a mask must have one channel, got {arr.shape[0]}")
+    return np.rint(arr[0]).astype(np.intp) if arr.max() <= 1 else arr[0].astype(np.intp)
 
 
 _IMAGE_EXTS = (".pgm", ".ppm", ".tppt")
 
 
-def load_folder(path: str, image_size: int | None = None) -> Dataset:
-    """Load a split directory.
+def load_folder(path: str, image_size: int) -> Dataset:
+    """Load a split directory, resizing each image (and mask) to image_size.
 
     ``<class>/<file>`` subdirectories make a classification dataset with
     labels in sorted class-name order; ``images/`` + ``masks/`` make a
@@ -226,48 +237,49 @@ def load_folder(path: str, image_size: int | None = None) -> Dataset:
     if not subdirs:
         raise StructuralError(f"{path}: no class or images/masks subdirectories")
 
-    if set(subdirs) == {"images", "masks"}:
-        samples = []
+    rows = []  # (id, file, resized image, label or resized mask)
+    seg = set(subdirs) == {"images", "masks"}
+    if seg:
         img_dir, mask_dir = os.path.join(path, "images"), os.path.join(path, "masks")
         for fname in sorted(os.listdir(img_dir)):
             if not fname.endswith(_IMAGE_EXTS):
                 continue
             stem = os.path.splitext(fname)[0]
-            img = _load_image_file(os.path.join(img_dir, fname))
-            mask_path = None
-            for ext in _IMAGE_EXTS:
-                cand = os.path.join(mask_dir, stem + ext)
-                if os.path.exists(cand):
-                    mask_path = cand
-                    break
+            candidates = (os.path.join(mask_dir, stem + ext) for ext in _IMAGE_EXTS)
+            mask_path = next((c for c in candidates if os.path.exists(c)), None)
             if mask_path is None:
                 raise StructuralError(f"no mask found for image {fname}")
-            mask_arr = _load_image_file(mask_path)[0]
-            mask = np.rint(mask_arr * 1.0).astype(np.intp) if mask_arr.max() <= 1 else mask_arr.astype(np.intp)
-            if image_size is not None:
-                img = bilinear_resize(img, image_size, image_size)
-                mask = nearest_resize(mask, image_size, image_size)
+            img_path = os.path.join(img_dir, fname)
+            img, mask = _load_image_file(img_path), _load_mask_file(mask_path)
             if mask.shape != img.shape[1:]:
-                raise StructuralError(f"{fname}: mask {mask.shape} does not match image {img.shape[1:]}")
-            samples.append(Sample(image=img, id=stem, mask=mask))
-        if not samples:
+                raise StructuralError(f"{mask_path}: mask {mask.shape} does not match "
+                                      f"image {img.shape[1:]}")
+            rows.append((stem, img_path, bilinear_resize(img, image_size, image_size),
+                         nearest_resize(mask, image_size, image_size)))
+        if not rows:
             raise StructuralError(f"{path}: empty segmentation folder")
-        samples.sort(key=lambda s: s.id)
-        return Dataset(samples=samples, task="segmentation", class_names=["background", "foreground"])
+    else:
+        for label, cls in enumerate(subdirs):
+            cls_dir = os.path.join(path, cls)
+            files = sorted(f for f in os.listdir(cls_dir) if f.endswith(_IMAGE_EXTS))
+            if not files:
+                raise StructuralError(f"{cls_dir}: class directory is empty")
+            for fname in files:
+                img_path = os.path.join(cls_dir, fname)
+                img = bilinear_resize(_load_image_file(img_path), image_size, image_size)
+                rows.append((f"{cls}/{os.path.splitext(fname)[0]}", img_path, img, label))
 
-    samples = []
-    for label, cls in enumerate(subdirs):
-        cls_dir = os.path.join(path, cls)
-        files = sorted(f for f in os.listdir(cls_dir) if f.endswith(_IMAGE_EXTS))
-        if not files:
-            raise StructuralError(f"{cls_dir}: class directory is empty")
-        for fname in files:
-            img = _load_image_file(os.path.join(cls_dir, fname))
-            if image_size is not None:
-                img = bilinear_resize(img, image_size, image_size)
-            samples.append(Sample(image=img, id=f"{cls}/{os.path.splitext(fname)[0]}", label=label))
-    samples.sort(key=lambda s: s.id)
-    return Dataset(samples=samples, task="classification", class_names=subdirs)
+    rows.sort(key=lambda r: r[0])
+    ids, files, images, targets = zip(*rows)
+    for file, img in zip(files, images):
+        if img.shape != images[0].shape:
+            raise StructuralError(f"{file}: {img.shape[0]} channels, but {files[0]} "
+                                  f"has {images[0].shape[0]}")
+    if seg:
+        return Dataset(task="segmentation", images=np.stack(images), ids=list(ids),
+                       masks=np.stack(targets), class_names=["background", "foreground"])
+    return Dataset(task="classification", images=np.stack(images), ids=list(ids),
+                   labels=np.array(targets, dtype=np.intp), class_names=subdirs)
 
 
 # -- synthetic tasks -----------------------------------------------------------
@@ -311,34 +323,36 @@ def _class_template(cls: int, size: int, separation: float) -> np.ndarray:
 def _make_cls_split(spec: SyntheticTaskSpec, rng: SeededRng, count: int, tag: str) -> Dataset:
     templates = [_class_template(c, spec.image_size, spec.separation)
                  for c in range(spec.num_classes)]
-    samples = []
-    for i in range(count):
-        cls = i % spec.num_classes
+    images = np.empty((count, 1, spec.image_size, spec.image_size))
+    labels = np.arange(count, dtype=np.intp) % spec.num_classes
+    for i, cls in enumerate(labels):
         img = templates[cls][None]
         if spec.noise > 0:
             img = img + spec.noise * rng.child(f"{tag}/noise{i}").normal(img.shape)
-        samples.append(Sample(image=np.clip(img, 0.0, 1.0), id=f"{tag}{i:05d}", label=cls))
-    names = [f"class{c}" for c in range(spec.num_classes)]
-    return Dataset(samples=samples, task="classification", class_names=names)
+        images[i] = np.clip(img, 0.0, 1.0)
+    return Dataset(task="classification", images=images,
+                   ids=[f"{tag}{i:05d}" for i in range(count)], labels=labels,
+                   class_names=[f"class{c}" for c in range(spec.num_classes)])
 
 
 def _make_seg_split(spec: SyntheticTaskSpec, rng: SeededRng, count: int, tag: str) -> Dataset:
     size = spec.image_size
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    samples = []
+    images = np.empty((count, 1, size, size))
+    masks = np.empty((count, size, size), dtype=np.intp)
     for i in range(count):
         srng = rng.child(f"{tag}/blob{i}")
         radius = float(srng.uniform(low=size * 0.12, high=size * 0.3))
         margin = radius + 2
         cy = float(srng.uniform(low=margin, high=size - 1 - margin))
         cx = float(srng.uniform(low=margin, high=size - 1 - margin))
-        mask = (((yy - cy) ** 2 + (xx - cx) ** 2) <= radius * radius)
-        img = np.where(mask, 0.8, 0.2)[None]
+        masks[i] = ((yy - cy) ** 2 + (xx - cx) ** 2) <= radius * radius
+        img = np.where(masks[i], 0.8, 0.2)[None]
         if spec.noise > 0:
             img = img + spec.noise * srng.child("noise").normal(img.shape)
-        samples.append(Sample(image=np.clip(img, 0.0, 1.0), id=f"{tag}{i:05d}",
-                              mask=mask.astype(np.intp)))
-    return Dataset(samples=samples, task="segmentation",
+        images[i] = np.clip(img, 0.0, 1.0)
+    return Dataset(task="segmentation", images=images,
+                   ids=[f"{tag}{i:05d}" for i in range(count)], masks=masks,
                    class_names=["background", "foreground"])
 
 
@@ -360,28 +374,20 @@ def generate_synthetic(spec: SyntheticTaskSpec, rng: SeededRng) -> SplitDatasets
 # -- subsetting and splitting ---------------------------------------------------
 
 
-def _strata(dataset: Dataset) -> dict[int, list[int]]:
-    if dataset.task == "classification":
-        strata: dict[int, list[int]] = {}
-        for i, s in enumerate(dataset.samples):
-            strata.setdefault(s.label, []).append(i)
-        return strata
-    return {0: list(range(len(dataset)))}
-
-
 def subset(dataset: Dataset, annotation_ratio: float, seed: int) -> Dataset:
     """Per-class-stratified deterministic subset of ceil(ratio * n_c) samples.
 
     Subsets are nested: under one seed, a smaller ratio's selection is
-    contained in any larger ratio's selection.
+    contained in any larger ratio's selection. A segmentation split is one
+    stratum.
     """
     if not 0.0 < annotation_ratio <= 1.0:
         raise ArgumentError(f"annotation_ratio must be in (0,1], got {annotation_ratio}")
-    keep: list[int] = []
-    for cls, indices in sorted(_strata(dataset).items()):
+    strata = dataset.labels if dataset.task == "classification" \
+        else np.zeros(len(dataset), dtype=np.intp)
+    keep = []
+    for cls in np.unique(strata):
+        indices = np.flatnonzero(strata == cls)
         order = SeededRng(seed, f"subset/class{cls}").permutation(len(indices))
-        take = int(np.ceil(annotation_ratio * len(indices)))
-        keep.extend(indices[j] for j in order[:take])
-    keep.sort()
-    return Dataset(samples=[dataset.samples[i] for i in keep], task=dataset.task,
-                   class_names=list(dataset.class_names))
+        keep.extend(indices[order[:int(np.ceil(annotation_ratio * len(indices)))]])
+    return dataset.take(sorted(keep))

@@ -260,36 +260,28 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
     if bundle.head is None:
         raise StateError("evaluate: bundle has no task head")
     seg = isinstance(bundle.head.spec, SegmentationSpec)
-    scores, labels = [], []
-    pred_masks, gt_masks = [], []
+    outputs = []
     with T.no_grad():
         for start in range(0, len(dataset), batch_size):
-            batch = dataset.samples[start:start + batch_size]
-            images = Tensor(np.stack([s.image for s in batch]))
-            feats = bundle.backbone.forward_images(images)
+            feats = bundle.backbone.forward_images(
+                Tensor(dataset.images[start:start + batch_size]))
             logits = bundle.head(feats)
-            if seg:
-                pred_masks.extend(np.argmax(logits.data, axis=1))
-                gt_masks.extend(s.mask for s in batch)
-            else:
-                scores.append(T.softmax(logits).data)
-                labels.extend(s.label for s in batch)
+            outputs.append(np.argmax(logits.data, axis=1) if seg else T.softmax(logits).data)
     if seg:
-        return segmentation_report(pred_masks, gt_masks)
+        return segmentation_report(np.concatenate(outputs), dataset.masks)
     num_classes = bundle.head.spec.num_classes
-    return classification_report(np.concatenate(scores), np.array(labels), num_classes)
+    return classification_report(np.concatenate(outputs), dataset.labels, num_classes)
 
 
 # -- stage runner -------------------------------------------------------------
 
 
-def _batch_images(samples, indices, policy: str, rng: SeededRng) -> np.ndarray:
-    """[B,C,H,W] stack of `samples[indices]`; sample i is augmented under `policy`
+def _batch_images(images: np.ndarray, indices, policy: str, rng: SeededRng) -> np.ndarray:
+    """[B,C,H,W] rows `images[indices]`; row i is augmented under `policy`
     from the stream `rng.child(f"sample{i}")`, and "none" draws nothing."""
     if policy == "none":
-        return np.stack([samples[i].image for i in indices])
-    return np.stack([augment(rng.child(f"sample{i}"), samples[i].image, policy)
-                     for i in indices])
+        return images[indices]
+    return np.stack([augment(rng.child(f"sample{i}"), images[i], policy) for i in indices])
 
 
 def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Dataset,
@@ -360,22 +352,22 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
             if plan.objective is Objective.DINO:
                 g = dino.cfg.num_global_views
                 views = [Tensor(_batch_images(
-                    train.samples, indices, "dino_global" if v < g else "dino_local",
+                    train.images, indices, "dino_global" if v < g else "dino_local",
                     rng.child(f"dino/epoch{epoch}/view{v}")))
                     for v in range(g + dino.cfg.num_local_views)]
                 loss, teacher_out = dino.step_loss(views)
             else:
-                images = Tensor(_batch_images(train.samples, indices, plan.augment_policy,
+                images = Tensor(_batch_images(train.images, indices, plan.augment_policy,
                                               rng.child(f"augment/epoch{epoch}")))
             if plan.objective is Objective.MAE:
                 loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
                                 sample_keys=[int(i) for i in indices])
             elif plan.objective is Objective.CE:
-                labels = np.array([train.samples[i].label for i in indices], dtype=np.intp)
-                loss = T.cross_entropy(bundle.head(bundle.backbone.forward_images(images)), labels)
+                loss = T.cross_entropy(bundle.head(bundle.backbone.forward_images(images)),
+                                       train.labels[indices])
             elif plan.objective is Objective.DICE_CE:
-                masks = np.stack([train.samples[i].mask for i in indices])
-                loss = T.dice_ce(bundle.head(bundle.backbone.forward_images(images)), masks)
+                loss = T.dice_ce(bundle.head(bundle.backbone.forward_images(images)),
+                                 train.masks[indices])
 
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):

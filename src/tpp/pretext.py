@@ -90,7 +90,6 @@ class MaskedReconstruction:
         vit_cfg = model.cfg
         registry = model.registry
         dd = cfg.decoder_dim if cfg.decoder_dim > 0 else vit_cfg.embed_dim // 2
-        self.dec_dim = dd
         group = ParamGroup.HEAD
         self.enc2dec = Linear(registry, rng.child("enc2dec"), f"{self.PREFIX}.enc2dec",
                               vit_cfg.embed_dim, dd, group)

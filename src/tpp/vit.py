@@ -161,7 +161,6 @@ class TransformerBlock:
 
     def __init__(self, registry: ParamRegistry, rng: SeededRng, name: str,
                  dim: int, num_heads: int, mlp_dim: int, group: ParamGroup):
-        self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.ln1 = LayerNorm(registry, f"{name}.ln1", dim, group)

@@ -10,7 +10,7 @@ import tpp.pipeline as pipeline
 from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
 from tpp.config import SCHEMA, ExperimentConfig, check
-from tpp.data import write_tppt
+from tpp.data import write_pnm, write_tppt
 from tpp.errors import ConfigError
 from tpp.peft import AdapterSpec, LoraSpec
 from tpp.registry import ParamGroup
@@ -571,6 +571,57 @@ class TestCli:
                      "--backbone", workspace["backbone"], "--out", str(tmp_path / "o")])
         assert code == 1
         assert "val sample s1: mask labels [0, 1, 2]" in capsys.readouterr().err
+
+    # case -> (slot, contents of the one bad file in train); the rest of the
+    # folder is 20x20 PGMs, resized to the config's 16 px on load
+    MALFORMED_FILES = {
+        "image_rank4": ("image", np.zeros((1, 1, 20, 20))),
+        "image_rank1": ("image", np.zeros(20)),
+        "image_zero_size": ("image", np.zeros((1, 0, 20))),
+        "image_nan": ("image", np.full((1, 20, 20), np.nan)),
+        "image_channels_differ": ("image", np.zeros((3, 20, 20))),  # a PPM among PGMs
+        "mask_two_channels": ("mask", np.zeros((2, 20, 20))),
+        "mask_rank0": ("mask", np.zeros(())),
+        "mask_zero_size": ("mask", np.zeros((0, 20))),
+        "mask_nan": ("mask", np.full((20, 20), np.nan)),
+        "mask_smaller_than_image": ("mask", np.zeros((10, 10))),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED_FILES))
+    def test_malformed_data_file_is_exit_2_naming_it(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.setattr(cli, "build_bundle",
+                            lambda *a, **k: pytest.fail("built a model on a malformed file"))
+        slot, contents = self.MALFORMED_FILES[case]
+        rng = np.random.default_rng(0)
+        for split in ("train", "val", "test"):
+            for i in range(2):
+                if slot == "image":
+                    for cls in ("a", "b"):
+                        (tmp_path / split / cls).mkdir(parents=True, exist_ok=True)
+                        write_pnm(str(tmp_path / split / cls / f"{i}.pgm"),
+                                  rng.random((1, 20, 20)))
+                else:
+                    for sub in ("images", "masks"):
+                        (tmp_path / split / sub).mkdir(parents=True, exist_ok=True)
+                    write_pnm(str(tmp_path / split / "images" / f"s{i}.pgm"),
+                              rng.random((1, 20, 20)))
+                    write_pnm(str(tmp_path / split / "masks" / f"s{i}.pgm"),
+                              (rng.random((1, 20, 20)) > 0.5).astype(np.float64))
+        bad_dir = tmp_path / "train" / ("a" if slot == "image" else "masks")
+        if case == "image_channels_differ":
+            bad = bad_dir / "1.ppm"
+            write_pnm(str(bad), contents)
+        else:
+            bad = bad_dir / ("1.tppt" if slot == "image" else "s1.tppt")
+            write_tppt(str(bad), contents)
+        (bad_dir / ("1.pgm" if slot == "image" else "s1.pgm")).unlink()
+        cfg = tmp_path / "folder.cfg"
+        cfg.write_text(BASE_CFG.replace("kind = synthetic_cls",
+                                        f"kind = folder\npath = {tmp_path}"))
+        code = main(["pretrain-backbone", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err and "Traceback" not in err
 
     def test_divergent_run_is_exit_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"

@@ -471,7 +471,7 @@ class TestTapeLifetime:
         spec = SyntheticTaskSpec(kind="blob_seg", image_size=16, train_count=4,
                                  val_count=2, test_count=2)
         train = generate_synthetic(spec, SeededRng(0, "data")).train
-        train.samples[0].mask[0, 0] = 2  # no logit for class 2: fails after the forward
+        train.masks[0, 0, 0] = 2  # no logit for class 2: fails after the forward
         bundle = build_bundle(TINY, seed=0, head_spec=SegmentationSpec(2),
                               peft_spec=AdapterSpec(4))
         plan = _quick_plan(Stage.FINETUNE, Objective.DICE_CE, steps=1, batch=4)
