@@ -15,11 +15,12 @@ An image file must hold a finite, non-empty [C,H,W] or [H,W] array; a
 mask file must also be one channel (a PGM, or an [H,W] or [1,H,W] TPPT,
 never a PPM) and have its image's size as read, before resizing. After
 resizing, the images of a split must agree in channel count. Mask labels
-are 0 background and 1 foreground: a PNM mask stores 0/maxval (rounded
-to the nearer label after scaling), a TPPT mask the labels themselves.
-A larger TPPT value is kept as a label, and `tpp` rejects it before
-training. A malformed file, or one that breaks these rules, raises a
-StructuralError naming it.
+are 0 background and 1 foreground: a PNM mask stores 0/maxval, a TPPT
+mask the labels themselves. A mask whose values are all at most 1 (every
+PNM mask, after scaling) is rounded to the nearer label; then every value
+must be a whole number with |v| < 2**31. A whole value other than 0 or 1
+is kept as a label, and `tpp` rejects it before training. A malformed
+file, or one that breaks these rules, raises a StructuralError naming it.
 """
 
 from __future__ import annotations
@@ -218,7 +219,10 @@ def _load_mask_file(path: str) -> np.ndarray:
     arr = _load_image_file(path)
     if arr.shape[0] != 1:
         raise StructuralError(f"{path}: a mask must have one channel, got {arr.shape[0]}")
-    return np.rint(arr[0]).astype(np.intp) if arr.max() <= 1 else arr[0].astype(np.intp)
+    mask = np.rint(arr[0]) if arr.max() <= 1 else arr[0]
+    if np.any(mask != np.rint(mask)) or np.abs(mask).max() >= 2 ** 31:
+        raise StructuralError(f"{path}: mask labels must be whole numbers with |v| < 2**31")
+    return mask.astype(np.intp)
 
 
 _IMAGE_EXTS = (".pgm", ".ppm", ".tppt")

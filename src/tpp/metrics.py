@@ -68,18 +68,14 @@ def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
 
 
 def _binary_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    # Mann-Whitney via midranks; ties get 0.5 credit
+    # Mann-Whitney via midranks; ties get 0.5 credit, and each NaN ranks alone
     scores = np.concatenate([pos_scores, neg_scores])
     order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # of each tie run
+    counts = np.diff(np.r_[starts, len(scores)])
     ranks = np.empty(scores.shape[0])
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * starts + counts - 1) + 1.0, counts)  # 1-based
     n_pos, n_neg = len(pos_scores), len(neg_scores)
     rank_sum = ranks[:n_pos].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0

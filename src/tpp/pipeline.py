@@ -30,8 +30,8 @@ from .errors import ArgumentError, StateError, StructuralError, TrainingDiverged
 from .metrics import EvalReport, classification_report, segmentation_report
 from .optim import AdamW, AdamWSpec, ScheduleSpec, lr_at, wd_at
 from .peft import PeftSpec, attach, mechanism_name, reinit_target_params
-from .pretext import (DinoConfig, MaeConfig, MaskedReconstruction,
-                      SelfDistillation, augment)
+from .pretext import (DinoConfig, MaeConfig, MaskedReconstruction, SelfDistillation,
+                      batch_images)
 from .registry import ParamGroup, ParamRegistry
 from .rng import SeededRng
 from .tensor import Tensor
@@ -82,8 +82,8 @@ class StagePlan:
     `run_stage` sets each param's trainability from `frozen_groups` alone,
     after adding the objective's scaffolding (the MAE decoder, the DINO
     projection head), so those params train unless their group is frozen.
-    CE and Dice+CE stages score the val split after each epoch, when one
-    is given; MAE and DINO stages never do.
+    CE and Dice+CE stages score the val split after each epoch and after
+    the last step, when one is given; MAE and DINO stages never do.
     """
 
     stage: Stage
@@ -276,14 +276,6 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> Eva
 # -- stage runner -------------------------------------------------------------
 
 
-def _batch_images(images: np.ndarray, indices, policy: str, rng: SeededRng) -> np.ndarray:
-    """[B,C,H,W] rows `images[indices]`; row i is augmented under `policy`
-    from the stream `rng.child(f"sample{i}")`, and "none" draws nothing."""
-    if policy == "none":
-        return images[indices]
-    return np.stack([augment(rng.child(f"sample{i}"), images[i], policy) for i in indices])
-
-
 def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Dataset,
               rng: SeededRng, mae_cfg: MaeConfig | None = None,
               dino_cfg: DinoConfig | None = None) -> tuple[Checkpoint, MetricLog]:
@@ -333,58 +325,41 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
             batch_size=plan.batch_size, total_steps=total_steps,
             base_lr=base_lr, trainable_ratio=bundle.registry.trainable_ratio())
 
-    order: np.ndarray | None = None
-    loss_history: list[float] = []
-    epoch = -1
+    loss_fn, targets = (T.cross_entropy, train.labels) if plan.objective is Objective.CE \
+        else (T.dice_ce, train.masks)
     for step in range(total_steps):
-        new_epoch = step // spe
-        if new_epoch != epoch:
-            if evaluates and epoch >= 0:
-                log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
-            epoch = new_epoch
+        epoch, pos = divmod(step, spe)
+        if pos == 0:
             order = rng.child(f"order/epoch{epoch}").permutation(n)
-        pos = (step % spe) * plan.batch_size
-        indices = order[pos:pos + plan.batch_size]
+        indices = order[pos * plan.batch_size:(pos + 1) * plan.batch_size]
 
         lr = lr_at(plan.schedule, step, total_steps, spe, base_lr)
         wd = wd_at(plan.schedule, step, total_steps)
         try:  # the step's tape is freed however the step ends
             if plan.objective is Objective.DINO:
-                g = dino.cfg.num_global_views
-                views = [Tensor(_batch_images(
-                    train.images, indices, "dino_global" if v < g else "dino_local",
-                    rng.child(f"dino/epoch{epoch}/view{v}")))
-                    for v in range(g + dino.cfg.num_local_views)]
-                loss, teacher_out = dino.step_loss(views)
+                loss = dino.step_loss(train.images, indices, rng.child(f"dino/epoch{epoch}"))
             else:
-                images = Tensor(_batch_images(train.images, indices, plan.augment_policy,
-                                              rng.child(f"augment/epoch{epoch}")))
+                images = Tensor(batch_images(train.images, indices, plan.augment_policy,
+                                             rng.child(f"augment/epoch{epoch}")))
             if plan.objective is Objective.MAE:
-                loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"),
-                                sample_keys=[int(i) for i in indices])
-            elif plan.objective is Objective.CE:
-                loss = T.cross_entropy(bundle.head(bundle.backbone.forward_images(images)),
-                                       train.labels[indices])
-            elif plan.objective is Objective.DICE_CE:
-                loss = T.dice_ce(bundle.head(bundle.backbone.forward_images(images)),
-                                 train.masks[indices])
-
+                loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"), indices)
+            elif plan.objective in _SUPERVISED:
+                loss = loss_fn(bundle.head(bundle.backbone.forward_images(images)),
+                               targets[indices])
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
-                raise TrainingDiverged(step, lr, loss_history)
-            loss_history.append(loss_value)
+                raise TrainingDiverged(step, lr, log.losses())
             T.backward(loss)
             optimizer.step(lr, wd)
             optimizer.zero_grad()
         finally:
             T.clear_tape()
         if plan.objective is Objective.DINO:
-            dino.after_step(teacher_out)
+            dino.after_step()
 
         log.log(stage=plan.stage.value, step=step, epoch=epoch, lr=lr, wd=wd, loss=loss_value)
-
-    if evaluates:
-        log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
+        if evaluates and (pos == spe - 1 or step == total_steps - 1):
+            log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
 
     ckpt = Checkpoint.from_registry(
         bundle.registry, stage=plan.stage.value,

@@ -12,6 +12,11 @@ Two pretext tasks are provided:
 The teacher shares the frozen backbone tensors and keeps EMA copies of
 exactly the parameters being trained; it is evaluated with gradient
 recording off, so no teacher parameter can ever receive a gradient.
+
+Each objective owns its step's work below the data order: the MAE draws
+one mask per sample, keyed by its dataset index, and self-distillation
+builds its augmented views from the batch's rows, runs the teacher and
+the student, and keeps the teacher outputs for its EMA and center update.
 """
 
 from __future__ import annotations
@@ -108,29 +113,24 @@ class MaskedReconstruction:
         self.pred = Linear(registry, rng.child("pred"), f"{self.PREFIX}.pred",
                            dd, vit_cfg.patch_dim, group)
 
-    def loss(self, images: Tensor, rng: SeededRng,
-             sample_keys: list[int] | None = None) -> Tensor:
+    def loss(self, images: Tensor, rng: SeededRng, sample_keys) -> Tensor:
         """One masked-reconstruction loss over a batch of [B,C,H,W] images."""
         pred, targets, mask_bool = self.forward(images, rng, sample_keys)
         return T.mse_masked(pred, targets, mask_bool)
 
-    def forward(self, images: Tensor, rng: SeededRng,
-                sample_keys: list[int] | None = None):
+    def forward(self, images: Tensor, rng: SeededRng, sample_keys):
         """Predictions, per-patch pixel targets, and the boolean patch mask.
 
-        Each sample's mask draws from its own sub-stream keyed by its
-        entry in sample_keys (dataset indices; batch positions when
-        omitted), so a sample's mask does not depend on batch order or
-        batch composition.
+        Row b's mask draws from the sub-stream `rng.child(f"sample{k}")`,
+        k = sample_keys[b] (its dataset index), so a sample's mask does not
+        depend on batch order or batch composition.
         """
         vit_cfg = self.model.cfg
         n = vit_cfg.num_patches
-        bsz = images.shape[0]
-        keys = sample_keys if sample_keys is not None else list(range(bsz))
         visible_rows = []
-        mask_bool = np.zeros((bsz, n), dtype=bool)
-        for b in range(bsz):
-            vis, masked = sample_mask(rng.child(f"sample{keys[b]}"), n, self.cfg.mask_ratio)
+        mask_bool = np.zeros((images.shape[0], n), dtype=bool)
+        for b, key in enumerate(sample_keys):
+            vis, masked = sample_mask(rng.child(f"sample{key}"), n, self.cfg.mask_ratio)
             visible_rows.append(vis)
             mask_bool[b, masked] = True
         vis_idx = np.stack(visible_rows)
@@ -254,6 +254,7 @@ class SelfDistillation:
                                    model.registry, rng.child("head"))
         self.teacher: dict[str, np.ndarray] | None = None
         self.center = np.zeros(cfg.head_output_dim)
+        self.teacher_out: np.ndarray | None = None  # the last step's, global views stacked
 
     def init_teacher(self) -> None:
         """Snapshot the current trainable params; call after stage freezing."""
@@ -274,23 +275,27 @@ class SelfDistillation:
         with self.model.registry.swap(self.teacher), T.no_grad():
             return self.student_forward(images).data
 
-    def step_loss(self, views: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-        """Loss over all views, and the stacked teacher outputs for the center update.
+    def step_loss(self, images: np.ndarray, indices, rng: SeededRng) -> Tensor:
+        """The loss over the augmented views of the rows `images[indices]`.
 
-        One teacher forward runs over the global views stacked on the batch axis
-        (each row keeps the bits of its own view's forward); the student runs
-        once per view, which keeps the order of its weight-gradient sums."""
+        View v is `batch_images(images, indices, policy, rng.child(f"view{v}"))`,
+        the global views ("dino_global") first, then the local ones
+        ("dino_local"). One teacher forward runs over the global views stacked
+        on the batch axis (each row keeps the bits of its own view's forward)
+        and its outputs are kept in `teacher_out` for `after_step`; the student
+        runs once per view, which keeps the order of its weight-gradient sums."""
         g = self.cfg.num_global_views
-        if len(views) < g:
-            raise ArgumentError(f"got {len(views)} views, need {g} global views")
-        teacher_out = self.teacher_forward(T.concat(views[:g], axis=0))
+        views = [Tensor(batch_images(images, indices, "dino_global" if v < g else "dino_local",
+                                     rng.child(f"view{v}")))
+                 for v in range(g + self.cfg.num_local_views)]
+        self.teacher_out = self.teacher_forward(T.concat(views[:g], axis=0))
         student_outs = [self.student_forward(v) for v in views]
-        return dino_loss(student_outs, teacher_out, self.center, self.cfg), teacher_out
+        return dino_loss(student_outs, self.teacher_out, self.center, self.cfg)
 
-    def after_step(self, teacher_batch_outputs: np.ndarray) -> None:
+    def after_step(self) -> None:
+        """EMA of the teacher, and the center update from the last step's teacher outputs."""
         teacher_update(self.teacher, self.model.registry, self.cfg.teacher_momentum)
-        self.center = center_update(self.center, teacher_batch_outputs,
-                                    self.cfg.center_momentum)
+        self.center = center_update(self.center, self.teacher_out, self.cfg.center_momentum)
 
 
 # -- augmentation -------------------------------------------------------------
@@ -362,6 +367,14 @@ def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> n
         out = solarize(out, policy.solarize_threshold)
 
     return np.clip(out, 0.0, 1.0) if out is not image else out.copy()
+
+
+def batch_images(images: np.ndarray, indices, policy: str, rng: SeededRng) -> np.ndarray:
+    """[B,C,H,W] rows `images[indices]`; row i is augmented under `policy`
+    from the stream `rng.child(f"sample{i}")`, and "none" draws nothing."""
+    if policy == "none":
+        return images[indices]
+    return np.stack([augment(rng.child(f"sample{i}"), images[i], policy) for i in indices])
 
 
 def solarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -585,10 +585,13 @@ class TestCli:
         "mask_zero_size": ("mask", np.zeros((0, 20))),
         "mask_nan": ("mask", np.full((20, 20), np.nan)),
         "mask_smaller_than_image": ("mask", np.zeros((10, 10))),
+        "mask_beyond_int32": ("mask", np.full((20, 20), 1e300)),
+        "mask_not_whole": ("mask", np.full((20, 20), 1.7)),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED_FILES))
-    def test_malformed_data_file_is_exit_2_naming_it(self, tmp_path, capsys, monkeypatch, case):
+    def test_malformed_data_file_is_exit_2_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                     recwarn, case):
         monkeypatch.setattr(cli, "build_bundle",
                             lambda *a, **k: pytest.fail("built a model on a malformed file"))
         slot, contents = self.MALFORMED_FILES[case]
@@ -622,6 +625,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         assert str(bad) in err and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_divergent_run_is_exit_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpp.errors import ArgumentError, ShapeError
-from tpp.metrics import (EvalReport, accuracy, auc, dice, hd95, macro_f1,
+from tpp.metrics import (EvalReport, _binary_auc, accuracy, auc, dice, hd95, macro_f1,
                          classification_report)
 
 
@@ -46,6 +46,23 @@ def pairwise_auc_oracle(pos, neg):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def midrank_loop_auc_oracle(pos, neg):
+    """The Mann-Whitney statistic from midranks assigned one tie run at a time."""
+    scores = np.concatenate([pos, neg])
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.shape[0])
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[:len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0
+    return u / (len(pos) * len(neg))
 
 
 def set_dice_oracle(a, b):
@@ -178,6 +195,19 @@ class TestAuc:
                 continue
             assert auc(scores, labels, k) == pytest.approx(
                 100.0 * np.mean(expected), abs=1e-10)
+
+    def test_binary_auc_is_bit_identical_to_the_midrank_loop(self):
+        # tie-heavy scores with -0.0 and NaN (each NaN ranks alone, in input
+        # order), long enough for numpy's sorts to leave insertion sort
+        rng = np.random.default_rng(5)
+        for case in range(300):
+            n = int(rng.integers(2, 200))
+            pool = [0.0, -0.0, 0.25, 0.5, 1.0] + ([np.nan] if case % 2 else [])
+            scores = rng.choice(pool, n) if case % 5 else rng.random(n)
+            k = int(rng.integers(1, n))
+            got = _binary_auc(scores[:k], scores[k:])
+            want = midrank_loop_auc_oracle(scores[:k], scores[k:])
+            assert np.array_equal(got, want, equal_nan=True), (case, got, want)
 
     def test_absent_class_skipped_and_noted(self):
         scores = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.7, 0.3, 0.0]])

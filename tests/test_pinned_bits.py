@@ -13,6 +13,11 @@ Each chain case runs `pretrain-backbone -> tpp -> finetune` through
 records, except `run_info` (it names the config and the target-init path).
 The chain hashes were recorded before each ViT layer took over its own SSF
 and LoRA terms and the patch positions moved into `embed_patches`.
+
+The matrix cases run the same chain for every PEFT method, pretext task and
+task kind, on a budget that ends inside an epoch, and pin one digest of the
+four. They were recorded before `SelfDistillation` took over building its
+views and `run_stage` kept a single val-evaluation site.
 """
 
 import contextlib
@@ -146,11 +151,10 @@ CHAIN_PINNED = {
 }
 
 
-def _chain_digests(name: str, tmp_path, monkeypatch) -> dict[str, str]:
-    kind, task, peft = CHAINS[name]
+def _chain_digests(config: str, tmp_path, monkeypatch) -> dict[str, str]:
     monkeypatch.chdir(tmp_path)  # relative paths: the outputs do not depend on where it runs
     with open("chain.cfg", "w") as fh:
-        fh.write(CHAIN_CONFIG.format(kind=kind, task=task, peft=peft))
+        fh.write(config)
     common = ["--config", "chain.cfg", "--seed", "1"]
     verbs = [["pretrain-backbone", *common, "--out", "pre"],
              ["tpp", *common, "--backbone", "pre/backbone.tppc", "--out", "tpp"],
@@ -171,4 +175,52 @@ def _chain_digests(name: str, tmp_path, monkeypatch) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_cli_chain_outputs_are_pinned(name, tmp_path, monkeypatch):
-    assert _chain_digests(name, tmp_path, monkeypatch) == CHAIN_PINNED[name]
+    kind, task, peft = CHAINS[name]
+    config = CHAIN_CONFIG.format(kind=kind, task=task, peft=peft)
+    assert _chain_digests(config, tmp_path, monkeypatch) == CHAIN_PINNED[name]
+
+
+# The matrix: every PEFT method x pretext task x task kind. A quarter of the
+# 8 train samples is dropped, so the 6 left make batches of 4 and 2, and the
+# 3-step budget ends one step into the second epoch: finetune scores val
+# after epoch 0 and at the end. Classification chains augment their images.
+MATRIX_CONFIG = (CHAIN_CONFIG.replace("iterations = 2", "iterations = 3")
+                 .replace("test_count = 4", "test_count = 4\nannotation_ratio = 0.75"))
+
+MATRIX_PINNED = {
+    "adapter-dino-cls": "c5558f63898818bf4b6c55fdea2585d4",
+    "adapter-dino-seg": "e82b12753a78fc4288b1c991f9fc208e",
+    "adapter-mae-cls": "792b673e3a551432c8d831825ef9a7ea",
+    "adapter-mae-seg": "d697f9d1ba65fecfd19963563318aed4",
+    "adaptformer-dino-cls": "b9f9bd5584f8ebee3e2c47d502a1ad47",
+    "adaptformer-dino-seg": "4aeee38b36962547e1913844e2ea6411",
+    "adaptformer-mae-cls": "8e7e2a404fbe02d70eb718a66fc9475d",
+    "adaptformer-mae-seg": "8d61fd5fbc5162b5d56f3ccefa9cde4a",
+    "bitfit-dino-cls": "82ae531e5bdc5feab0f38ae8b4782aad",
+    "bitfit-dino-seg": "98914eab895884310fab628b5e31d9ff",
+    "bitfit-mae-cls": "57b4e02d6b831d91dc2da73ec4283db0",
+    "bitfit-mae-seg": "aee2d07e4f4b2c2747c308180cd851d5",
+    "lora-dino-cls": "549ac8c9409461be5257ad465214bf9e",
+    "lora-dino-seg": "ff947334e145a3bf63cefff66f12a7b0",
+    "lora-mae-cls": "4827dab3047f464eb9181ae60b0e3b7f",
+    "lora-mae-seg": "d137b4bf8e728a95bc30ece3a21f00c9",
+    "ssf-dino-cls": "b502ea85530d29eb055fe415d64a7155",
+    "ssf-dino-seg": "d2094999a8a5f752e0bdb69302616db6",
+    "ssf-mae-cls": "e99a4d7742dedeb5109b738172591125",
+    "ssf-mae-seg": "b32a6d56a1ce60942397cd24ab14fc5c",
+    "vpt-dino-cls": "ac19ec9af9825ca927e37110c896ae86",
+    "vpt-dino-seg": "c896ee37c04e3f4260321b91d38ed767",
+    "vpt-mae-cls": "8e9a2f45b75568d7bbb1b4ce4eb6484e",
+    "vpt-mae-seg": "f61e02ddfaf48b7472960e8d954069ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_PINNED))
+def test_cli_matrix_outputs_are_pinned(name, tmp_path, monkeypatch):
+    peft, task, kind = name.split("-")
+    config = MATRIX_CONFIG.format(kind=f"synthetic_{kind}", task=task, peft=peft)
+    if kind == "cls":
+        config += "augment = finetune_light\n"
+    digests = _chain_digests(config, tmp_path, monkeypatch)
+    combined = hashlib.blake2b(json.dumps(digests, sort_keys=True).encode(), digest_size=16)
+    assert combined.hexdigest() == MATRIX_PINNED[name]

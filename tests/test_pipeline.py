@@ -160,15 +160,26 @@ class TestLogs:
         back = MetricLog.read_jsonl(path)
         assert back.records == log.records
 
-    def test_finetune_emits_val_metrics_each_epoch(self):
+    @pytest.mark.parametrize("steps, evals", [(4, 2), (5, 3), (1, 1)])
+    def test_finetune_emits_val_metrics_each_epoch(self, steps, evals):
         splits = _splits(train=16)
         bundle = build_bundle(TINY, seed=5, head_spec=ClassificationSpec(2),
                               peft_spec=AdapterSpec(2))
-        # 2 steps per epoch -> 2 epochs
-        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=4, batch=8)
+        # 2 steps per epoch; a budget of 5 or 1 ends inside an epoch
+        plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=steps, batch=8)
         _, log = run_stage(plan, bundle, splits, SeededRng(5, "stage/ft"))
         vals = [r for r in log.records if r.get("split") == "val" and r["metric"] == "acc"]
-        assert len(vals) == 2
+        assert len(vals) == evals
+        # each val block directly follows the step that ends its epoch or the budget
+        seen = []
+        for r in log.records[1:]:  # after the config record
+            tag = "val" if r.get("split") == "val" else r["step"]
+            if not seen or seen[-1] != tag:
+                seen.append(tag)
+        expected = []
+        for step in range(steps):
+            expected += [step, "val"] if step % 2 == 1 or step == steps - 1 else [step]
+        assert seen == expected
 
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
     def test_empty_val_split_is_rejected_before_the_first_step(self, task, monkeypatch):

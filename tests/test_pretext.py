@@ -73,7 +73,7 @@ class TestMaskedReconstruction:
         model, reg, mae = _mae_setup()
         images = np.random.default_rng(0).random((2, 1, 16, 16))
         with T.no_grad():
-            pred, targets, mask = mae.forward(T.Tensor(images), SeededRng(9, "mask"))
+            pred, targets, mask = mae.forward(T.Tensor(images), SeededRng(9, "mask"), range(2))
             base = T.mse_masked(pred, targets, mask).data.copy()
             mutated = targets.data.copy()
             mutated[~mask] += np.random.default_rng(1).standard_normal(
@@ -102,7 +102,7 @@ class TestMaskedReconstruction:
         rng = SeededRng(4, "steps")
         losses = []
         for step in range(50):
-            loss = mae.loss(images, rng.child(f"s{step}"))
+            loss = mae.loss(images, rng.child(f"s{step}"), range(8))
             losses.append(float(loss.data))
             T.backward(loss)
             opt.step(lr=1e-3, weight_decay=0.0)
@@ -115,7 +115,7 @@ class TestMaskedReconstruction:
         model, reg, mae = _mae_setup(seed=5)
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         images = T.Tensor(np.random.default_rng(6).random((2, 1, 16, 16)))
-        T.backward(mae.loss(images, SeededRng(7, "mask")))
+        T.backward(mae.loss(images, SeededRng(7, "mask"), range(2)))
         assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
         assert all(p.grad is not None
                    for p in reg.params(group=ParamGroup.TARGET))
@@ -212,12 +212,10 @@ class TestDinoLoss:
         cfg = DinoConfig(head_output_dim=8, num_local_views=0)
         dist = SelfDistillation(model, cfg, SeededRng(8, "init/dino"))
         dist.init_teacher()
-        rng = np.random.default_rng(9)
-        views = [T.Tensor(rng.random((2, 1, 16, 16))) for _ in range(2)]
+        images = np.random.default_rng(9).random((2, 1, 16, 16))
 
-        def loss():
-            value, _ = dist.step_loss(views)
-            return value
+        def loss():  # the same rng path draws the same views on every call
+            return dist.step_loss(images, np.arange(2), SeededRng(9, "dino"))
 
         T.backward(loss())
         for name in ("pretext.dino_head.fc2.weight", "pretext.dino_head.fc1.weight"):
@@ -233,13 +231,12 @@ class TestDinoLoss:
         dist = SelfDistillation(model, DinoConfig(head_output_dim=8, num_local_views=1),
                                 SeededRng(10, "init/dino"))
         dist.init_teacher()
-        rng = np.random.default_rng(11)
-        views = [T.Tensor(rng.random((2, 1, 16, 16))) for _ in range(3)]
-        loss, teacher_out = dist.step_loss(views)
-        T.backward(loss)
+        images = np.random.default_rng(11).random((2, 1, 16, 16))
+        T.backward(dist.step_loss(images, np.arange(2), SeededRng(11, "dino")))
         # teacher buffers are plain arrays; the frozen backbone holds no grads
         assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
-        dist.after_step(teacher_out)  # EMA + center update run cleanly
+        assert dist.teacher_out.shape == (2 * 2, 8)  # the 2 global views, stacked
+        dist.after_step()  # EMA + center update run cleanly
         assert dist.center.shape == (8,)
 
 
