@@ -194,37 +194,26 @@ class Checkpoint:
         the file and the registry must hold the same names, with the same
         group tags and shapes: a name on one side only is an error, and a
         name present on both sides under different groups is reported once,
-        as a group mismatch. All mismatches are raised together as one
-        StructuralError. Returns the names applied.
+        as a group mismatch. All mismatches are raised together, in name
+        order, as one StructuralError. Returns the names applied.
         """
-        offenders = []
-        applied = []
-        wanted = {n: e for n, e in self.entries.items() if e.group in groups}
-        target_names = {p.name for p in registry if p.group in groups}
-        for missing in sorted(target_names - set(wanted)):
-            if missing in self.entries:
-                offenders.append(
-                    f"{missing}: group {self.entries[missing].group.value} in file "
-                    f"vs {registry.get(missing).group.value} in registry")
-            else:
-                offenders.append(f"{missing}: missing from checkpoint")
-        for extra in sorted(set(wanted) - target_names):
-            if extra not in registry:
-                offenders.append(f"{extra}: not in model registry")
-        for name, entry in wanted.items():
-            if name not in registry:
-                continue
-            p = registry.get(name)
-            if p.group is not entry.group:
+        offenders, applied = [], []
+        names = {n for n, e in self.entries.items() if e.group in groups}
+        for name in sorted(names | {p.name for p in registry if p.group in groups}):
+            entry = self.entries.get(name)
+            if entry is None:
+                offenders.append(f"{name}: missing from checkpoint")
+            elif name not in registry:
+                offenders.append(f"{name}: not in model registry")
+            elif (p := registry.get(name)).group is not entry.group:
                 offenders.append(
                     f"{name}: group {entry.group.value} in file vs {p.group.value} in registry")
-                continue
-            if p.data.shape != entry.data.shape:
+            elif p.data.shape != entry.data.shape:
                 offenders.append(
                     f"{name}: shape {list(entry.data.shape)} in file vs {list(p.data.shape)} in model")
-                continue
-            p.data = entry.data.copy()
-            applied.append(name)
+            else:
+                p.data = entry.data.copy()
+                applied.append(name)
         if offenders:
             raise StructuralError("checkpoint/model mismatches: " + "; ".join(offenders))
         return applied

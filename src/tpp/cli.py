@@ -22,13 +22,14 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .checkpoint import Checkpoint, audit_freeze
 from .config import AUTO, SCHEMA, ExperimentConfig, check
 from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverged
-from .optim import AdamWSpec, ScheduleSpec
+from .optim import AdamWSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
                        build_bundle, default_plan, ensure_mae, evaluate,
@@ -86,29 +87,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task: str) -> StagePlan:
     plan = default_plan(stage, objective, task)
-    schedule = plan.schedule
-    lr = cfg.resolved("stage", "lr", schedule.base_lr)
-    warmup = cfg.resolved("stage", "warmup_epochs", schedule.warmup_epochs)
-    wd = cfg.resolved("stage", "weight_decay", schedule.wd_start)
-    wd_end = cfg.resolved("stage", "wd_end", schedule.wd_end)
-    schedule = ScheduleSpec(base_lr=lr, warmup_epochs=warmup, wd_start=wd,
-                            wd_end=wd_end, lr_batch_scaling=schedule.lr_batch_scaling)
-    batch = cfg.resolved("stage", "batch_size", plan.batch_size)
-    epochs = cfg.resolved("stage", "epochs", AUTO)
-    iterations = cfg.resolved("stage", "iterations", AUTO)
+    epochs, iterations = cfg.get("stage", "epochs"), cfg.get("stage", "iterations")
     if epochs != AUTO and iterations != AUTO:
         raise ConfigError("[stage] set either epochs or iterations, not both")
     if iterations != AUTO:
-        budget = {"max_epochs": None, "max_iterations": int(iterations)}
+        plan = replace(plan, max_epochs=None, max_iterations=iterations)
     elif epochs != AUTO:
-        budget = {"max_epochs": int(epochs), "max_iterations": None}
-    else:
-        budget = {"max_epochs": plan.max_epochs, "max_iterations": plan.max_iterations}
-    augment = cfg.resolved("stage", "augment", plan.augment_policy)
-    s = cfg.values["stage"]
-    optimizer = AdamWSpec(beta1=s["beta1"], beta2=s["beta2"], eps=s["eps"])
-    return replace(plan, schedule=schedule, batch_size=int(batch),
-                   augment_policy=augment, optimizer=optimizer, **budget)
+        plan = replace(plan, max_epochs=epochs, max_iterations=None)
+    get = partial(cfg.resolved, "stage")
+    s = plan.schedule
+    schedule = replace(s, base_lr=get("lr", s.base_lr),
+                       warmup_epochs=get("warmup_epochs", s.warmup_epochs),
+                       wd_start=get("weight_decay", s.wd_start), wd_end=get("wd_end", s.wd_end))
+    optimizer = AdamWSpec(**{k: cfg.get("stage", k) for k in ("beta1", "beta2", "eps")})
+    return replace(plan, schedule=schedule, batch_size=get("batch_size", plan.batch_size),
+                   augment_policy=get("augment", plan.augment_policy), optimizer=optimizer)
 
 
 def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):
@@ -284,8 +277,8 @@ def cmd_finetune(args) -> int:
             score = "diverged" if row["score"] is None else f"{row['score']:.4f}"
             print(f"  lr={row['lr']:.6g}  {primary}={score}  [{row['status']}]")
 
-    test_report = evaluate(bundle, data.test, cfg.get("eval", "batch_size"))
-    log.extend(test_report.to_records("test"))
+    test_metrics = evaluate(bundle, data.test, cfg.get("eval", "batch_size"))
+    log.log_metrics("test", test_metrics)
     ratio = bundle.registry.trainable_ratio()
     log.log(event="trainable_ratio", value=ratio)
     log.log(event="run_info", label=os.path.splitext(os.path.basename(args.config))[0],
@@ -293,8 +286,7 @@ def cmd_finetune(args) -> int:
             target_init=args.target_init)
     log.log(event="effective_config", seed=args.seed, **cfg.effective())
     path = _write_outputs(args.out, "finetune", ckpt, log)
-    metrics = "  ".join(f"{k}={v:.4f}" for k, v in test_report.metrics.items())
-    print(f"test: {metrics}")
+    print("test: " + "  ".join(f"{k}={v:.4f}" for k, v in test_metrics.items()))
     print(f"trainable ratio: {ratio:.4f}%")
     print(f"wrote {path}")
     return 0

@@ -7,35 +7,21 @@ Pinned conventions (each matters for reproducibility):
   contributes F1 = 0, not skipped;
 * AUC: one-vs-rest Mann-Whitney rank statistic with 0.5 credit for score
   ties, macro-averaged over classes present in the labels (absent classes
-  are skipped and noted);
+  are skipped);
 * Dice: over foreground; both masks empty scores 100;
 * HD95: 95th percentile (linear interpolation between order statistics)
   of the pooled symmetric boundary-to-boundary Euclidean distances, where
   a boundary pixel is foreground 4-adjacent to background or the image
-  edge; an empty mask yields the image diagonal as a flagged sentinel.
+  edge; an empty mask yields the image diagonal as a sentinel.
 
 ACC / AUC / F1 / Dice are percentages; HD95 is in pixels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-
-
-@dataclass
-class EvalReport:
-    metrics: dict[str, float] = field(default_factory=dict)
-    sample_count: int = 0
-    per_class: dict[str, dict[int, float]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def to_records(self, split: str) -> list[dict]:
-        return [{"split": split, "metric": name, "value": float(value)}
-                for name, value in self.metrics.items()]
 
 
 def accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -82,32 +68,26 @@ def _binary_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
-def auc(scores: np.ndarray, labels: np.ndarray, num_classes: int,
-        report: EvalReport | None = None) -> float:
+def auc(scores: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
     """Macro one-vs-rest AUC in percent.
 
     scores is [n, num_classes]; a class with no positive or no negative
-    examples is skipped (and noted in the report when one is given).
+    examples is skipped.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     if scores.ndim != 2 or scores.shape[1] != num_classes:
         raise ArgumentError(
             f"auc: scores must be [n, {num_classes}], got {list(scores.shape)}")
-    per_class = {}
+    aucs = []
     for c in range(num_classes):
         pos = scores[labels == c, c]
         neg = scores[labels != c, c]
-        if len(pos) == 0 or len(neg) == 0:
-            if report is not None:
-                report.warnings.append(f"auc: class {c} absent from labels, skipped")
-            continue
-        per_class[c] = _binary_auc(pos, neg)
-    if not per_class:
+        if len(pos) and len(neg):
+            aucs.append(_binary_auc(pos, neg))
+    if not aucs:
         raise ArgumentError("auc: no class has both positive and negative examples")
-    if report is not None:
-        report.per_class["auc"] = {c: 100.0 * v for c, v in per_class.items()}
-    return 100.0 * float(np.mean(list(per_class.values())))
+    return 100.0 * float(np.mean(aucs))
 
 
 def dice(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
@@ -132,12 +112,9 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
     return np.argwhere(fg & ~interior)
 
 
-def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray) -> tuple[float, bool]:
-    """95th-percentile symmetric boundary distance in pixels.
-
-    Returns (value, empty_flag); when either mask has no foreground the
-    value is the image diagonal and the flag is set.
-    """
+def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
+    """95th-percentile symmetric boundary distance in pixels; the image
+    diagonal when either mask has no foreground."""
     pred = np.asarray(pred_mask).astype(bool)
     gt = np.asarray(gt_mask).astype(bool)
     if pred.shape != gt.shape:
@@ -146,33 +123,23 @@ def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray) -> tuple[float, bool]:
     bg = _boundary(gt)
     if len(bp) == 0 or len(bg) == 0:
         h, w = pred.shape
-        return float(np.hypot(h - 1, w - 1)), True
+        return float(np.hypot(h - 1, w - 1))
     diff = bp[:, None, :] - bg[None, :, :]
     dmat = np.sqrt((diff.astype(np.float64) ** 2).sum(axis=2))
     pooled = np.concatenate([dmat.min(axis=1), dmat.min(axis=0)])
-    return float(np.percentile(pooled, 95, method="linear")), False
+    return float(np.percentile(pooled, 95, method="linear"))
 
 
 def classification_report(scores: np.ndarray, labels: np.ndarray,
-                          num_classes: int) -> EvalReport:
-    report = EvalReport(sample_count=len(labels))
-    report.metrics["acc"] = accuracy(scores, labels)
-    report.metrics["auc"] = auc(scores, labels, num_classes, report)
-    report.metrics["f1"] = macro_f1(np.argmax(scores, axis=1), labels, num_classes)
-    return report
+                          num_classes: int) -> dict[str, float]:
+    return {"acc": accuracy(scores, labels),
+            "auc": auc(scores, labels, num_classes),
+            "f1": macro_f1(np.argmax(scores, axis=1), labels, num_classes)}
 
 
 def segmentation_report(pred_masks: list[np.ndarray],
-                        gt_masks: list[np.ndarray]) -> EvalReport:
+                        gt_masks: list[np.ndarray]) -> dict[str, float]:
     """Mean per-sample Dice and HD95 over a list of binary masks."""
-    report = EvalReport(sample_count=len(gt_masks))
-    dices, hds = [], []
-    for i, (pm, gm) in enumerate(zip(pred_masks, gt_masks)):
-        dices.append(dice(pm, gm))
-        value, empty = hd95(pm, gm)
-        if empty:
-            report.warnings.append(f"hd95: sample {i} has an empty mask, used diagonal sentinel")
-        hds.append(value)
-    report.metrics["dice"] = float(np.mean(dices))
-    report.metrics["hd95"] = float(np.mean(hds))
-    return report
+    pairs = list(zip(pred_masks, gt_masks))
+    return {"dice": float(np.mean([dice(pm, gm) for pm, gm in pairs])),
+            "hd95": float(np.mean([hd95(pm, gm) for pm, gm in pairs]))}

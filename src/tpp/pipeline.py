@@ -27,7 +27,7 @@ from . import tensor as T
 from .checkpoint import Checkpoint, _hash_array
 from .data import Dataset, SplitDatasets
 from .errors import ArgumentError, StateError, StructuralError, TrainingDiverged
-from .metrics import EvalReport, classification_report, segmentation_report
+from .metrics import classification_report, segmentation_report
 from .optim import AdamW, AdamWSpec, ScheduleSpec, lr_at, wd_at
 from .peft import PeftSpec, attach, mechanism_name, reinit_target_params
 from .pretext import (DinoConfig, MaeConfig, MaskedReconstruction, SelfDistillation,
@@ -223,8 +223,9 @@ class MetricLog:
     def log(self, **fields) -> None:
         self.records.append(fields)
 
-    def extend(self, records) -> None:
-        self.records.extend(records)
+    def log_metrics(self, split: str, metrics: dict[str, float]) -> None:
+        self.records.extend({"split": split, "metric": name, "value": value}
+                            for name, value in metrics.items())
 
     def losses(self) -> list[float]:
         return [r["loss"] for r in self.records if "loss" in r]
@@ -255,7 +256,7 @@ class MetricLog:
 # -- evaluation --------------------------------------------------------------
 
 
-def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> EvalReport:
+def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> dict[str, float]:
     """Deterministic full-dataset evaluation (no augmentation, no rng)."""
     if bundle.head is None:
         raise StateError("evaluate: bundle has no task head")
@@ -336,16 +337,18 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         lr = lr_at(plan.schedule, step, total_steps, spe, base_lr)
         wd = wd_at(plan.schedule, step, total_steps)
         try:  # the step's tape is freed however the step ends
-            if plan.objective is Objective.DINO:
-                loss = dino.step_loss(train.images, indices, rng.child(f"dino/epoch{epoch}"))
-            else:
-                images = Tensor(batch_images(train.images, indices, plan.augment_policy,
-                                             rng.child(f"augment/epoch{epoch}")))
-            if plan.objective is Objective.MAE:
-                loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"), indices)
-            elif plan.objective in _SUPERVISED:
-                loss = loss_fn(bundle.head(bundle.backbone.forward_images(images)),
-                               targets[indices])
+            # a diverging forward overflows quietly: the finite-loss check is the error
+            with np.errstate(over="ignore", invalid="ignore"):
+                if plan.objective is Objective.DINO:
+                    loss = dino.step_loss(train.images, indices, rng.child(f"dino/epoch{epoch}"))
+                else:
+                    images = Tensor(batch_images(train.images, indices, plan.augment_policy,
+                                                 rng.child(f"augment/epoch{epoch}")))
+                if plan.objective is Objective.MAE:
+                    loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"), indices)
+                elif plan.objective in _SUPERVISED:
+                    loss = loss_fn(bundle.head(bundle.backbone.forward_images(images)),
+                                   targets[indices])
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(step, lr, log.losses())
@@ -359,7 +362,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
 
         log.log(stage=plan.stage.value, step=step, epoch=epoch, lr=lr, wd=wd, loss=loss_value)
         if evaluates and (pos == spe - 1 or step == total_steps - 1):
-            log.extend(evaluate(bundle, val, plan.batch_size).to_records("val"))
+            log.log_metrics("val", evaluate(bundle, val, plan.batch_size))
 
     ckpt = Checkpoint.from_registry(
         bundle.registry, stage=plan.stage.value,

@@ -227,6 +227,27 @@ class TestApply:
         assert "missing from checkpoint" not in message
         assert message.count(name) == 1
 
+    def test_every_kind_of_mismatch_is_reported_once_in_name_order(self):
+        reg_a = _registry(seed=1)
+        ckpt = Checkpoint.from_registry(reg_a, stage="src")
+        reg_b = _registry(seed=2)
+        del ckpt.entries["backbone.cls_token"]
+        extra = np.zeros(2)
+        ckpt.entries["backbone.blocks.0.attn.extra"] = CheckpointEntry(
+            ParamGroup.BACKBONE, extra, _hash_array(extra))
+        short = np.zeros(3)
+        ckpt.entries["backbone.blocks.0.attn.proj.bias"] = CheckpointEntry(
+            ParamGroup.BACKBONE, short, _hash_array(short))
+        reg_b.get("backbone.blocks.0.ln2.weight").group = ParamGroup.TARGET
+        with pytest.raises(StructuralError) as exc:
+            ckpt.apply_to_registry(reg_b, groups={ParamGroup.BACKBONE})
+        assert str(exc.value) == (
+            "checkpoint/model mismatches: "
+            "backbone.blocks.0.attn.extra: not in model registry; "
+            "backbone.blocks.0.attn.proj.bias: shape [3] in file vs [16] in model; "
+            "backbone.blocks.0.ln2.weight: group backbone in file vs target in registry; "
+            "backbone.cls_token: missing from checkpoint")
+
 
 class TestAuditFreeze:
     def test_identical_snapshots_pass(self):

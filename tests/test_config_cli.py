@@ -407,7 +407,6 @@ class TestCli:
             assert (tmp_path / "grid" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_diverged_grid_reports_the_runs_own_divergence(self, workspace, tmp_path,
                                                                 capsys):
         cfg = tmp_path / "diverge.cfg"

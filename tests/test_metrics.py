@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpp.errors import ArgumentError, ShapeError
-from tpp.metrics import (EvalReport, _binary_auc, accuracy, auc, dice, hd95, macro_f1,
-                         classification_report)
+from tpp.metrics import (_binary_auc, accuracy, auc, classification_report, dice, hd95,
+                         macro_f1, segmentation_report)
 
 
 # -- oracles -------------------------------------------------------------
@@ -209,13 +209,10 @@ class TestAuc:
             want = midrank_loop_auc_oracle(scores[:k], scores[k:])
             assert np.array_equal(got, want, equal_nan=True), (case, got, want)
 
-    def test_absent_class_skipped_and_noted(self):
+    def test_absent_class_skipped(self):
         scores = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.7, 0.3, 0.0]])
         labels = np.array([0, 1, 0])  # class 2 absent
-        report = EvalReport()
-        value = auc(scores, labels, 3, report)
-        assert any("class 2" in w for w in report.warnings)
-        assert 0.0 <= value <= 100.0
+        assert auc(scores, labels, 3) == auc(scores[:, :2], labels, 2)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 1000))
@@ -269,24 +266,21 @@ class TestHd95:
     def test_identical_masks_scores_zero(self):
         m = np.zeros((8, 8), dtype=bool)
         m[2:5, 3:6] = True
-        value, empty = hd95(m, m)
-        assert value == 0.0 and not empty
+        assert hd95(m, m) == 0.0
 
     def test_three_four_five_single_pixels(self):
         a = np.zeros((8, 8), dtype=bool)
         b = np.zeros((8, 8), dtype=bool)
         a[0, 0] = True
         b[3, 4] = True
-        value, _ = hd95(a, b)
-        assert value == 5.0
+        assert hd95(a, b) == 5.0
 
-    def test_empty_mask_gives_diagonal_sentinel_with_flag(self):
+    def test_empty_mask_gives_diagonal_sentinel(self):
         a = np.zeros((9, 13), dtype=bool)
         b = np.zeros((9, 13), dtype=bool)
         b[4, 4] = True
-        value, empty = hd95(a, b)
-        assert empty
-        assert value == pytest.approx(np.hypot(8, 12))
+        assert hd95(a, b) == pytest.approx(np.hypot(8, 12))
+        assert hd95(b, a) == hd95(a, a) == hd95(a, b)
 
     def test_matches_allpairs_oracle_on_random_masks(self):
         rng = np.random.default_rng(7)
@@ -296,15 +290,14 @@ class TestHd95:
             b = rng.random((8, 8)) > 0.7
             if not a.any() or not b.any():
                 continue
-            value, _ = hd95(a, b)
-            assert value == pytest.approx(allpairs_hd95_oracle(a, b), abs=1e-12)
+            assert hd95(a, b) == pytest.approx(allpairs_hd95_oracle(a, b), abs=1e-12)
             checked += 1
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
         a = rng.random((8, 8)) > 0.5
         b = rng.random((8, 8)) > 0.5
-        assert hd95(a, b)[0] == hd95(b, a)[0]
+        assert hd95(a, b) == hd95(b, a)
 
     def test_interior_pixels_are_not_boundary(self):
         # a filled 5x5 square: boundary ring is 16 pixels, interior 9 excluded
@@ -325,8 +318,15 @@ class TestReports:
         scores = rng.random((20, 3))
         labels = rng.integers(0, 3, 20)
         report = classification_report(scores, labels, 3)
-        assert set(report.metrics) == {"acc", "auc", "f1"}
-        assert report.sample_count == 20
-        records = report.to_records("val")
-        assert all(r["split"] == "val" for r in records)
-        assert {r["metric"] for r in records} == {"acc", "auc", "f1"}
+        assert list(report) == ["acc", "auc", "f1"]
+        assert report["auc"] == auc(scores, labels, 3)
+
+    def test_segmentation_report_fields(self):
+        rng = np.random.default_rng(10)
+        preds = rng.random((4, 8, 8)) > 0.6
+        gts = rng.random((4, 8, 8)) > 0.6
+        preds[0] = False  # an empty mask scores the diagonal sentinel
+        report = segmentation_report(preds, gts)
+        assert list(report) == ["dice", "hd95"]
+        assert report["dice"] == np.mean([dice(p, g) for p, g in zip(preds, gts)])
+        assert report["hd95"] == np.mean([hd95(p, g) for p, g in zip(preds, gts)])

@@ -125,7 +125,6 @@ class TestFreezeTheorem:
         with pytest.raises(StateError, match="backbone.cls_token"):
             run_stage(plan, bundle, _splits(), SeededRng(5, "stage/ft"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self):
         splits = _splits()
         bundle = build_bundle(TINY, seed=3, head_spec=ClassificationSpec(2),
@@ -408,7 +407,6 @@ class TestGridSearch:
         assert rows[0]["lr"] == 3e-3
         assert len(rows) == 1 and rows[0]["status"] == "ok"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_ranks_last_without_crashing(self):
         splits = _splits(seed=43)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=10, wd=1.0)
@@ -431,7 +429,7 @@ class TestGridSearch:
         assert Checkpoint.from_registry(bundle.registry, stage="x").hashes() == \
             fresh_ckpt.hashes()
         assert log.records == fresh_log.records
-        again = evaluate(fresh, splits.val, best.batch_size).metrics["acc"]
+        again = evaluate(fresh, splits.val, best.batch_size)["acc"]
         assert again == rows[0]["score"]
 
     def test_empty_grid_rejected(self):
@@ -464,7 +462,6 @@ class TestGridSearch:
         assert best == runs[1e-2]
         assert [r["lr"] for r in rows] == [1e-2, 1e-3, 1e-4, 1e-1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_diverged_reraises_the_first_runs_own_error(self):
         splits = _splits(seed=50)
         plan = _quick_plan(Stage.FINETUNE, Objective.CE, steps=10, wd=1.0, lr=1e200)
