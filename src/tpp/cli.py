@@ -277,7 +277,7 @@ def cmd_finetune(args) -> int:
             score = "diverged" if row["score"] is None else f"{row['score']:.4f}"
             print(f"  lr={row['lr']:.6g}  {primary}={score}  [{row['status']}]")
 
-    test_metrics = evaluate(bundle, data.test, cfg.get("eval", "batch_size"))
+    test_metrics = evaluate(bundle, data.test, cfg.get("eval", "batch_size"), split="test")
     log.log_metrics("test", test_metrics)
     ratio = bundle.registry.trainable_ratio()
     log.log(event="trainable_ratio", value=ratio)

@@ -39,6 +39,9 @@ from .vit import ClassificationSpec, SegmentationSpec, ViTConfig
 
 AUTO = "auto"
 
+# the largest synthetic split, in bytes of float64 pixels, that `load_data` generates
+MAX_SPLIT_BYTES = 1 << 32
+
 
 def _items(value: str) -> tuple[str, ...]:
     """The non-empty items of a comma-separated list."""
@@ -219,10 +222,11 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
-                return cls.parse(fh.read())
-        except OSError as exc:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        return cls.parse(text)
 
     def get(self, section: str, key: str):
         if section not in SCHEMA or key not in SCHEMA[section]:
@@ -264,6 +268,18 @@ class ExperimentConfig:
             return ClassificationSpec(num_classes=num_classes)
         return SegmentationSpec(num_classes=max(2, num_classes))
 
+    def _check_split_sizes(self) -> None:
+        """Refuse a count whose images would pass MAX_SPLIT_BYTES, before any is made."""
+        m = self.values["model"]
+        per_image = m["num_channels"] * m["image_size"] ** 2 * 8
+        for split in ("train", "val", "test"):
+            count = self.values["data"][f"{split}_count"]
+            if count * per_image > MAX_SPLIT_BYTES:
+                raise ConfigError(
+                    f"[data] {split}_count = {count} at [model] image_size = {m['image_size']} "
+                    f"needs {count * per_image} bytes of images, over the {MAX_SPLIT_BYTES} "
+                    f"a split may take")
+
     def load_data(self, seed: int) -> SplitDatasets:
         d = self.values["data"]
         if d["kind"] == "folder":
@@ -275,6 +291,7 @@ class ExperimentConfig:
                 val=load_folder(f"{d['path']}/val", image_size=size),
                 test=load_folder(f"{d['path']}/test", image_size=size))
         else:
+            self._check_split_sizes()
             spec = SyntheticTaskSpec(
                 kind="textured_shapes_cls" if d["kind"] == "synthetic_cls" else "blob_seg",
                 num_classes=d["num_classes"],

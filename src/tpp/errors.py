@@ -25,14 +25,18 @@ class ConfigError(ValueError):
     """An experiment config is malformed or internally inconsistent."""
 
 
-class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries diagnostic context."""
+class NonFiniteScores(RuntimeError):
+    """The model's outputs on an evaluated split are not all finite."""
 
-    def __init__(self, step: int, lr: float, loss_history: list[float]):
+
+class TrainingDiverged(RuntimeError):
+    """Loss (or, at a val site, the val scores) became non-finite; carries diagnostic context."""
+
+    def __init__(self, step: int, lr: float, loss_history: list[float], what: str = "loss"):
         self.step = step
         self.lr = lr
         self.loss_history = list(loss_history)
         tail = ", ".join(f"{v:.6g}" for v in self.loss_history[-8:])
         super().__init__(
-            f"non-finite loss at step {step} (lr={lr:.6g}); recent losses: [{tail}]"
+            f"non-finite {what} at step {step} (lr={lr:.6g}); recent losses: [{tail}]"
         )

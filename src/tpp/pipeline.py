@@ -26,7 +26,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint, _hash_array
 from .data import Dataset, SplitDatasets
-from .errors import ArgumentError, StateError, StructuralError, TrainingDiverged
+from .errors import (ArgumentError, NonFiniteScores, StateError, StructuralError,
+                     TrainingDiverged)
 from .metrics import classification_report, segmentation_report
 from .optim import AdamW, AdamWSpec, ScheduleSpec, lr_at, wd_at
 from .peft import PeftSpec, attach, mechanism_name, reinit_target_params
@@ -256,17 +257,26 @@ class MetricLog:
 # -- evaluation --------------------------------------------------------------
 
 
-def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64) -> dict[str, float]:
-    """Deterministic full-dataset evaluation (no augmentation, no rng)."""
+def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64,
+             split: str = "eval") -> dict[str, float]:
+    """Deterministic full-dataset evaluation (no augmentation, no rng).
+
+    A classification head reads the class token alone, so its backbone
+    forward runs with `cls_only`. Logits that are not all finite (weights
+    that a huge update left finite but overflowing) raise `NonFiniteScores`
+    naming `split`; the forward overflows quietly, so that is the one message.
+    """
     if bundle.head is None:
         raise StateError("evaluate: bundle has no task head")
     seg = isinstance(bundle.head.spec, SegmentationSpec)
     outputs = []
-    with T.no_grad():
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(dataset), batch_size):
             feats = bundle.backbone.forward_images(
-                Tensor(dataset.images[start:start + batch_size]))
+                Tensor(dataset.images[start:start + batch_size]), cls_only=not seg)
             logits = bundle.head(feats)
+            if not np.isfinite(logits.data).all():
+                raise NonFiniteScores(f"non-finite model outputs on the {split} split")
             outputs.append(np.argmax(logits.data, axis=1) if seg else T.softmax(logits).data)
     if seg:
         return segmentation_report(np.concatenate(outputs), dataset.masks)
@@ -346,9 +356,10 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
                                                  rng.child(f"augment/epoch{epoch}")))
                 if plan.objective is Objective.MAE:
                     loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"), indices)
-                elif plan.objective in _SUPERVISED:
-                    loss = loss_fn(bundle.head(bundle.backbone.forward_images(images)),
-                                   targets[indices])
+                elif plan.objective in _SUPERVISED:  # CE reads the class token alone
+                    feats = bundle.backbone.forward_images(
+                        images, cls_only=plan.objective is Objective.CE)
+                    loss = loss_fn(bundle.head(feats), targets[indices])
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(step, lr, log.losses())
@@ -362,7 +373,11 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
 
         log.log(stage=plan.stage.value, step=step, epoch=epoch, lr=lr, wd=wd, loss=loss_value)
         if evaluates and (pos == spe - 1 or step == total_steps - 1):
-            log.log_metrics("val", evaluate(bundle, val, plan.batch_size))
+            try:
+                metrics = evaluate(bundle, val, plan.batch_size, split="val")
+            except NonFiniteScores:  # the step left finite weights that overflow
+                raise TrainingDiverged(step, lr, log.losses(), what="val scores") from None
+            log.log_metrics("val", metrics)
 
     ckpt = Checkpoint.from_registry(
         bundle.registry, stage=plan.stage.value,

@@ -264,10 +264,14 @@ class SelfDistillation:
         }
 
     def student_forward(self, images: Tensor) -> Tensor:
-        feats = self.model.forward_images(images)
+        """[B,C,H,W] -> [B, head_output_dim]: the projection of the class feature.
+
+        Only the class token is read, so the backbone runs with `cls_only`
+        and its last block skips the patch rows (see `forward_features`).
+        """
+        feats = self.model.forward_images(images, cls_only=True)
         bsz, _, d = feats.shape
-        cls = T.reshape(T.narrow(feats, 1, 0, 1), (bsz, d))
-        return self.head(cls)
+        return self.head(T.reshape(feats, (bsz, d)))
 
     def teacher_forward(self, images: Tensor) -> np.ndarray:
         if self.teacher is None:

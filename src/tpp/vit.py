@@ -9,6 +9,11 @@ None until attached, so an uninstrumented model pays nothing for them.
 
 Heads are a single linear map from the class token (classification) or a
 per-patch linear projection unpatchified to full resolution (segmentation).
+A reader of the class token alone (the classification head, the DINO
+projection head) asks `forward_features` for `cls_only`: the last block
+then computes keys and values over every token, and everything else,
+PEFT branches included, on the class token's row only (as CaiT's
+class-attention layers do, arXiv 2103.17239).
 """
 
 from __future__ import annotations
@@ -175,27 +180,37 @@ class TransformerBlock:
         self.adapter = None       # (down: Linear, up: Linear)
         self.adaptformer = None   # (down: Linear, up: Linear, scale: float)
 
-    def _attention(self, x: Tensor) -> Tensor:
-        bsz, seq, dim = x.shape
+    def _attention(self, x: Tensor, cls_only: bool) -> Tensor:
+        """Multi-head attention over all of `x`, of every row or, with `cls_only`, row 0."""
+        bsz, _, dim = x.shape
         h, hd = self.num_heads, self.head_dim
+        queries = T.narrow(x, 1, 0, 1) if cls_only else x
 
         def split_heads(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (bsz, seq, h, hd)), (0, 2, 1, 3))
+            return T.transpose(T.reshape(t, (bsz, t.shape[1], h, hd)), (0, 2, 1, 3))
 
-        q = split_heads(self.q(x))
+        q = split_heads(self.q(queries))
         k = split_heads(self.k(x))
         v = split_heads(self.v(x))
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
         attn = T.softmax(scores)
         out = T.matmul(attn, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, seq, dim))
+        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, queries.shape[1], dim))
         return self.proj(out)
 
     def _mlp(self, h: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(h)))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = T.add(x, self._attention(self.ln1(x)))
+    def __call__(self, x: Tensor, cls_only: bool = False) -> Tensor:
+        """[B,S,d] -> [B,S,d]; with `cls_only`, the class token's row [B,1,d] alone.
+
+        Keys and values always come from every token. With `cls_only` the
+        query, attention rows, MLP and PEFT branches run on row 0 only, which
+        is all a reader of the class feature needs from the last block.
+        """
+        # no name holds ln1's output, so it is freed once the attention returns
+        x = T.add(T.narrow(x, 1, 0, 1) if cls_only else x,
+                  self._attention(self.ln1(x), cls_only))
         h = self.ln2(x)
         m = self._mlp(h)
         if self.adapter is not None:
@@ -247,7 +262,7 @@ class VisionTransformer:
         k, d = rows.shape
         return T.add(T.reshape(rows, (1, k, d)), T.zeros((bsz, 1, d)))
 
-    def forward_features(self, tokens: Tensor) -> Tensor:
+    def forward_features(self, tokens: Tensor, cls_only: bool = False) -> Tensor:
         """Run class token + patch tokens through the blocks and final LN.
 
         tokens: [B,K,embed_dim] patch tokens that already carry their
@@ -255,7 +270,13 @@ class VisionTransformer:
         ones, which is how the masked-reconstruction encoder sees its input.
         Block i < len(prompts) sees the VPT prompt tokens prompts[i] right
         after the class token, in place of the previous block's; they are
-        dropped again before returning, so the output is always [B, 1+K, d].
+        dropped again before returning, so the output is [B, 1+K, d].
+
+        With `cls_only` the output is the class token's feature alone,
+        [B, 1, d]: the last block computes its keys and values over every
+        token but everything else, and the final LN, on row 0 only. Row 0
+        equals that of the full forward up to float rounding (a one-row GEMM
+        sums in another order).
         """
         d = self.cfg.embed_dim
         if tokens.shape[-1] != d:
@@ -264,6 +285,7 @@ class VisionTransformer:
         cls = T.add(self.cls_token, T.narrow(self.pos_embed, 0, 0, 1))
         x = T.concat([self._broadcast_rows(cls, bsz), tokens], axis=1)
 
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
             if i < len(self.prompts):
                 # [cls, block i's prompts, patch tokens]: replaces block i-1's prompts
@@ -272,16 +294,19 @@ class VisionTransformer:
                     self._broadcast_rows(self.prompts[i], bsz),
                     T.narrow(x, 1, x.shape[1] - k, k),
                 ], axis=1)
-            x = block(x)
+            x = block(x, cls_only=True) if cls_only and i == last else block(x)
+        if cls_only and not self.blocks:
+            x = T.narrow(x, 1, 0, 1)
 
         x = self.ln(x)
-        if self.prompts:
+        if self.prompts and not cls_only:
             x = T.concat([T.narrow(x, 1, 0, 1), T.narrow(x, 1, x.shape[1] - k, k)], axis=1)
         return x
 
-    def forward_images(self, images: Tensor) -> Tensor:
-        """[B,C,H,W] -> [B, 1+N, embed_dim] features."""
-        return self.forward_features(self.embed_patches(patchify(images, self.cfg.patch_size)))
+    def forward_images(self, images: Tensor, cls_only: bool = False) -> Tensor:
+        """[B,C,H,W] -> [B, 1+N, embed_dim] features, or [B, 1, embed_dim] with `cls_only`."""
+        return self.forward_features(self.embed_patches(patchify(images, self.cfg.patch_size)),
+                                     cls_only)
 
 
 class ClassificationHead:

@@ -75,3 +75,9 @@ def run_forward_loss(loss_builder) -> float:
     """Evaluate a loss builder with grad recording off (for FD oracles)."""
     with T.no_grad():
         return float(loss_builder().data)
+
+
+def saved_arrays(node) -> list[np.ndarray]:
+    """The arrays a tape node's vjp closure keeps alive."""
+    cells = node.vjp.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]

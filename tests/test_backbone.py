@@ -82,6 +82,9 @@ class TestForwardFeatures:
         var = expected_tokens.var(-1, keepdims=True)
         expected = (expected_tokens - mu) / np.sqrt(var + 1e-5) * gamma + beta
         assert np.allclose(out.data, expected, atol=1e-12)
+        # with no block to cut, the class feature is still row 0 alone
+        cls_only = model.forward_features(model.embed_patches(tokens), cls_only=True)
+        assert np.array_equal(cls_only.data, out.data[:, :1])
 
     def test_patch_tokens_get_no_positions(self):
         # positions are `embed_patches`' job; forward_features positions the class token only

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tpp.cli as cli
+import tpp.config as config
 import tpp.pipeline as pipeline
 from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
@@ -543,6 +544,41 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_a_config_that_is_not_utf8_is_exit_1_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.cfg"
+        bad.write_bytes(b"\xff\xfe" + BASE_CFG.encode("utf-16-le"))
+        code = main(["pretrain-backbone", "--config", str(bad), "--seed", "0",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: cannot read config {bad}: 'utf-8' codec")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, count", [
+        ("test_count", 99999999999999999999),
+        # one image past the bound at BASE_CFG's 16 px
+        ("train_count", config.MAX_SPLIT_BYTES // (16 * 16 * 8) + 1)])
+    def test_a_split_count_past_the_byte_bound_is_exit_1_before_any_data(
+            self, tmp_path, capsys, monkeypatch, key, count):
+        fail = lambda *a, **k: pytest.fail("generated data for an oversized split")  # noqa: E731
+        monkeypatch.setattr(config, "generate_synthetic", fail)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(BASE_CFG + f"\n[data]\n{key} = {count}\n")
+        code = main(["pretrain-backbone", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: [data] {key} = {count} at [model] image_size = 16")
+        assert "Traceback" not in err
+
+    def test_the_split_byte_bound_is_inclusive(self, monkeypatch):
+        cfg = ExperimentConfig.parse(BASE_CFG)  # train is the largest split: 16 images
+        monkeypatch.setattr(config, "MAX_SPLIT_BYTES", 16 * 16 * 16 * 8)
+        assert len(cfg.load_data(0).train) == 16
+        monkeypatch.setattr(config, "MAX_SPLIT_BYTES", 16 * 16 * 16 * 8 - 1)
+        with pytest.raises(ConfigError, match=r"\[data\] train_count = 16 "):
+            cfg.load_data(0)
+
     def test_channel_count_mismatch_is_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "rgb.cfg"
         cfg.write_text(BASE_CFG.replace("num_heads = 2", "num_heads = 2\nnum_channels = 3"))
@@ -633,6 +669,25 @@ class TestCli:
         code = main(["finetune", "--config", str(cfg), "--seed", "0",
                      "--backbone", workspace["backbone"], "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_finite_weights_that_overflow_at_eval_are_exit_2(self, workspace, tmp_path, capsys,
+                                                             recwarn):
+        # one update of lr 1e300 leaves the weights finite (the loss check
+        # passes) but the val forward overflows
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(BASE_CFG.replace("lr = 0.001", "lr = 1e300")
+                       .replace("weight_decay = 0.0", "weight_decay = 1.0")
+                       .replace("iterations = 6", "iterations = 1"))
+        common = ["--config", str(cfg), "--seed", "3", "--backbone", workspace["backbone"]]
+        assert main(["finetune", *common, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: non-finite val scores at step 0 (lr=1e+300)")
+        assert "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # in a grid the lr ranks as diverged instead of aborting the grid
+        assert main(["finetune", *common, "--grid", "0.001,1e300",
+                     "--out", str(tmp_path / "g")]) == 0
+        assert "lr=1e+300  acc=diverged  [diverged@0]" in capsys.readouterr().out
 
     def test_peft_none_rejected_for_tpp(self, workspace, tmp_path, capsys):
         code = main(["tpp", "--config", workspace["cfg"], "--seed", "0",

@@ -1,5 +1,7 @@
 """PEFT mechanisms: identity at init, closed-form counts, gradient isolation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from tpp.pretext import DinoConfig, MaeConfig
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
 from tpp.vit import (ClassificationSpec, LayerNorm, Linear, TransformerBlock, ViTConfig,
-                     build_head)
+                     VisionTransformer, build_head, patchify)
+
+from conftest import saved_arrays
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -376,3 +380,102 @@ class TestAttachmentRules:
             model, _ = _fresh()
             with pytest.raises(ArgumentError):
                 attach(model, spec, SeededRng(0, "init/peft"))
+
+
+CUT_SPECS = [AdapterSpec(bottleneck=4), AdaptFormerSpec(bottleneck=4, scale=0.5), LoraSpec(rank=2),
+             SsfSpec(), BitFitSpec(), VptSpec(num_tokens=3, mode="deep"),
+             VptSpec(num_tokens=3, mode="shallow")]
+
+
+def _perturbed(spec, seed=21):
+    """A TINY backbone with `spec` attached, the backbone frozen, and every
+    param moved off its init, so that no PEFT branch is the identity."""
+    model, reg = _fresh(seed=seed)
+    attach(model, spec, SeededRng(seed, "init/peft"))
+    reg.set_group_trainable(ParamGroup.BACKBONE, False)
+    rng = np.random.default_rng(seed)
+    for p in reg:
+        p.data = p.data + 0.1 * rng.standard_normal(p.data.shape)
+    return model, reg
+
+
+def _rel_dev(a, b, scale=None):
+    scale = np.abs(a).max() if scale is None else scale
+    return np.abs(a - b).max() / scale
+
+
+class TestClassTokenCut:
+    """`cls_only=True` runs the last block on the class token's row alone.
+
+    Everything it computes is row 0 of the full forward, up to the float
+    order of a one-row GEMM, so outputs and gradients agree to 1e-12.
+    """
+
+    def _tokens(self, model, n=3, seed=22):
+        return model.embed_patches(patchify(T.Tensor(_random_images(TINY, n=n, seed=seed)),
+                                            TINY.patch_size))
+
+    @pytest.mark.parametrize("spec", CUT_SPECS, ids=mechanism_name)
+    def test_class_feature_equals_row_0_of_the_full_forward(self, spec):
+        model, _ = _perturbed(spec)
+        for grad_mode in (contextlib.nullcontext, T.no_grad):  # student and teacher paths
+            with grad_mode():
+                full = model.forward_features(self._tokens(model)).data
+                cut = model.forward_features(self._tokens(model), cls_only=True)
+            assert cut.shape == (3, 1, TINY.embed_dim)
+            assert cut.requires_grad == (grad_mode is contextlib.nullcontext)
+            assert _rel_dev(full[:, :1], cut.data) <= 1e-12
+            T.clear_tape()
+
+    @pytest.mark.parametrize("spec", CUT_SPECS, ids=mechanism_name)
+    def test_trainable_grads_agree_with_the_full_forward(self, spec):
+        model, reg = _perturbed(spec)
+        weights = np.random.default_rng(23).standard_normal((3, 1, TINY.embed_dim))
+        grads = []
+        for cls_only in (False, True):
+            feats = model.forward_features(self._tokens(model), cls_only=cls_only)
+            T.backward(T.tsum(T.mul(T.narrow(feats, 1, 0, 1), T.Tensor(weights))))
+            grads.append({p.name: p.grad for p in reg.params(trainable=True)})
+            for p in reg:
+                p.grad = None
+            T.clear_tape()
+        full, cut = grads
+        assert full.keys() == cut.keys() and full
+        largest = max(np.abs(g).max() for g in full.values())
+        for name in full:
+            # a shift of every key by one vector cancels in softmax: its true
+            # gradient is 0 and both paths hold roundoff, so it is held to the largest
+            key_shift = name.endswith(".attn.k.bias") or name.endswith(".k.beta")
+            assert _rel_dev(full[name], cut[name], largest if key_shift else None) <= 1e-12, name
+
+    def test_the_last_blocks_mlp_sees_the_class_row_only(self):
+        model, _ = _perturbed(VptSpec(num_tokens=3, mode="deep"))
+        seen = {}
+        for i, block in enumerate(model.blocks):
+            def spy(x, real=block.fc1, i=i):
+                seen[i] = x.shape
+                return real(x)
+            block.fc1 = spy
+        model.forward_features(self._tokens(model), cls_only=True)
+        assert seen == {0: (3, 1 + 3 + TINY.num_patches, TINY.embed_dim),
+                        1: (3, 1, TINY.embed_dim)}
+
+    def test_a_dino_step_saves_fewer_activation_bytes(self, monkeypatch):
+        def saved_bytes(cls_only_honoured):
+            T.clear_tape()
+            bundle = build_bundle(TINY, 0, peft_spec=LoraSpec())
+            dino = ensure_dino(bundle, DinoConfig(head_output_dim=32), SeededRng(0, "stage"))
+            bundle.registry.set_group_trainable(ParamGroup.BACKBONE, False)
+            dino.init_teacher()
+            with monkeypatch.context() as m:
+                if not cls_only_honoured:  # the whole last block, then its row 0
+                    real = VisionTransformer.forward_features
+                    m.setattr(VisionTransformer, "forward_features",
+                              lambda self, tokens, cls_only=False:
+                              T.narrow(real(self, tokens), 1, 0, 1))
+                dino.step_loss(_random_images(TINY, n=4, seed=24), np.arange(4),
+                               SeededRng(0, "dino"))
+            arrays = {id(a): a for node in T.tape() for a in saved_arrays(node)}
+            return sum(a.nbytes for a in arrays.values())
+
+        assert saved_bytes(True) < saved_bytes(False)

@@ -9,7 +9,8 @@ from tpp import pipeline
 from tpp import tensor as T
 from tpp.checkpoint import Checkpoint, audit_freeze
 from tpp.data import SyntheticTaskSpec, generate_synthetic
-from tpp.errors import ArgumentError, StateError, StructuralError, TrainingDiverged
+from tpp.errors import (ArgumentError, NonFiniteScores, StateError, StructuralError,
+                        TrainingDiverged)
 from tpp.optim import AdamW, ScheduleSpec
 from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec, reinit_target_params
 from tpp.pipeline import (InitSpec, Objective, Stage, build_bundle, default_plan,
@@ -135,6 +136,17 @@ class TestFreezeTheorem:
         assert exc.value.step > 0
         assert len(exc.value.loss_history) == exc.value.step
         assert len(T.tape()) == 0
+
+    @pytest.mark.parametrize("kind, head", [
+        ("textured_shapes_cls", ClassificationSpec(2)), ("blob_seg", SegmentationSpec(2))])
+    def test_eval_outputs_that_overflow_raise_naming_the_split(self, kind, head):
+        spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=16, train_count=0,
+                                 val_count=0, test_count=4, noise=0.2)
+        bundle = build_bundle(TINY, seed=3, head_spec=head, peft_spec=AdapterSpec(4))
+        for p in bundle.registry.params(group=ParamGroup.TARGET):
+            p.data = np.full_like(p.data, 1e300)  # finite, as one huge update leaves them
+        with pytest.raises(NonFiniteScores, match="on the test split"):
+            evaluate(bundle, generate_synthetic(spec, SeededRng(0, "data")).test, split="test")
 
 
 class TestLogs:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from tpp import tensor as T
 from tpp.errors import ArgumentError, ShapeError, StateError
 
-from conftest import finite_difference, rel_err, rel_err_tensor, run_forward_loss
+from conftest import (finite_difference, rel_err, rel_err_tensor, run_forward_loss,
+                      saved_arrays)
 
 
 def _rand(shape, seed=0):
@@ -422,12 +423,6 @@ class TestBackwardContract:
         assert np.array_equal(l1, l2) and np.array_equal(g1, g2)
 
 
-def _saved_arrays(node):
-    """The arrays a node's vjp closure keeps alive."""
-    cells = node.vjp.__closure__ or ()
-    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
-
-
 class TestTapeLiveness:
     """The tape keeps only the arrays that a needed cotangent reads.
 
@@ -476,19 +471,19 @@ class TestTapeLiveness:
         w = T.Tensor(_rand((5, 2), seed=45))
         h = T.mul(T.Tensor(_rand((3, 5), seed=46), requires_grad=True), 2.0)
         out = T.matmul(h, w)
-        assert [a is w.data for a in _saved_arrays(out.node)] == [True]
+        assert [a is w.data for a in saved_arrays(out.node)] == [True]
 
     def test_layer_norm_with_only_beta_trainable_saves_no_activation(self):
         x = T.Tensor(_rand((3, 5), seed=48))
         beta = T.Tensor(np.zeros(5), requires_grad=True)  # BitFit trains biases only
         out = T.layer_norm(x, T.Tensor(np.ones(5)), beta)
-        assert all(a.size <= 5 for a in _saved_arrays(out.node))
+        assert all(a.size <= 5 for a in saved_arrays(out.node))
         T.backward(T.tsum(T.mul(out, T.Tensor(_rand((3, 5), seed=49)))))
         assert np.array_equal(beta.grad, _rand((3, 5), seed=49).sum(axis=0))
 
     def test_gelu_keeps_exactly_one_input_sized_array(self):
         h = T.mul(T.Tensor(_rand((3, 5), seed=47), requires_grad=True), 2.0)
         out = T.gelu(h)
-        saved = _saved_arrays(out.node)
+        saved = saved_arrays(out.node)
         assert [a.shape for a in saved] == [h.shape]
         assert saved[0] is not h.data and saved[0] is not out.data
