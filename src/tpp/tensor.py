@@ -19,8 +19,8 @@ Contracts the rest of the package relies on:
 * the tape holds only what a needed cotangent reads. A node links to its
   parents' nodes and to trainable leaves, never to intermediate tensors,
   and its vjp closure keeps only the arrays that the cotangents needed at
-  record time read. A linear layer with a frozen weight therefore saves no
-  activation: its input dies as soon as the forward drops it.
+  record time read. A `linear` node whose weight and LoRA A are frozen
+  therefore saves no input: the input dies as soon as the forward drops it.
 """
 
 from __future__ import annotations
@@ -264,6 +264,79 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), vjp)
+
+
+def linear(x, weight, bias, lora=None, ssf=None) -> Tensor:
+    """x @ weight + bias with a layer's PEFT terms, as one node.
+
+    x is [..., K], weight [K, M] and bias [M]; the leading axes of x are the
+    rows of one GEMM. `lora = (A, B, s)` adds s * ((x @ A) @ B), with A
+    [K, r] and B [r, M]. `ssf = (gamma, beta)` then scales and shifts each
+    output channel. The node keeps x only when the weight or A trains, the
+    unmodulated output only when gamma trains, and x @ A only when B trains.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]:
+        raise ShapeError(
+            f"linear: inner dimensions disagree for {list(x.shape)} @ {list(weight.shape)}"
+        )
+    k, m = weight.shape
+    xshape = x.shape
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ weight.data
+    y += bias.data
+    parents = [x, weight, bias]
+    na = nb = ngamma = nbeta = False
+    s = None
+    if lora is not None:
+        a, b, s = lora
+        xa = x2 @ a.data
+        y += (xa @ b.data) * s
+        parents += [a, b]
+        na, nb = a.requires_grad, b.requires_grad
+    y0 = y
+    if ssf is not None:
+        gamma, beta = ssf
+        y = y0 * gamma.data
+        y += beta.data
+        parents += [gamma, beta]
+        ngamma, nbeta = gamma.requires_grad, beta.requires_grad
+    out = Tensor(y.reshape(xshape[:-1] + (m,)))
+    nx, nw, nbias = x.requires_grad, weight.requires_grad, bias.requires_grad
+    has_lora, has_ssf = lora is not None, ssf is not None
+    nlora = nx or na or nb  # needs the cotangent of the LoRA term
+    ny = nlora or nw or nbias  # needs the cotangent of the unmodulated output
+    xd = x.data if (nw or na) else None
+    wd = weight.data if nx else None
+    ad = a.data if (has_lora and nx) else None
+    bd = b.data if (has_lora and (nx or na)) else None
+    xa = xa if nb else None
+    y0 = y0 if ngamma else None
+    gd = gamma.data if (has_ssf and ny) else None
+
+    def vjp(g):
+        g = g.reshape(-1, m)
+        gssf = glora = ()
+        if has_ssf:
+            gssf = ((g * y0).sum(axis=0) if ngamma else None,
+                    g.sum(axis=0) if nbeta else None)
+            g = g * gd if ny else None
+        if has_lora:
+            gl = g * s if nlora else None
+            gxa = gl @ bd.T if (nx or na) else None
+            glora = (xd.reshape(-1, k).T @ gxa if na else None,
+                     xa.T @ gl if nb else None)
+        gx = None
+        if nx:
+            gx = g @ wd.T
+            if has_lora:
+                gx += gxa @ ad.T
+            gx = gx.reshape(xshape)
+        gw = xd.reshape(-1, k).T @ g if nw else None
+        gbias = g.sum(axis=0) if nbias else None
+        return (gx, gw, gbias) + glora + gssf
+
+    return _record(out, tuple(parents), vjp)
 
 
 def transpose(x: Tensor, axes) -> Tensor:

@@ -116,16 +116,12 @@ def unpatchify(patches: Tensor, patch_size: int, channels: int, image_size: int)
 # -- building blocks ------------------------------------------------------
 
 
-def _modulate(x: Tensor, ssf) -> Tensor:
-    """SSF's per-channel scale and shift of a layer output; identity when `ssf` is None."""
-    if ssf is None:
-        return x
-    gamma, beta = ssf
-    return T.add(T.mul(x, gamma), beta)
-
-
 class Linear:
-    """y = x @ W + b with params registered under `name`, plus its PEFT terms."""
+    """y = x @ W + b with params registered under `name`, plus its PEFT terms.
+
+    The LoRA term s * ((x @ A) @ B) and the SSF scale and shift of the output
+    run inside the same `T.linear` node.
+    """
 
     def __init__(self, registry: ParamRegistry, rng: SeededRng, name: str,
                  din: int, dout: int, group: ParamGroup,
@@ -143,11 +139,7 @@ class Linear:
         self.ssf = None   # (gamma: Param, beta: Param)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.add(T.matmul(x, self.weight), self.bias)
-        if self.lora is not None:
-            a, b, scaling = self.lora
-            out = T.add(out, T.mul(T.matmul(T.matmul(x, a), b), scaling))
-        return _modulate(out, self.ssf)
+        return T.linear(x, self.weight, self.bias, self.lora, self.ssf)
 
 
 class LayerNorm:
@@ -158,7 +150,11 @@ class LayerNorm:
         self.ssf = None  # (gamma: Param, beta: Param), filled by peft.attach
 
     def __call__(self, x: Tensor) -> Tensor:
-        return _modulate(T.layer_norm(x, self.weight, self.bias, self.eps), self.ssf)
+        out = T.layer_norm(x, self.weight, self.bias, self.eps)
+        if self.ssf is None:
+            return out
+        gamma, beta = self.ssf  # SSF's per-channel scale and shift
+        return T.add(T.mul(out, gamma), beta)
 
 
 class TransformerBlock:

@@ -2,26 +2,27 @@
 
 Each step case runs one `run_stage` step on a tiny config and hashes the
 loss and the gradient of every trainable param, in name order, at the
-moment `backward` returns. The first three hashes were recorded before the
-tape stopped holding arrays that no needed cotangent reads, and the VPT and
-frozen-decoder ones before trainability became a single flag read from the
-plan's frozen groups. Any change to the tape, the prompt insertion or the
-freezing that moves a single bit of a loss or a gradient fails here. The
-DINO and CE hashes (and every chain that runs DINO or CE) were re-recorded
-when the last block began computing the class token alone for heads that
-read nothing else: a one-row GEMM sums in another order, so those outputs
-moved at float64 rounding (at most 2.5e-13 relative against the old code).
+moment `backward` returns; it also pins the number of tape nodes at that
+moment. Any change to the tape, the prompt insertion or the freezing that
+moves a single bit of a loss or a gradient fails here, and so does one that
+adds or removes a tape node.
 
 Each chain case runs `pretrain-backbone -> tpp -> finetune` through
 `tpp.cli.main` and hashes every checkpoint it writes and the finetune log's
 records, except `run_info` (it names the config and the target-init path).
-The chain hashes were recorded before each ViT layer took over its own SSF
-and LoRA terms and the patch positions moved into `embed_patches`.
 
 The matrix cases run the same chain for every PEFT method, pretext task and
 task kind, on a budget that ends inside an epoch, and pin one digest of the
-four. They were recorded before `SelfDistillation` took over building its
-views and `run_stage` kept a single val-evaluation site.
+four.
+
+Every pin was re-recorded when each `Linear` became one `T.linear` node
+(one flattened GEMM with its bias, LoRA and SSF terms): weight gradients
+sum over the rows of one GEMM instead of a batch of GEMMs, and the LoRA and
+dense input cotangents add before they reach the input. Against the old
+code, losses and logged values moved by at most 3.2e-16 relative and every
+gradient and checkpoint tensor by at most 3.7e-13 of its largest entry,
+except the attention-key shifts (`*.attn.k.bias`, `ssf.*.k.beta`), whose
+true gradient is 0 and which hold only float roundoff.
 """
 
 import contextlib
@@ -63,16 +64,16 @@ CASES = {
 FROZEN = {"mae-tpp-frozen-decoder": frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD})}
 
 PINNED = {
-    "mae-tpp-adapter": "00dbb2af9471aa5fbf595c2ec1bdc3c3",
-    "dino-tpp-lora": "419f1a5af0bd4e6cf7c8907927b189e9",
-    "dice-ce-ssf": "46a87d7c85c67b9ab8018083edfe826a",
-    "ce-vpt-deep": "2112b3b0178aa53aec10b0a9733df51f",
-    "ce-vpt-shallow": "d32345fade349c4a385c0543eac4691a",
-    "mae-tpp-frozen-decoder": "48a1777261d0fc6077f45c7a768ed071",
+    "mae-tpp-adapter": ("a638c1845cda9cec211b3a0f2eb8b358", 68),
+    "dino-tpp-lora": ("03cc96ad59f420c18dcf9cac773d91f6", 212),
+    "dice-ce-ssf": ("9884268f22464ed515d2439abde68f68", 62),
+    "ce-vpt-deep": ("9cf2364742376df124e863611f0ead31", 63),
+    "ce-vpt-shallow": ("f998a1081aa4ad9949a551435b114b27", 58),
+    "mae-tpp-frozen-decoder": ("b10fdd00afca5e920835ef405f40e2cf", 68),
 }
 
 
-def _step_digest(name: str, monkeypatch) -> str:
+def _step_digest(name: str, monkeypatch) -> tuple[str, int]:
     stage, objective, peft, head, kind = CASES[name]
     spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=16, train_count=8,
                              val_count=2, test_count=2, noise=0.2)
@@ -92,7 +93,7 @@ def _step_digest(name: str, monkeypatch) -> str:
             assert p.grad is not None, p.name
             h.update(p.name.encode())
             h.update(np.ascontiguousarray(p.grad).tobytes())
-        digests.append(h.hexdigest())
+        digests.append((h.hexdigest(), len(T.tape())))
 
     monkeypatch.setattr(T, "backward", hashing_backward)
     run_stage(plan, bundle, train, SeededRng(0, f"stage/{name}"))
@@ -141,15 +142,15 @@ CHAINS = {
 
 CHAIN_PINNED = {
     "seg-mae-ssf": {
-        "pre/backbone.tppc": "eadafa768d009885c6ba186e38264164",
-        "tpp/target.tppc": "2137341feb436f6ead72f518d2718c59",
-        "ft/finetune.tppc": "433b5c2df98a453b52f9d979c85bcc75",
+        "pre/backbone.tppc": "443f6671115f8461bbbe13f3a719566a",
+        "tpp/target.tppc": "797f33cead829800d00cc5a0243fd98c",
+        "ft/finetune.tppc": "70a002a739a05e8c3d98194f35d1358a",
         "ft/finetune.jsonl": "175ba99fecf7a5ebca528fd44b1d4220",
     },
     "cls-dino-lora": {
-        "pre/backbone.tppc": "8e47cd7fbcad0a2bd0f578e53d283a0d",
-        "tpp/target.tppc": "ff08f25cef44f9f2ed7a54459c143167",
-        "ft/finetune.tppc": "46495655eda636420b49c8d729273048",
+        "pre/backbone.tppc": "3e4aba441bb9ea9e377e2234739db965",
+        "tpp/target.tppc": "2ee2bb29dadfa47ee5f2e5e538eb45a8",
+        "ft/finetune.tppc": "bc598ae318d31141c6d4e795f5510079",
         "ft/finetune.jsonl": "ec23cc4c546632d54658c0edecdd4cae",
     },
 }
@@ -192,30 +193,30 @@ MATRIX_CONFIG = (CHAIN_CONFIG.replace("iterations = 2", "iterations = 3")
                  .replace("test_count = 4", "test_count = 4\nannotation_ratio = 0.75"))
 
 MATRIX_PINNED = {
-    "adapter-dino-cls": "da29e9e8149b512863ea534b124ceb03",
-    "adapter-dino-seg": "5bed13e3f2bea7b86a3e5459c4be9f52",
-    "adapter-mae-cls": "72a6fa4fa1b90c6c1af6cdc809855020",
-    "adapter-mae-seg": "d697f9d1ba65fecfd19963563318aed4",
-    "adaptformer-dino-cls": "a08ca9a424e939ec4d2a19423367bd8f",
-    "adaptformer-dino-seg": "40431388e615719b26cd1d205e783b51",
-    "adaptformer-mae-cls": "e91af221e620bd9b4c9816c37a70aa3a",
-    "adaptformer-mae-seg": "8d61fd5fbc5162b5d56f3ccefa9cde4a",
-    "bitfit-dino-cls": "6890a6ef784755a967887e75a4440552",
-    "bitfit-dino-seg": "231c065edc3d98dbde6cc928b9de0b9c",
-    "bitfit-mae-cls": "68a57493d636e6063ab80dc3241e8dcc",
-    "bitfit-mae-seg": "aee2d07e4f4b2c2747c308180cd851d5",
-    "lora-dino-cls": "209b6bc195332d532e5888f1f6e7f1be",
-    "lora-dino-seg": "9673bb64b2cd9e1efcfb8a3f699c6c49",
-    "lora-mae-cls": "b83d5022cd0a57653f0bb703518480e2",
-    "lora-mae-seg": "d137b4bf8e728a95bc30ece3a21f00c9",
-    "ssf-dino-cls": "4b089fcf7e4e415a9731ea2841be9e04",
-    "ssf-dino-seg": "8f2e31fa8276b357a4adbb71f79b7d10",
-    "ssf-mae-cls": "77b9d9e3749c34436d384fd456addf7a",
-    "ssf-mae-seg": "b32a6d56a1ce60942397cd24ab14fc5c",
-    "vpt-dino-cls": "bb0fabd113dfc6874078957d6f106e49",
-    "vpt-dino-seg": "2cf66a6dc925696674559587284c1383",
-    "vpt-mae-cls": "6ea37d1f5d53cb8ca1a020b78972b3f0",
-    "vpt-mae-seg": "f61e02ddfaf48b7472960e8d954069ff",
+    "adapter-dino-cls": "4c877d0d017ce618d9ff92338a39abe8",
+    "adapter-dino-seg": "7600cd757d49d61d9a2779f07ff2b2ec",
+    "adapter-mae-cls": "b7ea926bdb89a3f809d92f325ed1ae17",
+    "adapter-mae-seg": "06995ea4ec5f8b025e9e03837fe8c8c4",
+    "adaptformer-dino-cls": "2050dacc090b096003ea11bf5bf517b2",
+    "adaptformer-dino-seg": "9cbb95d0c869c712058129d84924e2e6",
+    "adaptformer-mae-cls": "f01460a4869014125f3d8f979e84242b",
+    "adaptformer-mae-seg": "361f24e69ce7a4f69c313f6d40232cc4",
+    "bitfit-dino-cls": "df2a21a0220986c813a9312d08479c48",
+    "bitfit-dino-seg": "07b1c513273b300a5906d96ed34e8280",
+    "bitfit-mae-cls": "13f377c9cefa4f384f04d17e14122b19",
+    "bitfit-mae-seg": "eb9b619c43ba05f6abd7531e5e3234fa",
+    "lora-dino-cls": "9fedeeae28a9681f51968adcabf3b71b",
+    "lora-dino-seg": "493f6500902cbe4f924a66881f4a1217",
+    "lora-mae-cls": "3e04958876c788037fb39b014f066fb9",
+    "lora-mae-seg": "1e6679f886ae09dddb22c1acf334113a",
+    "ssf-dino-cls": "00917812b75c5da64758ad21a6ba6d7f",
+    "ssf-dino-seg": "a9cdf4f77f6af09886a77b665617f200",
+    "ssf-mae-cls": "4f0adac21a965304e4a994b0f79bdbce",
+    "ssf-mae-seg": "7e704b4720a1d0727890f6c6071c7ed8",
+    "vpt-dino-cls": "a31eee95b6e11c0c12de2e4e3106c4b8",
+    "vpt-dino-seg": "c9a9d7d8ad3fd7c607f5f558d7ebb318",
+    "vpt-mae-cls": "ff6b91653c875fcfc805969c8709e99f",
+    "vpt-mae-seg": "998f54704360c9bdc0a70682b310ce65",
 }
 
 

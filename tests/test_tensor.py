@@ -124,6 +124,76 @@ class TestMatmul:
         assert "[2, 3]" in str(exc.value) and "[4, 2]" in str(exc.value)
 
 
+PEFT_TERMS = ["plain", "lora", "ssf", "lora+ssf"]
+
+
+def _linear_inputs(terms: str, shape, m: int, rank: int, seed: int, frozen=()):
+    """x, weight, bias and the LoRA/SSF tuples of `terms`; names in `frozen` do not train."""
+    rng = np.random.default_rng(seed)
+    k = shape[-1]
+
+    def leaf(name, dims, offset=0.0):
+        return T.Tensor(rng.standard_normal(dims) + offset, requires_grad=name not in frozen)
+
+    x, weight, bias = leaf("x", shape), leaf("weight", (k, m)), leaf("bias", (m,))
+    lora = (leaf("A", (k, rank)), leaf("B", (rank, m)), 0.7) if "lora" in terms else None
+    ssf = (leaf("gamma", (m,), 1.0), leaf("beta", (m,))) if "ssf" in terms else None
+    return x, weight, bias, lora, ssf
+
+
+def _composed_linear(x, weight, bias, lora, ssf):
+    """The primitives `T.linear` replaced, in their op order."""
+    out = T.add(T.matmul(x, weight), bias)
+    if lora is not None:
+        a, b, s = lora
+        out = T.add(out, T.mul(T.matmul(T.matmul(x, a), b), s))
+    if ssf is not None:
+        out = T.add(T.mul(out, ssf[0]), ssf[1])
+    return out
+
+
+class TestLinear:
+    @pytest.mark.parametrize("terms", PEFT_TERMS)
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 3)])
+    @pytest.mark.parametrize("frozen", [(), ("weight",), ("weight", "A")])
+    def test_gradients_match_finite_differences(self, terms, shape, frozen):
+        x, weight, bias, lora, ssf = _linear_inputs(terms, shape, 4, 2, seed=60, frozen=frozen)
+        weights = _rand(shape[:-1] + (4,), seed=61)
+
+        def loss():
+            return T.tsum(T.mul(T.linear(x, weight, bias, lora, ssf), T.Tensor(weights)))
+
+        T.backward(loss())
+        for t in (x, weight, bias, *(lora or ())[:2], *(ssf or ())):
+            if not t.requires_grad:
+                assert t.grad is None
+                continue
+            fd = finite_difference(lambda: run_forward_loss(loss), t.data)
+            assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("terms", PEFT_TERMS)
+    @pytest.mark.parametrize("shape", [(40, 16), (4, 9, 16)])
+    def test_agrees_with_the_composed_primitives(self, terms, shape):
+        x, weight, bias, lora, ssf = _linear_inputs(terms, shape, 24, 3, seed=62)
+        leaves = (x, weight, bias, *(lora or ())[:2], *(ssf or ()))
+        weights = T.Tensor(_rand(shape[:-1] + (24,), seed=63))
+        results = []
+        for op in (_composed_linear, T.linear):
+            for t in leaves:
+                t.grad = None
+            out = op(x, weight, bias, lora, ssf)
+            T.backward(T.tsum(T.mul(out, weights)))
+            results.append([out.data] + [t.grad for t in leaves])
+            T.clear_tape()
+        for old, new in zip(*results):
+            assert rel_err_tensor(new, old) <= 1e-12
+
+    def test_inner_dimension_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match="linear") as exc:
+            T.linear(T.Tensor(_rand((2, 3))), T.Tensor(_rand((4, 2))), T.Tensor(np.zeros(2)))
+        assert "[2, 3]" in str(exc.value) and "[4, 2]" in str(exc.value)
+
+
 class TestShapeOps:
     @pytest.mark.parametrize("op,args,shape", [
         ("transpose", ((1, 0, 2),), (3, 2, 4)),
@@ -432,13 +502,18 @@ class TestTapeLiveness:
     and backward must still match the finite-difference oracle.
     """
 
-    @pytest.mark.parametrize("op", ["matmul_frozen_weight", "mul_frozen_left",
+    @pytest.mark.parametrize("op", ["matmul_frozen_weight", "linear_frozen_weight",
+                                    "linear_frozen_weight_ssf", "mul_frozen_left",
                                     "mul_frozen_right", "dice_ce", "layer_norm", "gelu"])
     def test_intermediate_input_is_freed_before_backward(self, op):
         frozen = T.Tensor(_rand((5, 5), seed=40) + 4.0)
         rows = T.narrow(frozen, 0, 0, 3)
+        bias = T.Tensor(_rand((5,), seed=38))
+        ssf = (T.Tensor(_rand((5,), seed=37) + 1.0), T.Tensor(_rand((5,), seed=36)))
         apply, shape = {
             "matmul_frozen_weight": (lambda h: T.matmul(h, frozen), (4, 3, 5)),
+            "linear_frozen_weight": (lambda h: T.linear(h, frozen, bias), (4, 3, 5)),
+            "linear_frozen_weight_ssf": (lambda h: T.linear(h, frozen, bias, ssf=ssf), (4, 3, 5)),
             "mul_frozen_left": (lambda h: T.mul(rows, h), (3, 5)),
             "mul_frozen_right": (lambda h: T.mul(h, rows), (3, 5)),
             "dice_ce": (lambda h: T.dice_ce(h, (_rand((2, 3, 3), seed=39) > 0)), (2, 2, 3, 3)),
@@ -472,6 +547,29 @@ class TestTapeLiveness:
         h = T.mul(T.Tensor(_rand((3, 5), seed=46), requires_grad=True), 2.0)
         out = T.matmul(h, w)
         assert [a is w.data for a in saved_arrays(out.node)] == [True]
+
+    @pytest.mark.parametrize("terms", PEFT_TERMS)
+    def test_frozen_weight_linear_keeps_no_input_sized_array(self, terms):
+        # only LoRA B and the SSF terms train: their cotangents read x @ A and
+        # the unmodulated output, never the input
+        h = T.mul(T.Tensor(_rand((2, 3, 5), seed=50), requires_grad=True), 2.0)
+        _, weight, bias, lora, ssf = _linear_inputs(terms, (5,), 4, 2, seed=51,
+                                                    frozen=("weight", "bias", "A"))
+        out = T.linear(h, weight, bias, lora, ssf)
+        saved = saved_arrays(out.node)
+        assert all(a.shape[-1] != 5 for a in saved)  # x is [.., 5]; W, A, B end in 4 or 2
+        lora_saved = {(5, 2), (2, 4), (6, 2)}  # A, B, x @ A
+        ssf_saved = {(4,), (6, 4)}  # gamma, the unmodulated output
+        assert {a.shape for a in saved} == {(5, 4)} | {
+            "plain": set(), "lora": lora_saved, "ssf": ssf_saved,
+            "lora+ssf": lora_saved | ssf_saved}[terms]
+
+    def test_trainable_lora_a_keeps_the_input_itself(self):
+        h = T.mul(T.Tensor(_rand((2, 3, 5), seed=52), requires_grad=True), 2.0)
+        _, weight, bias, lora, _ = _linear_inputs("lora", (5,), 4, 2, seed=53,
+                                                  frozen=("weight", "bias", "B"))
+        out = T.linear(h, weight, bias, lora)
+        assert sum(a is h.data for a in saved_arrays(out.node)) == 1
 
     def test_layer_norm_with_only_beta_trainable_saves_no_activation(self):
         x = T.Tensor(_rand((3, 5), seed=48))
