@@ -258,7 +258,14 @@ class ExperimentConfig:
         return _PEFT_SPECS[override or self.values["peft"]["method"]](self.values["peft"])
 
     def mae_config(self) -> MaeConfig:
-        return _build(MaeConfig, self.values["pretext"])
+        """The [pretext] MAE settings; with task = mae the decoder must be >= 1 wide."""
+        cfg = _build(MaeConfig, self.values["pretext"])
+        embed_dim = self.values["model"]["embed_dim"]
+        if self.values["pretext"]["task"] == "mae" and cfg.decoder_width(embed_dim) < 1:
+            raise ConfigError(
+                f"[pretext] decoder_dim = {cfg.decoder_dim} makes the MAE decoder "
+                f"[model] embed_dim // 2 = {embed_dim // 2} wide; set decoder_dim >= 1")
+        return cfg
 
     def dino_config(self) -> DinoConfig:
         return _build(DinoConfig, self.values["pretext"])

@@ -71,6 +71,10 @@ class MaeConfig:
     decoder_depth: int = 1
     norm_pix_targets: bool = False
 
+    def decoder_width(self, embed_dim: int) -> int:
+        """decoder_dim, or embed_dim // 2 when decoder_dim is 0."""
+        return self.decoder_dim if self.decoder_dim > 0 else embed_dim // 2
+
 
 def _decoder_heads(dim: int) -> int:
     for h in (4, 2, 1):
@@ -94,7 +98,10 @@ class MaskedReconstruction:
         self.cfg = cfg
         vit_cfg = model.cfg
         registry = model.registry
-        dd = cfg.decoder_dim if cfg.decoder_dim > 0 else vit_cfg.embed_dim // 2
+        dd = cfg.decoder_width(vit_cfg.embed_dim)
+        if dd < 1:
+            raise ArgumentError(f"decoder_dim = {cfg.decoder_dim} at embed_dim = "
+                                f"{vit_cfg.embed_dim} makes the MAE decoder {dd} wide")
         group = ParamGroup.HEAD
         self.enc2dec = Linear(registry, rng.child("enc2dec"), f"{self.PREFIX}.enc2dec",
                               vit_cfg.embed_dim, dd, group)
@@ -305,17 +312,21 @@ class SelfDistillation:
 # -- augmentation -------------------------------------------------------------
 
 
+# shared by every policy: the crop's aspect-ratio range, the blur's sigma
+# range and the value at and above which solarize inverts
+_CROP_ASPECT = (0.75, 4.0 / 3.0)
+_BLUR_SIGMA = (0.1, 1.5)
+_SOLARIZE_THRESHOLD = 0.5
+
+
 @dataclass(frozen=True)
 class AugmentPolicy:
     crop_scale: tuple[float, float] | None = None
-    crop_aspect: tuple[float, float] = (0.75, 4.0 / 3.0)
     hflip_prob: float = 0.0
     brightness: float = 0.0    # multiplicative factor drawn from [1-b, 1+b]
     contrast: float = 0.0
     blur_prob: float = 0.0
-    blur_sigma: tuple[float, float] = (0.1, 1.5)
     solarize_prob: float = 0.0
-    solarize_threshold: float = 0.5
 
 
 POLICIES: dict[str, AugmentPolicy] = {
@@ -345,7 +356,7 @@ def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> n
 
     if policy.crop_scale is not None:
         area = rng.uniform(low=policy.crop_scale[0], high=policy.crop_scale[1]) * h * w
-        aspect = rng.uniform(low=policy.crop_aspect[0], high=policy.crop_aspect[1])
+        aspect = rng.uniform(low=_CROP_ASPECT[0], high=_CROP_ASPECT[1])
         ch = int(np.clip(round(np.sqrt(area / aspect)), 1, h))
         cw = int(np.clip(round(np.sqrt(area * aspect)), 1, w))
         top = int(rng.integers(0, h - ch + 1))
@@ -364,11 +375,11 @@ def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> n
         out = (out - mean) * factor + mean
 
     if policy.blur_prob > 0 and rng.random() < policy.blur_prob:
-        sigma = rng.uniform(low=policy.blur_sigma[0], high=policy.blur_sigma[1])
+        sigma = rng.uniform(low=_BLUR_SIGMA[0], high=_BLUR_SIGMA[1])
         out = np.stack([gaussian_filter(ch_img, sigma, mode="nearest") for ch_img in out])
 
     if policy.solarize_prob > 0 and rng.random() < policy.solarize_prob:
-        out = solarize(out, policy.solarize_threshold)
+        out = solarize(out)
 
     return np.clip(out, 0.0, 1.0) if out is not image else out.copy()
 
@@ -381,6 +392,6 @@ def batch_images(images: np.ndarray, indices, policy: str, rng: SeededRng) -> np
     return np.stack([augment(rng.child(f"sample{i}"), images[i], policy) for i in indices])
 
 
-def solarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Invert values at or above the threshold."""
-    return np.where(image >= threshold, 1.0 - image, image)
+def solarize(image: np.ndarray) -> np.ndarray:
+    """Invert values at or above 0.5."""
+    return np.where(image >= _SOLARIZE_THRESHOLD, 1.0 - image, image)

@@ -20,7 +20,8 @@ Contracts the rest of the package relies on:
   parents' nodes and to trainable leaves, never to intermediate tensors,
   and its vjp closure keeps only the arrays that the cotangents needed at
   record time read. A `linear` node whose weight and LoRA A are frozen
-  therefore saves no input: the input dies as soon as the forward drops it.
+  saves no input, and a `layer_norm` that trains only its SSF shift saves
+  nothing: the input dies as soon as the forward drops it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import ArgumentError, ShapeError, StateError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-5
 
 
 class Node:
@@ -161,6 +163,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _scale_shift_vjp(g, x, scale, nx, nscale, nshift):
+    """Cotangents (x, scale, shift) of y = x * scale + shift; None where a flag is off."""
+    # the column sums first: x's cotangent is never alive beside g * x
+    gscale = (g * x).reshape(-1, g.shape[-1]).sum(axis=0) if nscale else None
+    gshift = g.reshape(-1, g.shape[-1]).sum(axis=0) if nshift else None
+    return (g * scale if nx else None), gscale, gshift
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -316,11 +326,8 @@ def linear(x, weight, bias, lora=None, ssf=None) -> Tensor:
 
     def vjp(g):
         g = g.reshape(-1, m)
-        gssf = glora = ()
-        if has_ssf:
-            gssf = ((g * y0).sum(axis=0) if ngamma else None,
-                    g.sum(axis=0) if nbeta else None)
-            g = g * gd if ny else None
+        glora = ()
+        g, *gssf = _scale_shift_vjp(g, y0, gd, ny, ngamma, nbeta) if has_ssf else (g,)
         if has_lora:
             gl = g * s if nlora else None
             gxa = gl @ bd.T if (nx or na) else None
@@ -334,7 +341,7 @@ def linear(x, weight, bias, lora=None, ssf=None) -> Tensor:
             gx = gx.reshape(xshape)
         gw = xd.reshape(-1, k).T @ g if nw else None
         gbias = g.sum(axis=0) if nbias else None
-        return (gx, gw, gbias) + glora + gssf
+        return (gx, gw, gbias, *glora, *gssf)
 
     return _record(out, tuple(parents), vjp)
 
@@ -472,42 +479,41 @@ def tsum(x: Tensor) -> Tensor:
 # -- normalization and attention ----------------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-last-axis normalization with population (biased) variance."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, ssf=None) -> Tensor:
+    """y0 = xhat * gamma + beta, xhat normalizing the last axis (biased variance, eps 1e-5).
+
+    `ssf = (scale, shift)` returns SSF's y0 * scale + shift from the same node.
+    The node keeps xhat only when x or gamma trains, y0 only when scale trains.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if eps <= 0:
-        raise ArgumentError(f"layer_norm: eps must be > 0, got {eps}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gamma/beta must have shape [{d}], got {list(gamma.shape)} and {list(beta.shape)}"
-        )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)  # divide by d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
-    gdat = gamma.data
+    vectors = (gamma, beta) + tuple(ssf or ())
+    if any(t.shape != x.shape[-1:] for t in vectors):
+        raise ShapeError(f"layer_norm: gamma, beta and the SSF terms must have shape "
+                         f"[{x.shape[-1]}], got {[list(t.shape) for t in vectors]}")
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + _LN_EPS)  # biased variance
+    xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+    y = y0 = xhat * gamma.data + beta.data
     nx, ngamma, nbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
-    if not (nx or ngamma):  # beta's cotangent alone reads no saved array
-        xhat = None
+    ny = nx or ngamma or nbeta  # needs the cotangent of y0
+    has_ssf, sd, nscale, nshift = ssf is not None, None, False, False
+    if has_ssf:
+        y = y0 * ssf[0].data
+        y += ssf[1].data
+        sd = ssf[0].data if ny else None
+        nscale, nshift = ssf[0].requires_grad, ssf[1].requires_grad
+    out = Tensor(y)
+    y0 = y0 if nscale else None
+    xhat = xhat if (nx or ngamma) else None  # beta's cotangent reads no saved array
+    gd, inv = (gamma.data, inv) if nx else (None, None)
 
     def vjp(g):
-        gx = ggamma = gbeta = None
-        if ngamma:
-            ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        if nbeta:
-            gbeta = g.reshape(-1, d).sum(axis=0)
-        if nx:
-            dxhat = g * gdat
-            gx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-        return gx, ggamma, gbeta
+        g, *gssf = _scale_shift_vjp(g, y0, sd, ny, nscale, nshift) if has_ssf else (g,)
+        dxhat, ggamma, gbeta = _scale_shift_vjp(g, xhat, gd, nx, ngamma, nbeta)
+        gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) if nx else None
+        return (gx, ggamma, gbeta, *gssf)
 
-    return _record(out, (x, gamma, beta), vjp)
+    return _record(out, (x,) + vectors, vjp)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -3,9 +3,10 @@
 The backbone is deliberately plain: linear patch embedding, learnable
 class token and positional embeddings, pre-norm blocks (LN -> MHSA ->
 residual, LN -> MLP -> residual), final LN. PEFT mechanisms instrument
-layers (SSF on a Linear or LayerNorm output, LoRA on a Linear), blocks
-(adapters) or the token sequence (VPT prompts) through slots that stay
-None until attached, so an uninstrumented model pays nothing for them.
+layers (SSF on a Linear or LayerNorm output, LoRA on a Linear; each runs
+inside its layer's one tape node), blocks (adapters) or the token sequence
+(VPT prompts) through slots that stay None until attached, so an
+uninstrumented model pays nothing for them.
 
 Heads are a single linear map from the class token (classification) or a
 per-patch linear projection unpatchified to full resolution (segmentation).
@@ -117,11 +118,7 @@ def unpatchify(patches: Tensor, patch_size: int, channels: int, image_size: int)
 
 
 class Linear:
-    """y = x @ W + b with params registered under `name`, plus its PEFT terms.
-
-    The LoRA term s * ((x @ A) @ B) and the SSF scale and shift of the output
-    run inside the same `T.linear` node.
-    """
+    """y = x @ W + b, params under `name`; its LoRA and SSF terms run in its `T.linear` node."""
 
     def __init__(self, registry: ParamRegistry, rng: SeededRng, name: str,
                  din: int, dout: int, group: ParamGroup,
@@ -143,18 +140,15 @@ class Linear:
 
 
 class LayerNorm:
+    """LayerNorm of the last axis, params under `name`; its SSF term runs in the same node."""
+
     def __init__(self, registry: ParamRegistry, name: str, dim: int, group: ParamGroup):
         self.weight = registry.register(f"{name}.weight", np.ones(dim), group)
         self.bias = registry.register(f"{name}.bias", np.zeros(dim), group)
-        self.eps = 1e-5
         self.ssf = None  # (gamma: Param, beta: Param), filled by peft.attach
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.layer_norm(x, self.weight, self.bias, self.eps)
-        if self.ssf is None:
-            return out
-        gamma, beta = self.ssf  # SSF's per-channel scale and shift
-        return T.add(T.mul(out, gamma), beta)
+        return T.layer_norm(x, self.weight, self.bias, self.ssf)
 
 
 class TransformerBlock:

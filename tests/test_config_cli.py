@@ -164,7 +164,16 @@ MALFORMED_INPUTS = {
     "lora_targets_empty_decoder_update_in_tpp": (1, "[peft] lora_targets must be a non-empty"),
     "adaptformer_scale_nan_in_tpp": (1, "[peft] scale must be finite, got nan"),
     "peft_flag_unknown": (1, "--peft: [peft] method must be one of ('adapter', "),
+    # decoder_dim = 0 resolves to embed_dim // 2, which is 0 at embed_dim = 1
+    "mae_decoder_zero_wide_in_pretrain": (
+        1, "[pretext] decoder_dim = 0 makes the MAE decoder [model] embed_dim // 2 = 0 wide"),
+    "mae_decoder_zero_wide_in_tpp": (
+        1, "[pretext] decoder_dim = 0 makes the MAE decoder [model] embed_dim // 2 = 0 wide"),
 }
+
+# a model one channel wide, and its MAE decoder with it
+EMBED_DIM_ONE_CFG = BASE_CFG.replace("embed_dim = 16", "embed_dim = 1").replace(
+    "num_heads = 2", "num_heads = 1")
 
 
 # every numeric key -> one value just outside its domain
@@ -492,7 +501,11 @@ class TestCli:
                            "method = adapter", "method = lora\nlora_targets = ,")
                        + "\n[pretext]\ndecoder_mode = update\n",
                        "adaptformer_scale_nan_in_tpp": BASE_CFG.replace(
-                           "method = adapter", "method = adaptformer\nscale = nan")}
+                           "method = adapter", "method = adaptformer\nscale = nan"),
+                       "mae_decoder_zero_wide_in_pretrain":
+                           EMBED_DIM_ONE_CFG + "\n[pretext]\ntask = mae\n",
+                       "mae_decoder_zero_wide_in_tpp":
+                           EMBED_DIM_ONE_CFG + "\n[pretext]\ntask = mae\n"}
         if case == "folder_class_mismatch":
             rng = np.random.default_rng(0)
             for split, classes in (("train", "abc"), ("val", "ac"), ("test", "abc")):
@@ -531,6 +544,14 @@ class TestCli:
             argv = finetune
         assert main(argv) == code
         assert message in capsys.readouterr().err
+
+    def test_dino_at_embed_dim_one_trains(self, tmp_path, capsys):
+        # no MAE decoder is built, so a one-channel model is a legal DINO config
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EMBED_DIM_ONE_CFG.replace("iterations = 6", "iterations = 1")
+                       + "\n[pretext]\ntask = dino\n")
+        assert main(["pretrain-backbone", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
         code = main(["finetune", "--config", str(tmp_path / "nope.cfg"), "--seed", "0",

@@ -7,6 +7,9 @@ moment. Any change to the tape, the prompt insertion or the freezing that
 moves a single bit of a loss or a gradient fails here, and so does one that
 adds or removes a tape node.
 
+The workload cases pin only the tape nodes of one step at the benchmark's
+shapes, the numbers that ROADMAP tracks.
+
 Each chain case runs `pretrain-backbone -> tpp -> finetune` through
 `tpp.cli.main` and hashes every checkpoint it writes and the finetune log's
 records, except `run_info` (it names the config and the target-init path).
@@ -57,6 +60,7 @@ CASES = {
                        ClassificationSpec(2), "textured_shapes_cls"),
     "mae-tpp-frozen-decoder": (Stage.TPP, Objective.MAE, AdapterSpec(4), None,
                                "textured_shapes_cls"),
+    "mae-tpp-ssf": (Stage.TPP, Objective.MAE, SsfSpec(), None, "textured_shapes_cls"),
 }
 
 # plans that freeze more than the stage's default: the MAE decoder (Head
@@ -66,10 +70,11 @@ FROZEN = {"mae-tpp-frozen-decoder": frozenset({ParamGroup.BACKBONE, ParamGroup.H
 PINNED = {
     "mae-tpp-adapter": ("a638c1845cda9cec211b3a0f2eb8b358", 68),
     "dino-tpp-lora": ("03cc96ad59f420c18dcf9cac773d91f6", 212),
-    "dice-ce-ssf": ("9884268f22464ed515d2439abde68f68", 62),
+    "dice-ce-ssf": ("9884268f22464ed515d2439abde68f68", 55),
     "ce-vpt-deep": ("9cf2364742376df124e863611f0ead31", 63),
     "ce-vpt-shallow": ("f998a1081aa4ad9949a551435b114b27", 58),
     "mae-tpp-frozen-decoder": ("b10fdd00afca5e920835ef405f40e2cf", 68),
+    "mae-tpp-ssf": ("492bc9765b665467ffe76477e34e449d", 83),
 }
 
 
@@ -104,6 +109,46 @@ def _step_digest(name: str, monkeypatch) -> tuple[str, int]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_loss_and_grads_are_pinned(name, monkeypatch):
     assert _step_digest(name, monkeypatch) == PINNED[name]
+
+
+# Tape nodes at the first `backward` of a training step at the benchmark's
+# shapes (`tppbench/workloads.py`), seed 41. The shapes, not the data, set
+# the count, so the split holds one batch. ROADMAP tracks these numbers.
+WORKLOAD_NODES = {
+    # name: (model, stage, objective, peft, head, data kind, batch, nodes)
+    "dice-ce-ssf-64px": (ViTConfig(image_size=64), Stage.FINETUNE, Objective.DICE_CE,
+                         SsfSpec(), SegmentationSpec(2), "blob_seg", 32, 103),
+    "mae-tpp": (ViTConfig(), Stage.TPP, Objective.MAE, AdapterSpec(), None,
+                "textured_shapes_cls", 64, 124),
+    "mae-tpp-ssf": (ViTConfig(), Stage.TPP, Objective.MAE, SsfSpec(), None,
+                    "textured_shapes_cls", 64, 131),
+    "dino-tpp": (ViTConfig(), Stage.TPP, Objective.DINO, LoraSpec(targets=("query", "value")),
+                 None, "textured_shapes_cls", 64, 404),
+}
+
+
+class _FirstBackward(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_NODES))
+def test_workload_step_node_counts_are_pinned(name, monkeypatch):
+    vit, stage, objective, peft, head, kind, batch, nodes = WORKLOAD_NODES[name]
+    spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=vit.image_size,
+                             train_count=batch, val_count=2, test_count=2)
+    train = generate_synthetic(spec, SeededRng(41, "data")).train
+    bundle = build_bundle(vit, seed=41, head_spec=head, peft_spec=peft)
+    plan = default_plan(stage, objective, batch_size=batch, max_epochs=None, max_iterations=1)
+    counts = []
+
+    def counting_backward(loss):
+        counts.append(len(T.tape()))
+        raise _FirstBackward
+
+    monkeypatch.setattr(T, "backward", counting_backward)
+    with pytest.raises(_FirstBackward):
+        run_stage(plan, bundle, train, SeededRng(41, "stage"))
+    assert counts == [nodes]
 
 
 CHAIN_CONFIG = """

@@ -121,6 +121,14 @@ class TestMaskedReconstruction:
                    for p in reg.params(group=ParamGroup.TARGET))
 
 
+    def test_a_decoder_zero_wide_is_rejected(self):
+        # decoder_dim = 0 resolves to embed_dim // 2, which is 0 at embed_dim = 1
+        one = ViTConfig(image_size=16, patch_size=4, embed_dim=1, depth=1, num_heads=1)
+        with pytest.raises(ArgumentError, match="decoder 0 wide"):
+            MaskedReconstruction(build_bundle(one, 0).backbone, MaeConfig(),
+                                 SeededRng(0, "init/mae"))
+
+
 class TestTeacherEma:
     def _scalar_registry(self, value: float) -> ParamRegistry:
         reg = ParamRegistry()
@@ -247,8 +255,8 @@ class TestAugment:
         assert np.array_equal(out, img)
 
     def test_solarize_definition(self):
-        assert solarize(np.array([[[0.8]]]), 0.5)[0, 0, 0] == pytest.approx(0.2)
-        assert solarize(np.array([[[0.3]]]), 0.5)[0, 0, 0] == 0.3
+        assert solarize(np.array([[[0.8]]]))[0, 0, 0] == pytest.approx(0.2)
+        assert solarize(np.array([[[0.3]]]))[0, 0, 0] == 0.3
 
     def test_deterministic_under_seed(self):
         img = np.random.default_rng(13).random((1, 16, 16))

@@ -244,17 +244,35 @@ class TestShapeOps:
             assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
 
 
+def _layer_norm_inputs(shape, seed: int, frozen=()):
+    """x, gamma, beta and the SSF (scale, shift) pair; names in `frozen` do not train."""
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+
+    def leaf(name, dims, offset=0.0):
+        return T.Tensor(rng.standard_normal(dims) + offset, requires_grad=name not in frozen)
+
+    return (leaf("x", shape), leaf("gamma", (d,), 1.0), leaf("beta", (d,)),
+            (leaf("scale", (d,), 1.0), leaf("shift", (d,))))
+
+
+# which of (x, gamma, beta, scale, shift) stay frozen: none; a frozen LayerNorm
+# affine; and that with a frozen input too, as in TPP's first block
+LN_SSF_FROZEN = [(), ("gamma", "beta"), ("x", "gamma", "beta")]
+
+
 class TestLayerNorm:
     def test_constant_row_normalizes_to_zero(self):
         x = T.Tensor([[5.0, 5.0, 5.0]])
-        out = T.layer_norm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), eps=1e-5)
+        out = T.layer_norm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0, atol=1e-9)
 
     def test_unit_gamma_rows_have_zero_mean_unit_variance(self):
         x = T.Tensor(_rand((6, 16), seed=16))
-        out = T.layer_norm(x, T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)), eps=1e-12)
+        out = T.layer_norm(x, T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)))
+        v = x.data.var(axis=-1)  # eps = 1e-5 shrinks each row's variance to v / (v + eps)
         assert np.max(np.abs(out.data.mean(axis=-1))) < 1e-10
-        assert np.allclose(out.data.var(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(out.data.var(axis=-1), v / (v + 1e-5), rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         x = T.Tensor(_rand((3, 8), seed=17), requires_grad=True)
@@ -263,17 +281,51 @@ class TestLayerNorm:
         weights = _rand((3, 8), seed=20)
 
         def loss():
-            return T.tsum(T.mul(T.layer_norm(x, gamma, beta, 1e-5), T.Tensor(weights)))
+            return T.tsum(T.mul(T.layer_norm(x, gamma, beta), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, gamma, beta):
             fd = finite_difference(lambda: run_forward_loss(loss), t.data)
             assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
 
-    def test_eps_must_be_positive(self):
-        x = T.Tensor(_rand((2, 4)))
-        with pytest.raises(ArgumentError):
-            T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)), eps=0.0)
+    @pytest.mark.parametrize("frozen", LN_SSF_FROZEN)
+    def test_ssf_gradients_match_finite_differences(self, frozen):
+        x, gamma, beta, ssf = _layer_norm_inputs((2, 3, 6), seed=21, frozen=frozen)
+        weights = _rand((2, 3, 6), seed=22)
+
+        def loss():
+            return T.tsum(T.mul(T.layer_norm(x, gamma, beta, ssf), T.Tensor(weights)))
+
+        T.backward(loss())
+        for t in (x, gamma, beta, *ssf):
+            if not t.requires_grad:
+                assert t.grad is None
+                continue
+            fd = finite_difference(lambda: run_forward_loss(loss), t.data)
+            assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("frozen", LN_SSF_FROZEN)
+    @pytest.mark.parametrize("shape", [(7, 16), (4, 9, 16)])
+    def test_ssf_is_bit_identical_to_the_composed_primitives(self, frozen, shape):
+        x, gamma, beta, ssf = _layer_norm_inputs(shape, seed=23, frozen=frozen)
+        leaves = (x, gamma, beta, *ssf)
+        weights = T.Tensor(_rand(shape, seed=24))
+        results = []
+        for op in (lambda: T.add(T.mul(T.layer_norm(x, gamma, beta), ssf[0]), ssf[1]),
+                   lambda: T.layer_norm(x, gamma, beta, ssf)):
+            for t in leaves:
+                t.grad = None
+            out = op()
+            T.backward(T.tsum(T.mul(out, weights)))
+            results.append([out.data] + [t.grad for t in leaves])
+            T.clear_tape()
+        for old, new in zip(*results):
+            assert (old is None and new is None) or np.array_equal(new, old)
+
+    def test_wrong_ssf_shape_is_rejected(self):
+        x, gamma, beta, (scale, _) = _layer_norm_inputs((2, 4), seed=25)
+        with pytest.raises(ShapeError, match="layer_norm"):
+            T.layer_norm(x, gamma, beta, (scale, T.Tensor(np.zeros(1))))
 
 
 class TestSoftmax:
@@ -504,7 +556,8 @@ class TestTapeLiveness:
 
     @pytest.mark.parametrize("op", ["matmul_frozen_weight", "linear_frozen_weight",
                                     "linear_frozen_weight_ssf", "mul_frozen_left",
-                                    "mul_frozen_right", "dice_ce", "layer_norm", "gelu"])
+                                    "mul_frozen_right", "dice_ce", "layer_norm",
+                                    "layer_norm_ssf", "gelu"])
     def test_intermediate_input_is_freed_before_backward(self, op):
         frozen = T.Tensor(_rand((5, 5), seed=40) + 4.0)
         rows = T.narrow(frozen, 0, 0, 3)
@@ -519,6 +572,8 @@ class TestTapeLiveness:
             "dice_ce": (lambda h: T.dice_ce(h, (_rand((2, 3, 3), seed=39) > 0)), (2, 2, 3, 3)),
             "layer_norm": (lambda h: T.layer_norm(h, T.Tensor(_rand((5,), seed=41)),
                                                   T.Tensor(_rand((5,), seed=42))), (4, 5)),
+            "layer_norm_ssf": (lambda h: T.layer_norm(h, T.Tensor(_rand((5,), seed=41)),
+                                                      T.Tensor(_rand((5,), seed=42)), ssf), (4, 5)),
             "gelu": (T.gelu, (3, 5)),
         }[op]
         x = T.Tensor(_rand(shape, seed=43), requires_grad=True)
@@ -578,6 +633,23 @@ class TestTapeLiveness:
         assert all(a.size <= 5 for a in saved_arrays(out.node))
         T.backward(T.tsum(T.mul(out, T.Tensor(_rand((3, 5), seed=49)))))
         assert np.array_equal(beta.grad, _rand((3, 5), seed=49).sum(axis=0))
+
+    @pytest.mark.parametrize("x_trains,trains,activations", [
+        (False, ("shift",), 0),           # nothing: the shift's cotangent is a column sum
+        (False, ("scale", "shift"), 1),   # the LayerNorm output, for the scale's cotangent
+        (True, ("shift",), 1),            # xhat, for the input's cotangent
+        (True, ("scale", "shift"), 2),    # both
+    ])
+    def test_frozen_affine_ssf_layer_norm_keeps_only_what_its_cotangents_read(
+            self, x_trains, trains, activations):
+        frozen = ("x", "gamma", "beta") + tuple(n for n in ("scale", "shift") if n not in trains)
+        x, gamma, beta, ssf = _layer_norm_inputs((3, 5), seed=54, frozen=frozen)
+        h = T.mul(T.Tensor(x.data, requires_grad=True), 2.0) if x_trains else x
+        saved = saved_arrays(T.layer_norm(h, gamma, beta, ssf).node)
+        assert sum(a.shape == (3, 5) for a in saved) == activations
+        assert all(a is not h.data for a in saved)
+        if activations == 0:
+            assert saved == []
 
     def test_gelu_keeps_exactly_one_input_sized_array(self):
         h = T.mul(T.Tensor(_rand((3, 5), seed=47), requires_grad=True), 2.0)
