@@ -18,8 +18,8 @@ Layout (all integers little-endian):
 
 Load verifies every hash; load followed by save reproduces byte-identical
 parameter payloads. A file that does not parse, including one of another
-format version, raises StructuralError naming the file. Writes are atomic
-(temp file, then rename).
+format version or one that names a parameter twice, raises StructuralError
+naming the file. Writes are atomic (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -181,6 +181,8 @@ class Checkpoint:
                     f"need {nbytes}")
             if content_hash(raw) != stored_hash:
                 raise StructuralError(f"{path}: content hash mismatch for {name}")
+            if name in ckpt.entries:
+                raise StructuralError(f"{path}: parameter {name} is named twice")
             data = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
             ckpt.entries[name] = CheckpointEntry(group, data, stored_hash)
         return ckpt

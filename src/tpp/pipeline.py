@@ -277,7 +277,7 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64,
             logits = bundle.head(feats)
             if not np.isfinite(logits.data).all():
                 raise NonFiniteScores(f"non-finite model outputs on the {split} split")
-            outputs.append(np.argmax(logits.data, axis=1) if seg else T.softmax(logits).data)
+            outputs.append(np.argmax(logits.data, axis=1) if seg else T.softmax(logits.data))
     if seg:
         return segmentation_report(np.concatenate(outputs), dataset.masks)
     num_classes = bundle.head.spec.num_classes

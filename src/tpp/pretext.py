@@ -236,7 +236,7 @@ def dino_loss(student_logits: list[Tensor], teacher_logits: np.ndarray,
     if teacher_logits.shape[0] != g * bsz:
         raise ArgumentError(f"teacher logits have {teacher_logits.shape[0]} rows, expected "
                             f"{g} global views x batch {bsz}")
-    probs = T.softmax(Tensor((teacher_logits - center) / cfg.teacher_temp)).data
+    probs = T.softmax((teacher_logits - center) / cfg.teacher_temp)
     terms = [T.soft_cross_entropy(probs[t * bsz:(t + 1) * bsz], s, cfg.student_temp)
              for t in range(g) for v, s in enumerate(student_logits) if v != t]
     total = terms[0]

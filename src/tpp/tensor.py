@@ -20,8 +20,9 @@ Contracts the rest of the package relies on:
   parents' nodes and to trainable leaves, never to intermediate tensors,
   and its vjp closure keeps only the arrays that the cotangents needed at
   record time read. A `linear` node whose weight and LoRA A are frozen
-  saves no input, and a `layer_norm` that trains only its SSF shift saves
-  nothing: the input dies as soon as the forward drops it.
+  saves no input, a `layer_norm` that trains only its SSF shift saves
+  nothing, and an `attention` whose q and k are frozen keeps only its
+  attention weights: the input dies as soon as the forward drops it.
 """
 
 from __future__ import annotations
@@ -240,40 +241,6 @@ def gelu(x: Tensor) -> Tensor:
 
 
 # -- shape ops ---------------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(
-            f"matmul: operands must have rank >= 2, got {list(a.shape)} and {list(b.shape)}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree for {list(a.shape)} @ {list(b.shape)}"
-        )
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(
-            f"matmul: batch dimensions not broadcastable for {list(a.shape)} @ {list(b.shape)}"
-        ) from None
-    out = Tensor(np.matmul(a.data, b.data))
-    ash, bsh = a.shape, b.shape
-    na, nb = a.requires_grad, b.requires_grad
-    # x @ W with W frozen keeps W only: the input's activation is not saved
-    ad = a.data if nb else None
-    bd = b.data if na else None
-
-    def vjp(g):
-        ga = gb = None
-        if na:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
-        if nb:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh)
-        return ga, gb
-
-    return _record(out, (a, b), vjp)
 
 
 def linear(x, weight, bias, lora=None, ssf=None) -> Tensor:
@@ -516,19 +483,62 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, ssf=None) -> Tensor:
     return _record(out, (x,) + vectors, vjp)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Stable softmax along the last axis (rows sum to 1)."""
-    x = _as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Stable softmax of an array along the last axis (rows sum to 1); records nothing."""
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def attention(q, k, v, num_heads: int) -> Tensor:
+    """softmax(q kᵀ / sqrt(hd)) v over `num_heads` heads of hd = d / num_heads, as one node.
+
+    q is [B, Sq, d] and k, v [B, S, d]; the heads merge into a [B, Sq, d]
+    result. The node keeps the attention weights, q's heads only when k
+    trains, k's only when q trains, and v's only when q or k trains.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2] \
+            or num_heads < 1 or q.shape[2] % num_heads:
+        raise ShapeError(f"attention: need q [B,Sq,d] and k, v [B,S,d] with d divisible by "
+                         f"{num_heads}; got {list(q.shape)}, {list(k.shape)}, {list(v.shape)}")
+    bsz, _, d = q.shape
+    hd = d // num_heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def heads(t):  # [B, S, d] -> a [B, h, S, hd] view
+        return np.transpose(np.reshape(t, (bsz, t.shape[1], num_heads, hd)), (0, 2, 1, 3))
+
+    def merge(t):  # [B, h, S, hd] -> [B, S, d]
+        return np.reshape(np.transpose(t, (0, 2, 1, 3)), (bsz, t.shape[2], d))
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
+    scores *= scale
+    p = softmax(scores)
+    del scores
+    out = Tensor(merge(np.matmul(p, vh)))
+    nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
+    qh = qh if nk else None
+    kh = kh if nq else None
+    vh = vh if (nq or nk) else None
 
     def vjp(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
+        g = heads(g)
+        gv = merge(np.matmul(np.swapaxes(p, -1, -2), g)) if nv else None
+        if not (nq or nk):
+            return None, None, gv
+        # d/dp becomes d/dscores in place: one score-sized array feeds both products
+        gs = np.matmul(g, np.swapaxes(vh, -1, -2))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = merge(np.matmul(gs, kh)) if nq else None
+        gk = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)) if nk else None
+        return gq, gk, gv
 
-    return _record(out, (x,), vjp)
+    return _record(out, (q, k, v), vjp)
 
 
 # -- losses ---------------------------------------------------------------

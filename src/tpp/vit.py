@@ -6,7 +6,8 @@ residual, LN -> MLP -> residual), final LN. PEFT mechanisms instrument
 layers (SSF on a Linear or LayerNorm output, LoRA on a Linear; each runs
 inside its layer's one tape node), blocks (adapters) or the token sequence
 (VPT prompts) through slots that stay None until attached, so an
-uninstrumented model pays nothing for them.
+uninstrumented model pays nothing for them. Each block's attention, from its
+split heads to their merge, is one `T.attention` node.
 
 Heads are a single linear map from the class token (classification) or a
 per-patch linear projection unpatchified to full resolution (segmentation).
@@ -157,7 +158,6 @@ class TransformerBlock:
     def __init__(self, registry: ParamRegistry, rng: SeededRng, name: str,
                  dim: int, num_heads: int, mlp_dim: int, group: ParamGroup):
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.ln1 = LayerNorm(registry, f"{name}.ln1", dim, group)
         self.q = Linear(registry, rng.child("q"), f"{name}.attn.q", dim, dim, group)
         self.k = Linear(registry, rng.child("k"), f"{name}.attn.k", dim, dim, group)
@@ -172,21 +172,8 @@ class TransformerBlock:
 
     def _attention(self, x: Tensor, cls_only: bool) -> Tensor:
         """Multi-head attention over all of `x`, of every row or, with `cls_only`, row 0."""
-        bsz, _, dim = x.shape
-        h, hd = self.num_heads, self.head_dim
         queries = T.narrow(x, 1, 0, 1) if cls_only else x
-
-        def split_heads(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (bsz, t.shape[1], h, hd)), (0, 2, 1, 3))
-
-        q = split_heads(self.q(queries))
-        k = split_heads(self.k(x))
-        v = split_heads(self.v(x))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        attn = T.softmax(scores)
-        out = T.matmul(attn, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, queries.shape[1], dim))
-        return self.proj(out)
+        return self.proj(T.attention(self.q(queries), self.k(x), self.v(x), self.num_heads))
 
     def _mlp(self, h: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(h)))

@@ -203,8 +203,8 @@ class TestSegDecoder:
         head = build_head(TINY, SegmentationSpec(2), reg, SeededRng(0, "init/head"))
         reg.get("head.proj.weight").data = np.zeros_like(reg.get("head.proj.weight").data)
         feats = T.Tensor(np.random.default_rng(5).standard_normal((1, 17, 16)))
-        probs = T.softmax(T.transpose(head(feats), (0, 2, 3, 1)))  # classes last
-        assert np.allclose(probs.data, 0.5, atol=1e-15)
+        probs = T.softmax(np.moveaxis(head(feats).data, 1, -1))  # classes last
+        assert np.allclose(probs, 0.5, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
         reg = build_bundle(TINY, 0).registry

@@ -107,6 +107,20 @@ class TestMalformed:
         blob = self._blob(tmp_path)
         self._expect_structural(tmp_path, blob[:-8], "payload of c has 24 bytes")
 
+    def test_a_parameter_named_twice(self, tmp_path, capsys):
+        # renaming b to a leaves every payload hash valid: only the duplicate is wrong
+        blob = bytearray(self._blob(tmp_path))
+        meta_len, = struct.unpack_from("<I", blob, 8)
+        pos = 12 + meta_len + 4
+        name_len, = struct.unpack_from("<H", blob, pos)
+        pos += 2 + name_len + 3 + 8 * blob[pos + 2 + name_len + 2] + 16  # past a's record
+        assert blob[pos + 2:pos + 3] == b"b"
+        blob[pos + 2] = ord("a")
+        self._expect_structural(tmp_path, bytes(blob), "parameter a is named twice")
+        path = str(tmp_path / "bad.tppc")
+        assert main(["audit", path, path]) == 2
+        assert "named twice" in capsys.readouterr().err
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -91,7 +91,7 @@ def test_the_coverage_scan_sees_an_unchecked_primitive():
 def test_every_taped_primitive_is_checked_against_finite_differences():
     primitives = taped_primitives((ROOT / "src" / "tpp" / "tensor.py").read_text())
     checked = ops_checked_by_finite_differences((ROOT / "tests" / "test_tensor.py").read_text())
-    assert {"matmul", "softmax", "dice_ce"} <= primitives
+    assert {"linear", "attention", "dice_ce"} <= primitives
     assert sorted(primitives - checked) == []
 
 

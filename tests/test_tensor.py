@@ -84,46 +84,6 @@ class TestElementwise:
         assert rel_err(x.grad, fd) < 1e-6
 
 
-class TestMatmul:
-    def test_identity(self):
-        eye = T.Tensor([[1.0, 0.0], [0.0, 1.0]])
-        m = T.Tensor([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(T.matmul(eye, m).data, m.data)
-
-    def test_hand_checked_inner_product(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
-        assert out.data.tolist() == [[11.0]]
-
-    def test_sum_gradient_equals_ones_matmul_b_transpose(self):
-        a = T.Tensor(_rand((4, 5), seed=1), requires_grad=True)
-        b = T.Tensor(_rand((5, 3), seed=2), requires_grad=True)
-        T.backward(T.tsum(T.matmul(a, b)))
-        assert np.allclose(a.grad, np.ones((4, 3)) @ b.data.T, atol=1e-12)
-        # and the independent oracle agrees
-        def loss():
-            return T.tsum(T.matmul(a, b))
-        fd = finite_difference(lambda: run_forward_loss(loss), a.data)
-        assert rel_err(a.grad, fd) < 1e-6
-
-    def test_batched_gradients_match_finite_differences(self):
-        a = T.Tensor(_rand((2, 3, 4), seed=3), requires_grad=True)
-        b = T.Tensor(_rand((4, 5), seed=4), requires_grad=True)
-        weights = _rand((2, 3, 5), seed=5)
-
-        def loss():
-            return T.tsum(T.mul(T.matmul(a, b), T.Tensor(weights)))
-
-        T.backward(loss())
-        for t in (a, b):
-            fd = finite_difference(lambda: run_forward_loss(loss), t.data)
-            assert rel_err(t.grad, fd) < 1e-5
-
-    def test_inner_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            T.matmul(T.Tensor(_rand((2, 3))), T.Tensor(_rand((4, 2))))
-        assert "[2, 3]" in str(exc.value) and "[4, 2]" in str(exc.value)
-
-
 PEFT_TERMS = ["plain", "lora", "ssf", "lora+ssf"]
 
 
@@ -141,18 +101,45 @@ def _linear_inputs(terms: str, shape, m: int, rank: int, seed: int, frozen=()):
     return x, weight, bias, lora, ssf
 
 
+def _gemm(x, w):
+    return T.linear(x, w, T.zeros(w.shape[-1]))
+
+
 def _composed_linear(x, weight, bias, lora, ssf):
-    """The primitives `T.linear` replaced, in their op order."""
-    out = T.add(T.matmul(x, weight), bias)
+    """The primitives `T.linear` replaced, in their op order, with plain GEMMs."""
+    out = T.add(_gemm(x, weight), bias)
     if lora is not None:
         a, b, s = lora
-        out = T.add(out, T.mul(T.matmul(T.matmul(x, a), b), s))
+        out = T.add(out, T.mul(_gemm(_gemm(x, a), b), s))
     if ssf is not None:
         out = T.add(T.mul(out, ssf[0]), ssf[1])
     return out
 
 
 class TestLinear:
+    def test_identity(self):
+        eye = T.Tensor([[1.0, 0.0], [0.0, 1.0]])
+        m = T.Tensor([[3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(T.linear(m, eye, T.zeros(2)).data, m.data)
+
+    def test_hand_checked_inner_product(self):
+        out = T.linear(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]), T.Tensor([0.5]))
+        assert out.data.tolist() == [[11.5]]
+
+    def test_sum_gradient_equals_ones_times_weight_transpose(self):
+        x = T.Tensor(_rand((4, 5), seed=1), requires_grad=True)
+        w = T.Tensor(_rand((5, 3), seed=2), requires_grad=True)
+        bias = T.Tensor(_rand((3,), seed=3))
+
+        def loss():
+            return T.tsum(T.linear(x, w, bias))
+
+        T.backward(loss())
+        assert np.allclose(x.grad, np.ones((4, 3)) @ w.data.T, atol=1e-12)
+        # and the independent oracle agrees
+        fd = finite_difference(lambda: run_forward_loss(loss), x.data)
+        assert rel_err(x.grad, fd) < 1e-6
+
     @pytest.mark.parametrize("terms", PEFT_TERMS)
     @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 3)])
     @pytest.mark.parametrize("frozen", [(), ("weight",), ("weight", "A")])
@@ -328,33 +315,92 @@ class TestLayerNorm:
             T.layer_norm(x, gamma, beta, (scale, T.Tensor(np.zeros(1))))
 
 
+# which of q, k and v stay frozen: none; a frozen key or query projection;
+# only v training (no cotangent passes the softmax); a frozen value projection
+ATTN_FROZEN = [(), ("k",), ("q",), ("q", "k"), ("v",)]
+
+
+def _attention_inputs(sq: int, s: int, d: int, seed: int, frozen=()):
+    rng = np.random.default_rng(seed)
+    return tuple(T.Tensor(rng.standard_normal((2, n, d)), requires_grad=name not in frozen)
+                 for name, n in (("q", sq), ("k", s), ("v", s)))
+
+
+def _reference_attention(q, k, v, num_heads):
+    """The math of the reshape/transpose/matmul/scale/softmax graph `T.attention` replaced."""
+    bsz, sq, d = q.shape
+    hd = d // num_heads
+
+    def split(t):
+        return np.transpose(np.reshape(t, (bsz, t.shape[1], num_heads, hd)), (0, 2, 1, 3))
+
+    scores = np.matmul(split(q), np.transpose(split(k), (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    out = np.matmul(e / e.sum(axis=-1, keepdims=True), split(v))
+    return np.reshape(np.transpose(out, (0, 2, 1, 3)), (bsz, sq, d))
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
-        out = T.softmax(T.Tensor([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
+        assert np.allclose(T.softmax(np.zeros(3)), 1.0 / 3.0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
-        out = T.softmax(T.Tensor(_rand((3, 7), seed=21) * 10))
-        assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) <= 1e-12
+        out = T.softmax(_rand((3, 7), seed=21) * 10)
+        assert np.max(np.abs(out.sum(axis=-1) - 1.0)) <= 1e-12
 
-    def test_gradient_matches_finite_differences(self):
-        x = T.Tensor(_rand((4, 6), seed=22), requires_grad=True)
-        weights = _rand((4, 6), seed=23)
-
-        def loss():
-            return T.tsum(T.mul(T.softmax(x), T.Tensor(weights)))
-
-        T.backward(loss())
-        fd = finite_difference(lambda: run_forward_loss(loss), x.data)
-        assert rel_err(x.grad, fd, floor=1e-6) < 1e-5
+    def test_large_logits_do_not_overflow_and_the_input_is_kept(self):
+        z = np.array([[1000.0, 1000.0], [-1000.0, 0.0]])
+        out = T.softmax(z)
+        assert out.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+        assert z.tolist() == [[1000.0, 1000.0], [-1000.0, 0.0]]
+        assert len(T.tape()) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 6), st.integers(2, 9),
            st.floats(0.05, 5.0, allow_nan=False))
     def test_property_rows_always_sum_to_one(self, rows, cols, temp):
         x = np.random.default_rng(rows * 100 + cols).standard_normal((rows, cols)) * 8
-        out = T.softmax(T.Tensor(x / temp))
-        assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) <= 1e-12
+        out = T.softmax(x / temp)
+        assert np.max(np.abs(out.sum(axis=-1) - 1.0)) <= 1e-12
+
+
+class TestAttention:
+    @pytest.mark.parametrize("frozen", ATTN_FROZEN)
+    @pytest.mark.parametrize("sq,heads", [(4, 2), (1, 2), (4, 1)])
+    def test_gradients_match_finite_differences(self, frozen, sq, heads):
+        q, k, v = _attention_inputs(sq, 4, 6, seed=64, frozen=frozen)
+        weights = _rand((2, sq, 6), seed=65)
+
+        def loss():
+            return T.tsum(T.mul(T.attention(q, k, v, heads), T.Tensor(weights)))
+
+        T.backward(loss())
+        for t in (q, k, v):
+            if not t.requires_grad:
+                assert t.grad is None
+                continue
+            fd = finite_difference(lambda: run_forward_loss(loss), t.data)
+            assert rel_err_tensor(t.grad, fd) < 1e-7
+
+    @pytest.mark.parametrize("sq,heads", [(9, 4), (1, 4), (9, 1)])
+    def test_forward_is_bit_identical_to_the_composed_math(self, sq, heads):
+        q, k, v = _attention_inputs(sq, 9, 16, seed=66)
+        out = T.attention(q, k, v, heads)
+        assert out.shape == (2, sq, 16)
+        assert np.array_equal(out.data, _reference_attention(q.data, k.data, v.data, heads))
+
+    @pytest.mark.parametrize("shapes,heads", [
+        (((2, 3, 4), (2, 3, 4), (2, 3, 4)), 3),   # d not divisible by the heads
+        (((3, 4), (2, 3, 4), (2, 3, 4)), 2),      # q of rank 2
+        (((2, 3, 4), (2, 3, 4), (2, 5, 4)), 2),   # k and v differ
+        (((2, 3, 4), (1, 3, 4), (1, 3, 4)), 2),   # batch differs
+        (((2, 3, 6), (2, 3, 4), (2, 3, 4)), 2),   # width differs
+    ])
+    def test_shape_errors_name_every_shape(self, shapes, heads):
+        with pytest.raises(ShapeError, match="attention") as exc:
+            T.attention(*(T.Tensor(np.zeros(sh)) for sh in shapes), heads)
+        assert all(str(list(sh)) in str(exc.value) for sh in shapes)
 
 
 class TestLosses:
@@ -513,15 +559,15 @@ class TestBackwardContract:
     def test_no_gradient_leakage_to_frozen_tensors(self):
         frozen = T.Tensor(_rand((4, 4), seed=33), requires_grad=False)
         live = T.Tensor(_rand((4, 4), seed=34), requires_grad=True)
-        T.backward(T.tsum(T.matmul(frozen, live)))
+        T.backward(T.tsum(T.linear(frozen, live, T.zeros(4))))
         assert frozen.grad is None
         assert live.grad is not None
 
     def test_frozen_only_subgraphs_stay_off_the_tape(self):
-        a = T.Tensor(_rand((3, 3)))
-        b = T.Tensor(_rand((3, 3)))
+        a = T.Tensor(_rand((2, 3, 4)))
+        b = T.Tensor(_rand((2, 3, 4)))
         before = len(T.tape())
-        out = T.matmul(a, b)
+        out = T.attention(a, b, b, 2)
         assert len(T.tape()) == before
         assert out.node is None and not out.requires_grad
 
@@ -533,8 +579,8 @@ class TestBackwardContract:
 
     def test_determinism_same_ops_same_bits(self):
         def run():
-            x = T.Tensor(_rand((8, 8), seed=35), requires_grad=True)
-            y = T.softmax(T.matmul(x, x))
+            x = T.Tensor(_rand((2, 8, 8), seed=35), requires_grad=True)
+            y = T.attention(x, T.linear(x, T.Tensor(_rand((8, 8), seed=36)), T.zeros(8)), x, 2)
             loss = T.tsum(T.mul(y, y))
             T.backward(loss)
             return loss.data.copy(), x.grad.copy()
@@ -554,17 +600,21 @@ class TestTapeLiveness:
     and backward must still match the finite-difference oracle.
     """
 
-    @pytest.mark.parametrize("op", ["matmul_frozen_weight", "linear_frozen_weight",
+    @pytest.mark.parametrize("op", ["attention_frozen_kv", "attention_frozen_qv",
+                                    "attention_frozen_qk", "linear_frozen_weight",
                                     "linear_frozen_weight_ssf", "mul_frozen_left",
                                     "mul_frozen_right", "dice_ce", "layer_norm",
                                     "layer_norm_ssf", "gelu"])
     def test_intermediate_input_is_freed_before_backward(self, op):
         frozen = T.Tensor(_rand((5, 5), seed=40) + 4.0)
         rows = T.narrow(frozen, 0, 0, 3)
+        keys = T.Tensor(_rand((4, 3, 5), seed=39))
         bias = T.Tensor(_rand((5,), seed=38))
         ssf = (T.Tensor(_rand((5,), seed=37) + 1.0), T.Tensor(_rand((5,), seed=36)))
         apply, shape = {
-            "matmul_frozen_weight": (lambda h: T.matmul(h, frozen), (4, 3, 5)),
+            "attention_frozen_kv": (lambda h: T.attention(h, keys, keys, 1), (4, 3, 5)),
+            "attention_frozen_qv": (lambda h: T.attention(keys, h, keys, 1), (4, 3, 5)),
+            "attention_frozen_qk": (lambda h: T.attention(keys, keys, h, 1), (4, 3, 5)),
             "linear_frozen_weight": (lambda h: T.linear(h, frozen, bias), (4, 3, 5)),
             "linear_frozen_weight_ssf": (lambda h: T.linear(h, frozen, bias, ssf=ssf), (4, 3, 5)),
             "mul_frozen_left": (lambda h: T.mul(rows, h), (3, 5)),
@@ -597,11 +647,29 @@ class TestTapeLiveness:
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
         assert rel_err(x.grad, fd, floor=1e-6) < 1e-5
 
-    def test_frozen_weight_matmul_saves_only_the_weight(self):
+    def test_frozen_weight_linear_saves_only_the_weight(self):
         w = T.Tensor(_rand((5, 2), seed=45))
         h = T.mul(T.Tensor(_rand((3, 5), seed=46), requires_grad=True), 2.0)
-        out = T.matmul(h, w)
+        out = T.linear(h, w, T.zeros(2))
         assert [a is w.data for a in saved_arrays(out.node)] == [True]
+
+    @pytest.mark.parametrize("frozen,kept", [
+        ((), "qkv"),
+        (("k",), "kv"),      # q's heads feed only k's cotangent
+        (("q",), "qv"),      # and k's heads only q's
+        (("q", "k"), ""),    # v's cotangent reads the attention weights alone
+        (("v",), "qkv"),     # v's heads feed the cotangent of the weights
+    ])
+    def test_attention_keeps_only_what_its_cotangents_read(self, frozen, kept):
+        q, k, v = _attention_inputs(3, 4, 6, seed=68, frozen=frozen)
+        saved = saved_arrays(T.attention(q, k, v, 2).node)
+        weights = [a for a in saved if a.shape == (2, 2, 3, 4)]
+        assert len(weights) == 1 and not any(np.shares_memory(weights[0], t.data)
+                                             for t in (q, k, v))
+        inputs = {name: t for name, t in zip("qkv", (q, k, v))}
+        assert "".join(n for n, t in inputs.items()
+                       if any(np.shares_memory(a, t.data) for a in saved)) == kept
+        assert len(saved) == 1 + len(kept)
 
     @pytest.mark.parametrize("terms", PEFT_TERMS)
     def test_frozen_weight_linear_keeps_no_input_sized_array(self, terms):
