@@ -181,6 +181,21 @@ class TestLinear:
         assert "[2, 3]" in str(exc.value) and "[4, 2]" in str(exc.value)
 
 
+class TestMatmul:
+    """The matrix products inside the fused nodes check their inner dimensions."""
+
+    def test_inner_dimension_mismatch_names_both_shapes(self):
+        # a batched x: its leading axes flatten into the GEMM's rows only after the check
+        with pytest.raises(ShapeError, match="linear") as exc:
+            T.linear(T.Tensor(_rand((2, 5, 3))), T.Tensor(_rand((4, 2))), T.Tensor(np.zeros(2)))
+        assert "[2, 5, 3]" in str(exc.value) and "[4, 2]" in str(exc.value)
+        # q kᵀ: the query and key widths are the inner dimension
+        with pytest.raises(ShapeError, match="attention") as exc:
+            T.attention(T.Tensor(_rand((2, 3, 6))), T.Tensor(_rand((2, 3, 4))),
+                        T.Tensor(_rand((2, 3, 4))), 2)
+        assert "[2, 3, 6]" in str(exc.value) and "[2, 3, 4]" in str(exc.value)
+
+
 class TestShapeOps:
     @pytest.mark.parametrize("op,args,shape", [
         ("transpose", ((1, 0, 2),), (3, 2, 4)),
