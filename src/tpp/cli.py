@@ -32,8 +32,8 @@ from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverge
 from .optim import AdamWSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
-                       build_bundle, default_plan, ensure_mae, evaluate,
-                       grid_search, run_stage, target_checkpoint)
+                       build_bundle, default_plan, evaluate, grid_search,
+                       objective_for, run_stage, target_checkpoint)
 from .registry import ParamGroup
 from .rng import SeededRng
 
@@ -172,16 +172,17 @@ def cmd_pretrain_backbone(args) -> int:
 
 
 def _prepare_decoder(cfg: ExperimentConfig, bundle: ModelBundle,
-                     backbone_ckpt: Checkpoint, task: str, rng: SeededRng) -> str:
+                     backbone_ckpt: Checkpoint, task: str) -> str:
     """Resolve the decoder handling mode and inherit weights when asked.
 
     Returns the mode. auto: freeze for classification, update for
     segmentation, falling back to random when the checkpoint carries no
     decoder. Explicit freeze/update without an inheritable decoder is a
-    config error.
+    config error. Call it once `objective_for` has built the bundle's MAE
+    object: the weights go into its decoder, and `run_stage` trains that
+    same object, which it gets back from `bundle.pretext`.
     """
     mode = cfg.get("pretext", "decoder_mode")
-    ensure_mae(bundle, cfg.mae_config(), rng)
     decoder_names = {p.name for p in bundle.registry.params(prefix="pretext.mae.")}
     available = decoder_names <= set(backbone_ckpt.entries)
     if mode == "auto":
@@ -217,7 +218,8 @@ def cmd_tpp(args) -> int:
     rng = SeededRng(args.seed, "stage/tpp")
 
     if objective is Objective.MAE:
-        if _prepare_decoder(cfg, bundle, backbone_ckpt, task, rng) == "freeze":
+        objective_for(plan, bundle, data.train, rng, mae_cfg=mae_cfg)
+        if _prepare_decoder(cfg, bundle, backbone_ckpt, task) == "freeze":
             plan = replace(plan, frozen_groups=frozenset({ParamGroup.BACKBONE, ParamGroup.HEAD}))
     ckpt, log = run_stage(plan, bundle, data, rng, mae_cfg=mae_cfg, dino_cfg=dino_cfg)
     log.log(event="effective_config", seed=args.seed, **cfg.effective())

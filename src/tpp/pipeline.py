@@ -3,10 +3,11 @@ and supervised fine-tuning.
 
 A stage is described by a StagePlan: which parameter groups are frozen,
 which objective runs, the optimizer and schedules, and the budget. The
-runner enforces the plan's freezing at the tensor level, audits that
-frozen groups come out bit-identical, logs one JSON-serializable record
-per step plus per-epoch validation metrics, and returns a full parameter
-checkpoint.
+runner gets the objective's object (`objective_for`) and calls its
+`step_loss` and `after_step` each step. It enforces the plan's freezing at
+the tensor level, audits that frozen groups come out bit-identical, logs
+one JSON-serializable record per step plus per-epoch validation metrics,
+and returns a full parameter checkpoint.
 
 Everything is driven by one SeededRng: data order, masking, augmentation
 and any re-initialization derive labeled sub-streams, so identical
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -52,10 +53,6 @@ class Objective(Enum):
     DICE_CE = "dice_ce"
 
 
-# the objectives that score the val split after each epoch
-_SUPERVISED = (Objective.CE, Objective.DICE_CE)
-
-
 @dataclass(frozen=True)
 class InitSpec:
     """Re-draw the Target params before a stage.
@@ -81,10 +78,10 @@ class StagePlan:
     """One training stage. Every group not in `frozen_groups` trains.
 
     `run_stage` sets each param's trainability from `frozen_groups` alone,
-    after adding the objective's scaffolding (the MAE decoder, the DINO
-    projection head), so those params train unless their group is frozen.
-    CE and Dice+CE stages score the val split after each epoch and after
-    the last step, when one is given; MAE and DINO stages never do.
+    after `objective_for` adds the objective's params (the MAE decoder, the
+    DINO projection head), so those train unless their group is frozen. If
+    the objective's `scores_val` is set (CE, Dice+CE), a given val split is
+    scored after each epoch and after the last step.
     """
 
     stage: Stage
@@ -151,13 +148,12 @@ def default_plan(stage: Stage, objective: Objective, task: str = "classification
 
 @dataclass
 class ModelBundle:
-    """Backbone + optional head + pretext scaffolding over one registry."""
+    """Backbone + optional head + pretext objects over one registry."""
 
     backbone: VisionTransformer
     registry: ParamRegistry
     head: object | None = None
-    mae: MaskedReconstruction | None = None
-    dino: SelfDistillation | None = None
+    pretext: dict = field(default_factory=dict)  # Objective -> its MAE or DINO object
 
 
 def build_bundle(cfg: ViTConfig, seed: int, head_spec: HeadSpec | None = None,
@@ -184,18 +180,6 @@ def build_bundle(cfg: ViTConfig, seed: int, head_spec: HeadSpec | None = None,
     return bundle
 
 
-def ensure_mae(bundle: ModelBundle, cfg: MaeConfig, rng: SeededRng) -> MaskedReconstruction:
-    if bundle.mae is None:
-        bundle.mae = MaskedReconstruction(bundle.backbone, cfg, rng.child("init/mae"))
-    return bundle.mae
-
-
-def ensure_dino(bundle: ModelBundle, cfg: DinoConfig, rng: SeededRng) -> SelfDistillation:
-    if bundle.dino is None:
-        bundle.dino = SelfDistillation(bundle.backbone, cfg, rng.child("init/dino"))
-    return bundle.dino
-
-
 def target_checkpoint(stage_ckpt: Checkpoint, peft: PeftSpec) -> Checkpoint:
     """The pre-trained Target params of a TPP stage checkpoint.
 
@@ -210,6 +194,66 @@ def target_checkpoint(stage_ckpt: Checkpoint, peft: PeftSpec) -> Checkpoint:
     entries = {n: e for n, e in stage_ckpt.entries.items()
                if e.group is ParamGroup.TARGET and not n.startswith("pretext.")}
     return Checkpoint(meta=meta, entries=entries)
+
+
+# -- objectives ---------------------------------------------------------------
+
+
+class Supervised:
+    """CE on the labels or Dice+CE on the masks, through the bundle's task head.
+
+    A bundle or a split that does not fit the plan fails in the constructor,
+    before the stage's first step.
+    """
+
+    scores_val = True
+
+    def __init__(self, bundle: ModelBundle, train: Dataset, plan: StagePlan):
+        seg, head, name = plan.objective is Objective.DICE_CE, bundle.head, plan.objective.value
+        if head is None or isinstance(head.spec, SegmentationSpec) is not seg:
+            has = "no head" if head is None else f"a {type(head.spec).__name__} head"
+            raise StateError(f"a {name} plan trains a {'segmentation' if seg else 'classification'}"
+                             f" head, and the bundle has {has}")
+        self.targets = train.masks if seg else train.labels
+        if self.targets is None:
+            raise ArgumentError(f"a {name} plan needs {'masks' if seg else 'labels'}, "
+                                "and the training split has none")
+        self.backbone, self.head, self.augment_policy = bundle.backbone, head, plan.augment_policy
+        self.loss, self.cls_only = (T.dice_ce, False) if seg else (T.cross_entropy, True)
+
+    def step_loss(self, images: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
+        """The loss of the rows `images[indices]`, augmented from `rng`'s stream
+        `augment/epoch{epoch}`. CE reads the class token alone."""
+        augment = rng.child(f"augment/epoch{epoch}")
+        batch = Tensor(batch_images(images, indices, self.augment_policy, augment))
+        feats = self.backbone.forward_images(batch, cls_only=self.cls_only)
+        return self.loss(self.head(feats), self.targets[indices])
+
+    def after_step(self) -> None:
+        """Nothing: no state carries from one step to the next."""
+
+
+_OBJECTIVES = {Objective.MAE: MaskedReconstruction, Objective.DINO: SelfDistillation,
+               Objective.CE: Supervised, Objective.DICE_CE: Supervised}
+
+
+def objective_for(plan: StagePlan, bundle: ModelBundle, train: Dataset, rng: SeededRng,
+                  mae_cfg: MaeConfig | None = None, dino_cfg: DinoConfig | None = None):
+    """The object whose `step_loss` and `after_step` run each step of `plan`.
+
+    CE and Dice+CE get a new `Supervised`. The MAE and DINO objects own
+    params, so a bundle builds each once, under `rng.child("init/mae")` or
+    `"init/dino"`, keeps it in `bundle.pretext` and readies it for each stage.
+    """
+    kind = plan.objective
+    if _OBJECTIVES[kind] is Supervised:
+        return Supervised(bundle, train, plan)
+    if kind not in bundle.pretext:
+        cfg = (mae_cfg or MaeConfig()) if kind is Objective.MAE else (dino_cfg or DinoConfig())
+        bundle.pretext[kind] = _OBJECTIVES[kind](bundle.backbone, cfg,
+                                                 rng.child(f"init/{kind.value}"))
+    bundle.pretext[kind].start_stage(plan.augment_policy)
+    return bundle.pretext[kind]
 
 
 # -- metric log -----------------------------------------------------------
@@ -300,25 +344,18 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
     val = data.val if isinstance(data, SplitDatasets) else None
     if len(train) == 0:
         raise ArgumentError("run_stage: empty training dataset")
-    evaluates = plan.objective in _SUPERVISED and val is not None
+    plan.validate()
+    # the objective first (it may add params), then apply the plan's freezing
+    objective = objective_for(plan, bundle, train, rng, mae_cfg, dino_cfg)
+    evaluates = objective.scores_val and val is not None
     if evaluates and len(val) == 0:
         raise ArgumentError("run_stage: the plan evaluates each epoch, but the val split is empty")
-
-    # scaffolding first (it may add params), then apply the plan's freezing
-    if plan.objective is Objective.MAE:
-        mae = ensure_mae(bundle, mae_cfg or MaeConfig(), rng)
-    elif plan.objective is Objective.DINO:
-        dino = ensure_dino(bundle, dino_cfg or DinoConfig(), rng)
-
-    plan.validate()
     for group in ParamGroup:
         bundle.registry.set_group_trainable(group, group not in plan.frozen_groups)
 
-    # re-draw before the teacher copies the trainable params
+    # before the first step, where the DINO teacher copies the trainable params
     if plan.init is not None and bundle.backbone.peft_spec is not None:
         reinit_target_params(bundle.backbone, rng.child("init/peft"))
-    if plan.objective is Objective.DINO:
-        dino.init_teacher()
 
     # bytes, as in `audit_freeze`: NaN equals itself, 0.0 -> -0.0 is a change
     frozen_before = {p.name: _hash_array(p.data) for p in bundle.registry
@@ -336,8 +373,6 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
             batch_size=plan.batch_size, total_steps=total_steps,
             base_lr=base_lr, trainable_ratio=bundle.registry.trainable_ratio())
 
-    loss_fn, targets = (T.cross_entropy, train.labels) if plan.objective is Objective.CE \
-        else (T.dice_ce, train.masks)
     for step in range(total_steps):
         epoch, pos = divmod(step, spe)
         if pos == 0:
@@ -349,17 +384,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         try:  # the step's tape is freed however the step ends
             # a diverging forward overflows quietly: the finite-loss check is the error
             with np.errstate(over="ignore", invalid="ignore"):
-                if plan.objective is Objective.DINO:
-                    loss = dino.step_loss(train.images, indices, rng.child(f"dino/epoch{epoch}"))
-                else:
-                    images = Tensor(batch_images(train.images, indices, plan.augment_policy,
-                                                 rng.child(f"augment/epoch{epoch}")))
-                if plan.objective is Objective.MAE:
-                    loss = mae.loss(images, rng.child(f"mask/epoch{epoch}"), indices)
-                elif plan.objective in _SUPERVISED:  # CE reads the class token alone
-                    feats = bundle.backbone.forward_images(
-                        images, cls_only=plan.objective is Objective.CE)
-                    loss = loss_fn(bundle.head(feats), targets[indices])
+                loss = objective.step_loss(train.images, indices, rng, epoch)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(step, lr, log.losses())
@@ -368,8 +393,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
             optimizer.zero_grad()
         finally:
             T.clear_tape()
-        if plan.objective is Objective.DINO:
-            dino.after_step()
+        objective.after_step()
 
         log.log(stage=plan.stage.value, step=step, epoch=epoch, lr=lr, wd=wd, loss=loss_value)
         if evaluates and (pos == spe - 1 or step == total_steps - 1):
@@ -428,7 +452,7 @@ def grid_search(base_plan: StagePlan, lr_grid: list[float], make_bundle,
     """
     if not lr_grid:
         raise ArgumentError("grid_search: empty learning-rate grid")
-    if base_plan.objective not in _SUPERVISED:
+    if not _OBJECTIVES[base_plan.objective].scores_val:
         raise ArgumentError(f"grid_search: the plan must evaluate each epoch, "
                             f"and a {base_plan.objective.value} plan never does")
     higher = HIGHER_IS_BETTER[primary_metric]

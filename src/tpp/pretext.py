@@ -13,10 +13,10 @@ The teacher shares the frozen backbone tensors and keeps EMA copies of
 exactly the parameters being trained; it is evaluated with gradient
 recording off, so no teacher parameter can ever receive a gradient.
 
-Each objective owns its step's work below the data order: the MAE draws
-one mask per sample, keyed by its dataset index, and self-distillation
-builds its augmented views from the batch's rows, runs the teacher and
-the student, and keeps the teacher outputs for its EMA and center update.
+Each has the step interface of every `pipeline` objective: `step_loss`
+gives the loss of a batch's rows, `after_step` runs after the optimizer
+step, and `scores_val` is False. The MAE draws one mask per sample, keyed
+by its dataset index; the DINO `after_step` updates the teacher and center.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ class MaskedReconstruction:
     """
 
     PREFIX = "pretext.mae"
+    scores_val = False
+    augment_policy = "none"  # the stage's, from `start_stage`
 
     def __init__(self, model: VisionTransformer, cfg: MaeConfig, rng: SeededRng):
         self.model = model
@@ -119,6 +121,20 @@ class MaskedReconstruction:
         self.ln = LayerNorm(registry, f"{self.PREFIX}.ln", dd, group)
         self.pred = Linear(registry, rng.child("pred"), f"{self.PREFIX}.pred",
                            dd, vit_cfg.patch_dim, group)
+
+    def start_stage(self, augment_policy: str) -> None:
+        """Augment the rows of the stage's steps under `augment_policy`."""
+        self.augment_policy = augment_policy
+
+    def step_loss(self, images: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
+        """The loss of the rows `images[indices]`, augmented from the stream
+        `rng.child(f"augment/epoch{epoch}")` and masked from `mask/epoch{epoch}`."""
+        augment = rng.child(f"augment/epoch{epoch}")
+        batch = Tensor(batch_images(images, indices, self.augment_policy, augment))
+        return self.loss(batch, rng.child(f"mask/epoch{epoch}"), indices)
+
+    def after_step(self) -> None:
+        """Nothing: no state carries from one step to the next."""
 
     def loss(self, images: Tensor, rng: SeededRng, sample_keys) -> Tensor:
         """One masked-reconstruction loss over a batch of [B,C,H,W] images."""
@@ -248,11 +264,13 @@ def dino_loss(student_logits: list[Tensor], teacher_logits: np.ndarray,
 class SelfDistillation:
     """Student/teacher pair over one instrumented backbone.
 
-    The teacher holds EMA buffers for every parameter trainable at
-    ``init_teacher`` time (the stage's trainable set) and shares all frozen
+    The teacher holds EMA buffers for every parameter trainable at a
+    stage's first step (the stage's trainable set) and shares all frozen
     tensors with the student. Teacher forwards run with grad recording off
     and the buffers temporarily swapped in.
     """
+
+    scores_val = False
 
     def __init__(self, model: VisionTransformer, cfg: DinoConfig, rng: SeededRng):
         self.model = model
@@ -262,13 +280,6 @@ class SelfDistillation:
         self.teacher: dict[str, np.ndarray] | None = None
         self.center = np.zeros(cfg.head_output_dim)
         self.teacher_out: np.ndarray | None = None  # the last step's, global views stacked
-
-    def init_teacher(self) -> None:
-        """Snapshot the current trainable params; call after stage freezing."""
-        self.teacher = {
-            p.name: p.data.copy()
-            for p in self.model.registry.params(trainable=True)
-        }
 
     def student_forward(self, images: Tensor) -> Tensor:
         """[B,C,H,W] -> [B, head_output_dim]: the projection of the class feature.
@@ -282,20 +293,29 @@ class SelfDistillation:
 
     def teacher_forward(self, images: Tensor) -> np.ndarray:
         if self.teacher is None:
-            raise StateError("teacher not initialized; call init_teacher() first")
+            raise StateError("no teacher yet: a stage's first step_loss takes it")
         with self.model.registry.swap(self.teacher), T.no_grad():
             return self.student_forward(images).data
 
-    def step_loss(self, images: np.ndarray, indices, rng: SeededRng) -> Tensor:
+    def start_stage(self, augment_policy: str) -> None:
+        """Drop the teacher for the stage's first `step_loss` to retake; the views
+        keep their own augmentation policies."""
+        self.teacher = None
+
+    def step_loss(self, images: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
         """The loss over the augmented views of the rows `images[indices]`.
 
-        View v is `batch_images(images, indices, policy, rng.child(f"view{v}"))`,
-        the global views ("dino_global") first, then the local ones
-        ("dino_local"). One teacher forward runs over the global views stacked
-        on the batch axis (each row keeps the bits of its own view's forward)
-        and its outputs are kept in `teacher_out` for `after_step`; the student
-        runs once per view, which keeps the order of its weight-gradient sums."""
-        g = self.cfg.num_global_views
+        View v is `batch_images(images, indices, policy, views.child(f"view{v}"))`
+        with `views = rng.child(f"dino/epoch{epoch}")`, the global views
+        ("dino_global") first, then the local ones ("dino_local"). One teacher
+        forward runs over the global views stacked on the batch axis (each row
+        keeps the bits of its own view's forward) and its outputs are kept in
+        `teacher_out` for `after_step`; the student runs once per view, which
+        keeps the order of its weight-gradient sums."""
+        if self.teacher is None:  # a stage's first step: after its freezing and re-draw
+            self.teacher = {p.name: p.data.copy()
+                            for p in self.model.registry.params(trainable=True)}
+        rng, g = rng.child(f"dino/epoch{epoch}"), self.cfg.num_global_views
         views = [Tensor(batch_images(images, indices, "dino_global" if v < g else "dino_local",
                                      rng.child(f"view{v}")))
                  for v in range(g + self.cfg.num_local_views)]

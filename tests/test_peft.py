@@ -13,7 +13,7 @@ from tpp.errors import ArgumentError, StateError
 from tpp.peft import (SSF_SITES, AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
                       SsfSpec, VptSpec, attach, mechanism_name, merged_lora_weights,
                       reinit_target_params)
-from tpp.pipeline import build_bundle, ensure_dino, ensure_mae
+from tpp.pipeline import Objective, Stage, build_bundle, default_plan, objective_for
 from tpp.pretext import DinoConfig, MaeConfig
 from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
@@ -287,13 +287,15 @@ class TestLayerSlots:
     @staticmethod
     def _bundle(spec):
         bundle = build_bundle(TINY, 0, head_spec=ClassificationSpec(2), peft_spec=spec)
-        ensure_mae(bundle, MaeConfig(), SeededRng(0, "stage"))
-        ensure_dino(bundle, DinoConfig(head_output_dim=8), SeededRng(0, "stage"))
+        mae = objective_for(default_plan(Stage.TPP, Objective.MAE), bundle, None,
+                            SeededRng(0, "stage"), mae_cfg=MaeConfig())
+        dino = objective_for(default_plan(Stage.TPP, Objective.DINO), bundle, None,
+                             SeededRng(0, "stage"), dino_cfg=DinoConfig(head_output_dim=8))
         layers = _layers(bundle)
         # patch embed, the blocks' 8 layers, final LN, head, MAE decoder, DINO head
         assert bundle.backbone.patch_embed in layers and bundle.backbone.ln in layers
-        assert bundle.head.fc in layers and bundle.mae.pred in layers
-        assert bundle.dino.head.fc1 in layers
+        assert bundle.head.fc in layers and mae.pred in layers
+        assert dino.head.fc1 in layers
         return bundle, layers
 
     def test_ssf_instruments_the_eight_sites_of_each_block(self):
@@ -464,9 +466,9 @@ class TestClassTokenCut:
         def saved_bytes(cls_only_honoured):
             T.clear_tape()
             bundle = build_bundle(TINY, 0, peft_spec=LoraSpec())
-            dino = ensure_dino(bundle, DinoConfig(head_output_dim=32), SeededRng(0, "stage"))
+            dino = objective_for(default_plan(Stage.TPP, Objective.DINO), bundle, None,
+                                 SeededRng(0, "stage"), dino_cfg=DinoConfig(head_output_dim=32))
             bundle.registry.set_group_trainable(ParamGroup.BACKBONE, False)
-            dino.init_teacher()
             with monkeypatch.context() as m:
                 if not cls_only_honoured:  # the whole last block, then its row 0
                     real = VisionTransformer.forward_features
@@ -474,7 +476,7 @@ class TestClassTokenCut:
                               lambda self, tokens, cls_only=False:
                               T.narrow(real(self, tokens), 1, 0, 1))
                 dino.step_loss(_random_images(TINY, n=4, seed=24), np.arange(4),
-                               SeededRng(0, "dino"))
+                               SeededRng(0, "stage"), 0)
             arrays = {id(a): a for node in T.tape() for a in saved_arrays(node)}
             return sum(a.nbytes for a in arrays.values())
 

@@ -149,6 +149,31 @@ class TestFreezeTheorem:
             evaluate(bundle, generate_synthetic(spec, SeededRng(0, "data")).test, split="test")
 
 
+class TestSupervisedObjective:
+    @pytest.mark.parametrize("objective, head, kind, error, match", [
+        (Objective.CE, None, "textured_shapes_cls", StateError, "bundle has no head"),
+        (Objective.DICE_CE, None, "blob_seg", StateError, "bundle has no head"),
+        (Objective.CE, SegmentationSpec(2), "blob_seg", StateError, "a SegmentationSpec"),
+        (Objective.DICE_CE, ClassificationSpec(2), "textured_shapes_cls", StateError,
+         "a ClassificationSpec"),
+        (Objective.DICE_CE, SegmentationSpec(2), "textured_shapes_cls", ArgumentError,
+         "needs masks"),
+        (Objective.CE, ClassificationSpec(2), "blob_seg", ArgumentError, "needs labels"),
+    ], ids=["ce-no-head", "dice-ce-no-head", "ce-seg-head", "dice-ce-cls-head",
+            "dice-ce-no-masks", "ce-no-labels"])
+    def test_a_plan_the_bundle_or_split_cannot_run_fails_before_the_first_step(
+            self, objective, head, kind, error, match, monkeypatch):
+        spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=16, train_count=4,
+                                 val_count=2, test_count=2)
+        splits = generate_synthetic(spec, SeededRng(0, "data"))
+        bundle = build_bundle(TINY, seed=0, head_spec=head, peft_spec=AdapterSpec(2))
+        monkeypatch.setattr(pipeline, "batch_images",
+                            lambda *args: pytest.fail("a training step started"))
+        with pytest.raises(error, match=match):
+            run_stage(_quick_plan(Stage.FINETUNE, objective, steps=1), bundle, splits,
+                      SeededRng(0, "stage/ft"))
+
+
 class TestLogs:
     def test_per_step_records_have_required_fields(self):
         splits = _splits()
@@ -239,6 +264,26 @@ class TestInitModes:
         bundle = build_bundle(TINY, seed=0, peft_spec=LoraSpec(rank=2))
         plan = _quick_plan(Stage.TPP, Objective.DINO, steps=1, init=InitSpec("random"))
         run_stage(plan, bundle, _splits(), SeededRng(0, "stage/tpp"))
+        assert differing == [[]]
+
+    def test_a_later_dino_stage_on_the_bundle_takes_a_new_teacher(self, monkeypatch):
+        bundle = build_bundle(TINY, seed=0, peft_spec=LoraSpec(rank=2))
+        plan = _quick_plan(Stage.TPP, Objective.DINO, steps=2)
+        run_stage(plan, bundle, _splits(), SeededRng(0, "stage/tpp"))
+        dino = bundle.pretext[Objective.DINO]
+        differing = []
+        real_forward = SelfDistillation.teacher_forward
+
+        def spy(dino, images):
+            if not differing:  # the second stage's first teacher forward
+                differing.append(sorted(
+                    n for n, t in dino.teacher.items()
+                    if t.tobytes() != dino.model.registry.get(n).data.tobytes()))
+            return real_forward(dino, images)
+
+        monkeypatch.setattr(SelfDistillation, "teacher_forward", spy)
+        run_stage(plan, bundle, _splits(), SeededRng(1, "stage/tpp"))
+        assert bundle.pretext == {Objective.DINO: dino}  # built once per bundle
         assert differing == [[]]
 
     def test_one_dino_step_runs_the_teacher_once_under_one_swap(self, monkeypatch):

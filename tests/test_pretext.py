@@ -219,11 +219,10 @@ class TestDinoLoss:
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         cfg = DinoConfig(head_output_dim=8, num_local_views=0)
         dist = SelfDistillation(model, cfg, SeededRng(8, "init/dino"))
-        dist.init_teacher()
         images = np.random.default_rng(9).random((2, 1, 16, 16))
 
         def loss():  # the same rng path draws the same views on every call
-            return dist.step_loss(images, np.arange(2), SeededRng(9, "dino"))
+            return dist.step_loss(images, np.arange(2), SeededRng(9, "stage"), 0)
 
         T.backward(loss())
         for name in ("pretext.dino_head.fc2.weight", "pretext.dino_head.fc1.weight"):
@@ -238,9 +237,8 @@ class TestDinoLoss:
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
         dist = SelfDistillation(model, DinoConfig(head_output_dim=8, num_local_views=1),
                                 SeededRng(10, "init/dino"))
-        dist.init_teacher()
         images = np.random.default_rng(11).random((2, 1, 16, 16))
-        T.backward(dist.step_loss(images, np.arange(2), SeededRng(11, "dino")))
+        T.backward(dist.step_loss(images, np.arange(2), SeededRng(11, "stage"), 0))
         # teacher buffers are plain arrays; the frozen backbone holds no grads
         assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
         assert dist.teacher_out.shape == (2 * 2, 8)  # the 2 global views, stacked
