@@ -86,9 +86,6 @@ class Checkpoint:
             ckpt.entries[p.name] = CheckpointEntry(p.group, data, _hash_array(data))
         return ckpt
 
-    def names(self, group: ParamGroup | None = None) -> list[str]:
-        return [n for n, e in self.entries.items() if group is None or e.group is group]
-
     def hashes(self, group: ParamGroup | None = None) -> dict[str, int]:
         return {n: e.content_hash for n, e in self.entries.items()
                 if group is None or e.group is group}

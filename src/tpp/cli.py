@@ -29,6 +29,7 @@ import numpy as np
 from .checkpoint import Checkpoint, audit_freeze
 from .config import AUTO, SCHEMA, ExperimentConfig, check
 from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverged
+from .metrics import TASK_METRICS
 from .optim import AdamWSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
@@ -255,7 +256,7 @@ def cmd_finetune(args) -> int:
     if (loss == "ce") != (task == "classification"):
         raise ConfigError(f"loss/task mismatch: {loss} on a {task} task")
     objective = Objective(loss)
-    task_metrics = ("acc", "auc", "f1") if task == "classification" else ("dice", "hd95")
+    task_metrics = TASK_METRICS[task]
     primary = cfg.resolved("eval", "primary", task_metrics[0])
     if primary not in task_metrics:
         raise ConfigError(f"[eval] primary = {primary!r} is not a {task} metric {task_metrics}")

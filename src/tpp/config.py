@@ -20,7 +20,8 @@ Each SCHEMA entry is (default, type, domain). The domain holds the legal
 values, checked as each value is parsed, before any data or model
 exists: a tuple of choices, "> x" or ">= x", an interval such as
 "[0, 1)", or "finite". Numeric domains exclude nan and inf. A "str_list"
-value is a comma-separated list of at least one of the choices.
+value is a comma-separated list of at least one of the choices, each
+named once.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import fields
 
 from .data import SplitDatasets, SyntheticTaskSpec, generate_synthetic, load_folder, subset
 from .errors import ConfigError
+from .metrics import HIGHER_IS_BETTER
 from .peft import (LORA_TARGET_MAP, AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
                    PeftSpec, SsfSpec, VptSpec)
-from .pipeline import HIGHER_IS_BETTER
 from .pretext import POLICIES, DinoConfig, MaeConfig
 from .rng import SeededRng
 from .vit import ClassificationSpec, SegmentationSpec, ViTConfig
@@ -166,6 +167,10 @@ def check(section: str, key: str, value, source: str = "") -> None:
         return
     if isinstance(domain, tuple):
         items = _items(value) if kind == "str_list" else (value,)
+        repeated = sorted({item for item in items if items.count(item) > 1})
+        if repeated:
+            raise ConfigError(f"{source}[{section}] {key} must name each item once, "
+                              f"got {value!r} (repeated: {repeated})")
         if items and all(item in domain for item in items):
             return
         expected = (f"a non-empty comma-separated list of {domain}" if kind == "str_list"

@@ -153,32 +153,7 @@ def read_pnm(path: str) -> np.ndarray:
     return np.moveaxis(img.reshape(height, width, channels), 2, 0)
 
 
-def write_pnm(path: str, image: np.ndarray, maxval: int = 255) -> None:
-    """Write [C,H,W] values in [0,1] as binary PGM (C=1) or PPM (C=3)."""
-    c, h, w = image.shape
-    if c == 1:
-        magic = b"P5"
-    elif c == 3:
-        magic = b"P6"
-    else:
-        raise ArgumentError(f"PNM supports 1 or 3 channels, got {c}")
-    quant = np.rint(np.clip(image, 0, 1) * maxval)
-    data = quant.astype(">u2" if maxval > 255 else "u1")
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n" + f"{w} {h}\n{maxval}\n".encode())
-        fh.write(np.moveaxis(data, 0, 2).tobytes())
-
-
 # -- raw tensor container --------------------------------------------------
-
-
-def write_tppt(path: str, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(TPPT_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes())
 
 
 def read_tppt(path: str) -> np.ndarray:

@@ -23,6 +23,10 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 
+# each task's report keys, its default primary metric first
+TASK_METRICS = {"classification": ("acc", "auc", "f1"), "segmentation": ("dice", "hd95")}
+HIGHER_IS_BETTER = {"acc": True, "auc": True, "f1": True, "dice": True, "hd95": False}
+
 
 def accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     """Percent of argmax-correct predictions; ties go to the lowest class."""

@@ -124,27 +124,20 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
     cfg = model.cfg
     d = cfg.embed_dim
 
-    if isinstance(spec, AdapterSpec):
+    if isinstance(spec, (AdapterSpec, AdaptFormerSpec)):
+        name = mechanism_name(spec)
         if spec.bottleneck < 1:
-            raise ArgumentError(f"adapter bottleneck must be >= 1, got {spec.bottleneck}")
+            raise ArgumentError(f"{name} bottleneck must be >= 1, got {spec.bottleneck}")
         for i, block in enumerate(model.blocks):
             brng = rng.child(f"block{i}")
-            down = Linear(registry, brng.child("down"), f"adapter.blocks.{i}.down",
+            down = Linear(registry, brng.child("down"), f"{name}.blocks.{i}.down",
                           d, spec.bottleneck, ParamGroup.TARGET)
-            up = Linear(registry, brng.child("up"), f"adapter.blocks.{i}.up",
+            up = Linear(registry, brng.child("up"), f"{name}.blocks.{i}.up",
                         spec.bottleneck, d, ParamGroup.TARGET, init="zeros")
-            block.adapter = (down, up)
-
-    elif isinstance(spec, AdaptFormerSpec):
-        if spec.bottleneck < 1:
-            raise ArgumentError(f"adaptformer bottleneck must be >= 1, got {spec.bottleneck}")
-        for i, block in enumerate(model.blocks):
-            brng = rng.child(f"block{i}")
-            down = Linear(registry, brng.child("down"), f"adaptformer.blocks.{i}.down",
-                          d, spec.bottleneck, ParamGroup.TARGET)
-            up = Linear(registry, brng.child("up"), f"adaptformer.blocks.{i}.up",
-                        spec.bottleneck, d, ParamGroup.TARGET, init="zeros")
-            block.adaptformer = (down, up, spec.scale)
+            if name == "adapter":
+                block.adapter = (down, up)
+            else:
+                block.adaptformer = (down, up, spec.scale)
 
     elif isinstance(spec, VptSpec):
         if spec.num_tokens < 1:
@@ -186,6 +179,9 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
         bad = [t for t in spec.targets if t not in LORA_TARGET_MAP]
         if bad:
             raise ArgumentError(f"unknown lora targets: {bad}; allowed: query, value")
+        repeated = sorted({t for t in spec.targets if spec.targets.count(t) > 1})
+        if repeated:
+            raise ArgumentError(f"repeated lora targets: {repeated}")
         scaling = spec.alpha / spec.rank
         for i, block in enumerate(model.blocks):
             brng = rng.child(f"block{i}")
@@ -201,23 +197,3 @@ def _install(model: VisionTransformer, spec: PeftSpec, rng: SeededRng, registry)
     else:
         raise ArgumentError(f"unknown PEFT spec: {spec!r}")
 
-
-def merged_lora_weights(model: VisionTransformer) -> dict[str, np.ndarray]:
-    """Fold LoRA updates into dense projection weights: W' = W + scaling * A @ B.
-
-    Returns {param_name: merged_weight} for each adapted projection; used to
-    check hook-based and merged forwards agree.
-    """
-    spec = model.peft_spec
-    if not isinstance(spec, LoraSpec):
-        raise StateError("merged_lora_weights requires an attached LoraSpec")
-    registry = model.registry
-    out = {}
-    for i in range(model.cfg.depth):
-        for target in spec.targets:
-            key = LORA_TARGET_MAP[target]
-            a = registry.get(f"lora.blocks.{i}.{key}.A").data
-            b = registry.get(f"lora.blocks.{i}.{key}.B").data
-            w_name = f"backbone.blocks.{i}.attn.{key}.weight"
-            out[w_name] = registry.get(w_name).data + (spec.alpha / spec.rank) * (a @ b)
-    return out

@@ -29,7 +29,7 @@ from .checkpoint import Checkpoint, _hash_array
 from .data import Dataset, SplitDatasets
 from .errors import (ArgumentError, NonFiniteScores, StateError, StructuralError,
                      TrainingDiverged)
-from .metrics import classification_report, segmentation_report
+from .metrics import HIGHER_IS_BETTER, classification_report, segmentation_report
 from .optim import AdamW, AdamWSpec, ScheduleSpec, lr_at, wd_at
 from .peft import PeftSpec, attach, mechanism_name, reinit_target_params
 from .pretext import (DinoConfig, MaeConfig, MaskedReconstruction, SelfDistillation,
@@ -434,9 +434,6 @@ def _plan_snapshot(plan: StagePlan, base_lr: float, total_steps: int) -> dict:
 
 
 # -- grid search ---------------------------------------------------------------
-
-
-HIGHER_IS_BETTER = {"acc": True, "auc": True, "f1": True, "dice": True, "hd95": False}
 
 
 def grid_search(base_plan: StagePlan, lr_grid: list[float], make_bundle,

@@ -71,9 +71,6 @@ class ParamRegistry:
         except KeyError:
             raise StructuralError(f"no such parameter: {name}") from None
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def params(self, group: ParamGroup | None = None, trainable: bool | None = None,
                prefix: str | None = None) -> list[Param]:
         out = []

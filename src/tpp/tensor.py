@@ -428,21 +428,6 @@ def scatter_tokens(visible: Tensor, idx: np.ndarray, fill: Tensor, num_tokens: i
     return _record(out, (visible, fill), vjp)
 
 
-# -- reductions ---------------------------------------------------------------
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum of every entry, as a 0-d tensor."""
-    x = _as_tensor(x)
-    out = Tensor(np.sum(x.data))
-    xshape = x.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g, xshape).copy(),)
-
-    return _record(out, (x,), vjp)
-
-
 # -- normalization and attention ----------------------------------------------
 
 

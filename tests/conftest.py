@@ -12,6 +12,18 @@ def clean_tape():
     T.clear_tape()
 
 
+def tsum(x: T.Tensor) -> T.Tensor:
+    """Sum of every entry, as a 0-d tensor: one tape node that turns an output into a loss."""
+    x = T._as_tensor(x)
+    out = T.Tensor(np.sum(x.data))
+    xshape = x.shape
+
+    def vjp(g):
+        return (np.broadcast_to(g, xshape).copy(),)
+
+    return T._record(out, (x,), vjp)
+
+
 def finite_difference(scalar_fn, array: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar_fn w.r.t. `array`, entry by entry.
 

@@ -160,7 +160,7 @@ class TestRoundTrip:
         path = str(tmp_path / "c.tppc")
         ckpt.save(path)
         loaded = Checkpoint.load(path)
-        assert loaded.names() == [p.name for p in reg]
+        assert list(loaded.entries) == [p.name for p in reg]
         for p in reg:
             entry = loaded.entries[p.name]
             assert np.array_equal(entry.data, p.data)
@@ -270,7 +270,7 @@ class TestAuditFreeze:
         b = Checkpoint.from_registry(reg, stage="y")
         report = audit_freeze(a, b, {ParamGroup.BACKBONE, ParamGroup.HEAD})
         assert report.passed
-        assert report.checked == len(reg.names())
+        assert report.checked == len(reg)
         assert "PASS" in report.summary()
 
     def test_single_bit_flip_names_exactly_that_parameter(self):

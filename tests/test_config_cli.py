@@ -11,10 +11,11 @@ import tpp.pipeline as pipeline
 from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
 from tpp.config import SCHEMA, ExperimentConfig, check
-from tpp.data import write_pnm, write_tppt
 from tpp.errors import ConfigError
 from tpp.peft import AdapterSpec, LoraSpec
 from tpp.registry import ParamGroup
+
+from _fixtures import write_pnm, write_tppt
 
 
 BASE_CFG = """
@@ -162,6 +163,9 @@ MALFORMED_INPUTS = {
         1, "[peft] lora_targets must be a non-empty comma-separated list of ('query', 'value'), "
            "got ','"),
     "lora_targets_empty_decoder_update_in_tpp": (1, "[peft] lora_targets must be a non-empty"),
+    "lora_targets_repeated_in_tpp": (
+        1, "[peft] lora_targets must name each item once, got 'query,query' "
+           "(repeated: ['query'])"),
     "adaptformer_scale_nan_in_tpp": (1, "[peft] scale must be finite, got nan"),
     "peft_flag_unknown": (1, "--peft: [peft] method must be one of ('adapter', "),
     # decoder_dim = 0 resolves to embed_dim // 2, which is 0 at embed_dim = 1
@@ -253,7 +257,7 @@ class TestCli:
         assert "trainable ratio:" in captured
         assert "PASS" in captured
         target = Checkpoint.load(str(out / "target.tppc"))
-        assert target.names()
+        assert target.entries
         assert all(e.group is ParamGroup.TARGET for e in target.entries.values())
         assert all(not n.startswith("pretext.") for n in target.entries)
         assert all(n.startswith("adapter.") for n in target.entries)
@@ -500,6 +504,8 @@ class TestCli:
                        "lora_targets_empty_decoder_update_in_tpp": BASE_CFG.replace(
                            "method = adapter", "method = lora\nlora_targets = ,")
                        + "\n[pretext]\ndecoder_mode = update\n",
+                       "lora_targets_repeated_in_tpp": BASE_CFG.replace(
+                           "method = adapter", "method = lora\nlora_targets = query,query"),
                        "adaptformer_scale_nan_in_tpp": BASE_CFG.replace(
                            "method = adapter", "method = adaptformer\nscale = nan"),
                        "mae_decoder_zero_wide_in_pretrain":
@@ -734,14 +740,14 @@ class TestCli:
                      "--target-init", str(target_path), "--out", str(tmp_path / "ft")]) == 0
         capsys.readouterr()
         backbone = Checkpoint.load(workspace["backbone"])
-        biases = {n for n in backbone.names(ParamGroup.BACKBONE) if n.endswith(".bias")}
+        biases = {n for n in backbone.hashes(ParamGroup.BACKBONE) if n.endswith(".bias")}
         assert biases
         target = Checkpoint.load(str(target_path))
-        assert set(target.names()) == biases
+        assert set(target.entries) == biases
         assert all(e.group is ParamGroup.TARGET for e in target.entries.values())
         finetuned = Checkpoint.load(str(tmp_path / "ft" / "finetune.tppc"))
-        frozen = set(finetuned.names(ParamGroup.BACKBONE))
-        assert frozen == set(backbone.names(ParamGroup.BACKBONE)) - biases
+        frozen = set(finetuned.hashes(ParamGroup.BACKBONE))
+        assert frozen == set(backbone.hashes(ParamGroup.BACKBONE)) - biases
         for name in frozen:
             assert finetuned.entries[name].data.tobytes() == \
                 backbone.entries[name].data.tobytes()
@@ -754,7 +760,7 @@ class TestCli:
         finetuned = str(tmp_path / "finetune.tppc")
         assert main(["audit", workspace["backbone"], finetuned]) == 0
         backbone = Checkpoint.load(workspace["backbone"])
-        non_bias = [n for n in backbone.names(ParamGroup.BACKBONE) if not n.endswith(".bias")]
+        non_bias = [n for n in backbone.hashes(ParamGroup.BACKBONE) if not n.endswith(".bias")]
         assert f"PASS ({len(non_bias)} parameters bit-identical)" in capsys.readouterr().out
         # the re-tagged biases are skipped, a changed non-bias weight is not
         ckpt = Checkpoint.load(finetuned)

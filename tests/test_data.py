@@ -10,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from tpp.data import (Dataset, SyntheticTaskSpec,
                       bilinear_resize, generate_synthetic, load_folder,
-                      nearest_resize, read_pnm, read_tppt,
-                      subset, write_pnm, write_tppt)
+                      nearest_resize, read_pnm, read_tppt, subset)
 from tpp.errors import ArgumentError, StructuralError
 from tpp.rng import SeededRng
+
+from _fixtures import write_pnm, write_tppt
 
 
 class TestPnm:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpp.errors import ArgumentError, ShapeError
-from tpp.metrics import (_binary_auc, accuracy, auc, classification_report, dice, hd95,
-                         macro_f1, segmentation_report)
+from tpp.metrics import (HIGHER_IS_BETTER, TASK_METRICS, _binary_auc, accuracy, auc,
+                         classification_report, dice, hd95, macro_f1, segmentation_report)
 
 
 # -- oracles -------------------------------------------------------------
@@ -319,6 +319,7 @@ class TestReports:
         labels = rng.integers(0, 3, 20)
         report = classification_report(scores, labels, 3)
         assert list(report) == ["acc", "auc", "f1"]
+        assert tuple(report) == TASK_METRICS["classification"]
         assert report["auc"] == auc(scores, labels, 3)
 
     def test_segmentation_report_fields(self):
@@ -328,5 +329,9 @@ class TestReports:
         preds[0] = False  # an empty mask scores the diagonal sentinel
         report = segmentation_report(preds, gts)
         assert list(report) == ["dice", "hd95"]
+        assert tuple(report) == TASK_METRICS["segmentation"]
         assert report["dice"] == np.mean([dice(p, g) for p, g in zip(preds, gts)])
         assert report["hd95"] == np.mean([hd95(p, g) for p, g in zip(preds, gts)])
+
+    def test_every_task_metric_has_a_direction(self):
+        assert list(HIGHER_IS_BETTER) == [m for names in TASK_METRICS.values() for m in names]

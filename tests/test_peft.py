@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from tpp import tensor as T
 from tpp.checkpoint import Checkpoint, CheckpointEntry, _hash_array
 from tpp.errors import ArgumentError, StateError
-from tpp.peft import (SSF_SITES, AdapterSpec, AdaptFormerSpec, BitFitSpec, LoraSpec,
-                      SsfSpec, VptSpec, attach, mechanism_name, merged_lora_weights,
-                      reinit_target_params)
+from tpp.peft import (LORA_TARGET_MAP, SSF_SITES, AdapterSpec, AdaptFormerSpec, BitFitSpec,
+                      LoraSpec, SsfSpec, VptSpec, attach, mechanism_name, reinit_target_params)
 from tpp.pipeline import Objective, Stage, build_bundle, default_plan, objective_for
 from tpp.pretext import DinoConfig, MaeConfig
 from tpp.registry import ParamGroup
@@ -20,7 +19,7 @@ from tpp.rng import SeededRng
 from tpp.vit import (ClassificationSpec, LayerNorm, Linear, TransformerBlock, ViTConfig,
                      VisionTransformer, build_head, patchify)
 
-from conftest import saved_arrays
+from conftest import saved_arrays, tsum
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
@@ -46,6 +45,24 @@ def ssf_count(cfg):
 
 def lora_count(cfg, rank, num_targets=2):
     return cfg.depth * num_targets * (2 * cfg.embed_dim * rank)
+
+
+def merged_lora_weights(model) -> dict[str, np.ndarray]:
+    """Fold LoRA updates into dense projection weights: W' = W + scaling * A @ B.
+
+    Returns {param_name: merged_weight} for each adapted projection, the
+    reference that a hooked LoRA forward must agree with.
+    """
+    spec, registry = model.peft_spec, model.registry
+    out = {}
+    for i in range(model.cfg.depth):
+        for target in spec.targets:
+            key = LORA_TARGET_MAP[target]
+            a = registry.get(f"lora.blocks.{i}.{key}.A").data
+            b = registry.get(f"lora.blocks.{i}.{key}.B").data
+            w_name = f"backbone.blocks.{i}.attn.{key}.weight"
+            out[w_name] = registry.get(w_name).data + (spec.alpha / spec.rank) * (a @ b)
+    return out
 
 
 def _fresh(seed=0, cfg=TINY):
@@ -120,10 +137,10 @@ class TestCounts:
     def test_bitfit_adds_zero_new_params_and_flips_biases(self):
         model, reg = _fresh()
         before_total = reg.count()
-        before_names = set(reg.names())
+        before_names = {p.name for p in reg}
         attach(model, BitFitSpec(), SeededRng(0, "init/peft"))
         assert reg.count() == before_total
-        assert set(reg.names()) == before_names
+        assert {p.name for p in reg} == before_names
         target = reg.params(group=ParamGroup.TARGET)
         assert target and all(p.name.endswith(".bias") for p in target)
         assert all(p.requires_grad for p in target)
@@ -260,6 +277,15 @@ class TestLora:
         model, _ = _fresh()
         with pytest.raises(ArgumentError):
             attach(model, LoraSpec(rank=64), SeededRng(0, "init/peft"))
+
+    def test_a_repeated_target_is_rejected_before_any_param_is_registered(self):
+        model, reg = _fresh()
+        before = {p.name: p.data.copy() for p in reg}
+        with pytest.raises(ArgumentError, match=r"repeated lora targets: \['query'\]"):
+            attach(model, LoraSpec(targets=("query", "value", "query")), SeededRng(0, "init/peft"))
+        assert {p.name for p in reg} == set(before)
+        assert all(np.array_equal(p.data, before[p.name]) for p in reg)
+        assert model.peft_spec is None
 
 
 def _layers(root) -> list:
@@ -436,7 +462,7 @@ class TestClassTokenCut:
         grads = []
         for cls_only in (False, True):
             feats = model.forward_features(self._tokens(model), cls_only=cls_only)
-            T.backward(T.tsum(T.mul(T.narrow(feats, 1, 0, 1), T.Tensor(weights))))
+            T.backward(tsum(T.mul(T.narrow(feats, 1, 0, 1), T.Tensor(weights))))
             grads.append({p.name: p.grad for p in reg.params(trainable=True)})
             for p in reg:
                 p.grad = None

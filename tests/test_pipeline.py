@@ -359,7 +359,7 @@ class TestBuildWithBackbone:
         ckpt = _pretrained_backbone(40)
         bundle = build_bundle(TINY, seed=41, head_spec=ClassificationSpec(2),
                               peft_spec=BitFitSpec(), backbone=ckpt)
-        biases = {n for n in ckpt.names(ParamGroup.BACKBONE) if n.endswith(".bias")}
+        biases = {n for n in ckpt.hashes(ParamGroup.BACKBONE) if n.endswith(".bias")}
         assert biases
         assert {p.name for p in bundle.registry.params(group=ParamGroup.TARGET)} == biases
         for name, entry in ckpt.entries.items():

@@ -13,7 +13,7 @@ from tpp import tensor as T
 from tpp.errors import ArgumentError, ShapeError, StateError
 
 from conftest import (finite_difference, rel_err, rel_err_tensor, run_forward_loss,
-                      saved_arrays)
+                      saved_arrays, tsum)
 
 
 def _rand(shape, seed=0):
@@ -62,7 +62,7 @@ class TestElementwise:
         weights = rng.standard_normal((5, 10))
 
         def loss():
-            return T.tsum(T.mul(builder(a, b), T.Tensor(weights)))
+            return tsum(T.mul(builder(a, b), T.Tensor(weights)))
 
         T.backward(loss())
         x, y, w = a.data, b.data, weights
@@ -77,7 +77,7 @@ class TestElementwise:
         weights = _rand((50,), seed=8)
 
         def loss():
-            return T.tsum(T.mul(T.gelu(x), T.Tensor(weights)))
+            return tsum(T.mul(T.gelu(x), T.Tensor(weights)))
 
         T.backward(loss())
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
@@ -132,7 +132,7 @@ class TestLinear:
         bias = T.Tensor(_rand((3,), seed=3))
 
         def loss():
-            return T.tsum(T.linear(x, w, bias))
+            return tsum(T.linear(x, w, bias))
 
         T.backward(loss())
         assert np.allclose(x.grad, np.ones((4, 3)) @ w.data.T, atol=1e-12)
@@ -148,7 +148,7 @@ class TestLinear:
         weights = _rand(shape[:-1] + (4,), seed=61)
 
         def loss():
-            return T.tsum(T.mul(T.linear(x, weight, bias, lora, ssf), T.Tensor(weights)))
+            return tsum(T.mul(T.linear(x, weight, bias, lora, ssf), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, weight, bias, *(lora or ())[:2], *(ssf or ())):
@@ -169,7 +169,7 @@ class TestLinear:
             for t in leaves:
                 t.grad = None
             out = op(x, weight, bias, lora, ssf)
-            T.backward(T.tsum(T.mul(out, weights)))
+            T.backward(tsum(T.mul(out, weights)))
             results.append([out.data] + [t.grad for t in leaves])
             T.clear_tape()
         for old, new in zip(*results):
@@ -207,7 +207,7 @@ class TestShapeOps:
 
         def loss():
             y = getattr(T, op)(x, *args)
-            return T.tsum(T.mul(y, T.Tensor(weights)))
+            return tsum(T.mul(y, T.Tensor(weights)))
 
         T.backward(loss())
         fd = finite_difference(lambda: run_forward_loss(loss), x.data)
@@ -222,7 +222,7 @@ class TestShapeOps:
         weights = _rand((2, 2), seed=10)
 
         def loss():
-            return T.tsum(T.mul(T.narrow(T.concat([a, b], axis=1), 1, 2, 2), T.Tensor(weights)))
+            return tsum(T.mul(T.narrow(T.concat([a, b], axis=1), 1, 2, 2), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (a, b):
@@ -238,7 +238,7 @@ class TestShapeOps:
         def loss():
             picked = T.take_tokens(x, idx)
             full = T.scatter_tokens(picked, idx, fill, 5)
-            return T.tsum(T.mul(full, T.Tensor(weights)))
+            return tsum(T.mul(full, T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, fill):
@@ -283,7 +283,7 @@ class TestLayerNorm:
         weights = _rand((3, 8), seed=20)
 
         def loss():
-            return T.tsum(T.mul(T.layer_norm(x, gamma, beta), T.Tensor(weights)))
+            return tsum(T.mul(T.layer_norm(x, gamma, beta), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, gamma, beta):
@@ -296,7 +296,7 @@ class TestLayerNorm:
         weights = _rand((2, 3, 6), seed=22)
 
         def loss():
-            return T.tsum(T.mul(T.layer_norm(x, gamma, beta, ssf), T.Tensor(weights)))
+            return tsum(T.mul(T.layer_norm(x, gamma, beta, ssf), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (x, gamma, beta, *ssf):
@@ -318,7 +318,7 @@ class TestLayerNorm:
             for t in leaves:
                 t.grad = None
             out = op()
-            T.backward(T.tsum(T.mul(out, weights)))
+            T.backward(tsum(T.mul(out, weights)))
             results.append([out.data] + [t.grad for t in leaves])
             T.clear_tape()
         for old, new in zip(*results):
@@ -388,7 +388,7 @@ class TestAttention:
         weights = _rand((2, sq, 6), seed=65)
 
         def loss():
-            return T.tsum(T.mul(T.attention(q, k, v, heads), T.Tensor(weights)))
+            return tsum(T.mul(T.attention(q, k, v, heads), T.Tensor(weights)))
 
         T.backward(loss())
         for t in (q, k, v):
@@ -531,12 +531,12 @@ class TestBackwardContract:
     def test_linear_loss_gradient_is_the_fixed_input(self):
         x = np.array([1.0, -2.0, 3.0])
         w = T.Tensor(np.zeros(3), requires_grad=True)
-        T.backward(T.tsum(T.mul(w, T.Tensor(x))))
+        T.backward(tsum(T.mul(w, T.Tensor(x))))
         assert np.array_equal(w.grad, x)
 
     def test_grads_accumulate_across_backward_calls(self):
         w = T.Tensor(np.ones(3), requires_grad=True)
-        loss = T.tsum(T.mul(w, T.Tensor([1.0, 2.0, 3.0])))
+        loss = tsum(T.mul(w, T.Tensor([1.0, 2.0, 3.0])))
         T.backward(loss)
         first = w.grad.copy()
         T.backward(loss)
@@ -553,7 +553,7 @@ class TestBackwardContract:
 
     def test_cleared_tape_cannot_backprop(self):
         w = T.Tensor(np.ones(3), requires_grad=True)
-        loss = T.tsum(T.mul(w, w))
+        loss = tsum(T.mul(w, w))
         T.clear_tape()
         with pytest.raises(StateError):
             T.backward(loss)
@@ -574,7 +574,7 @@ class TestBackwardContract:
     def test_no_gradient_leakage_to_frozen_tensors(self):
         frozen = T.Tensor(_rand((4, 4), seed=33), requires_grad=False)
         live = T.Tensor(_rand((4, 4), seed=34), requires_grad=True)
-        T.backward(T.tsum(T.linear(frozen, live, T.zeros(4))))
+        T.backward(tsum(T.linear(frozen, live, T.zeros(4))))
         assert frozen.grad is None
         assert live.grad is not None
 
@@ -589,14 +589,14 @@ class TestBackwardContract:
     def test_no_grad_context_records_nothing(self):
         w = T.Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
-            out = T.tsum(T.mul(w, w))
+            out = tsum(T.mul(w, w))
         assert out.node is None
 
     def test_determinism_same_ops_same_bits(self):
         def run():
             x = T.Tensor(_rand((2, 8, 8), seed=35), requires_grad=True)
             y = T.attention(x, T.linear(x, T.Tensor(_rand((8, 8), seed=36)), T.zeros(8)), x, 2)
-            loss = T.tsum(T.mul(y, y))
+            loss = tsum(T.mul(y, y))
             T.backward(loss)
             return loss.data.copy(), x.grad.copy()
 
@@ -648,7 +648,7 @@ class TestTapeLiveness:
             h = T.mul(x, 1.5)
             refs.append(weakref.ref(h.data))
             y = apply(h)
-            return T.tsum(T.mul(y, T.Tensor(_rand(y.shape, seed=44))))
+            return tsum(T.mul(y, T.Tensor(_rand(y.shape, seed=44))))
 
         out = loss()
         gc.collect()
@@ -714,7 +714,7 @@ class TestTapeLiveness:
         beta = T.Tensor(np.zeros(5), requires_grad=True)  # BitFit trains biases only
         out = T.layer_norm(x, T.Tensor(np.ones(5)), beta)
         assert all(a.size <= 5 for a in saved_arrays(out.node))
-        T.backward(T.tsum(T.mul(out, T.Tensor(_rand((3, 5), seed=49)))))
+        T.backward(tsum(T.mul(out, T.Tensor(_rand((3, 5), seed=49)))))
         assert np.array_equal(beta.grad, _rand((3, 5), seed=49).sum(axis=0))
 
     @pytest.mark.parametrize("x_trains,trains,activations", [
