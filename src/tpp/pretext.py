@@ -21,13 +21,13 @@ by its dataset index; the DINO `after_step` updates the teacher and center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
-from .data import bilinear_resize
 from .errors import ArgumentError, StateError
 from .registry import ParamGroup, ParamRegistry
 from .rng import SeededRng
@@ -363,53 +363,138 @@ POLICIES: dict[str, AugmentPolicy] = {
 def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> np.ndarray:
     """Apply one deterministic augmentation draw to a [C,H,W] image in [0,1].
 
-    policy "none" is the identity. Crops are resized back to the input
-    resolution, so local views are smaller-area crops upsampled to full size.
+    The one-row call of `batch_images`' code path, drawing from `rng` itself
+    in the order given there. Policy "none" is the identity. Crops are
+    resized back to the input resolution, so local views are smaller-area
+    crops upsampled to full size.
     """
-    if isinstance(policy, str):
-        try:
-            policy = POLICIES[policy]
-        except KeyError:
-            raise ArgumentError(f"unknown augment policy: {policy!r}") from None
-    out = image
-    c, h, w = out.shape
+    return _augment_rows(image[None], [0], _resolve(policy), [rng])[0]
 
-    if policy.crop_scale is not None:
-        area = rng.uniform(low=policy.crop_scale[0], high=policy.crop_scale[1]) * h * w
-        aspect = rng.uniform(low=_CROP_ASPECT[0], high=_CROP_ASPECT[1])
-        ch = int(np.clip(round(np.sqrt(area / aspect)), 1, h))
-        cw = int(np.clip(round(np.sqrt(area * aspect)), 1, w))
-        top = int(rng.integers(0, h - ch + 1))
-        left = int(rng.integers(0, w - cw + 1))
-        out = bilinear_resize(out[:, top:top + ch, left:left + cw], h, w)
 
-    if policy.hflip_prob > 0 and rng.random() < policy.hflip_prob:
-        out = out[:, :, ::-1].copy()
+def batch_images(images: np.ndarray, indices, policy: str | AugmentPolicy,
+                 rng: SeededRng) -> np.ndarray:
+    """[B,C,H,W] rows `images[indices]`; row i is augmented under `policy`
+    from the stream `rng.child(f"sample{i}")`, and "none" draws nothing.
+
+    There is one code path: `augment` is its one-row call. A Python loop
+    draws each row's parameters, in this order and each only when its
+    transform can apply: the crop's area fraction, aspect, top and left;
+    the flip coin; the brightness factor; the contrast factor; the blur
+    coin, then the blur sigma if it hit; the solarize coin. Then each
+    transform runs once over the batch with array ops: the crop-resize as
+    a gather (corner-aligned bilinear, as `data.bilinear_resize`), the flip
+    folded into its column indices, brightness, contrast, `gaussian_filter`
+    on each blurred row, solarize and the clip to [0,1].
+
+    Each row's bits are those of the row-by-row transforms (the tests'
+    reference, with which the pinned outputs were recorded), so they depend
+    only on its image and its stream. The contrast mean needs care for
+    that: numpy sums a row pairwise in its memory order, and a row resized
+    by `data.bilinear_resize` comes out in (W, H, C) order, while a flipped
+    row was copied, and a row that keeps its size stays, in C order. So a
+    resized, unflipped row is summed in (W, H, C) order and every other row
+    in C order, each from the C-ordered batch.
+
+    An unknown policy name is an `ArgumentError`, whatever `indices` holds.
+    """
+    policy = _resolve(policy)
+    if policy == POLICIES["none"]:
+        return images[indices]
+    return _augment_rows(images, indices, policy,
+                         [rng.child(f"sample{i}") for i in indices])
+
+
+def _resolve(policy: str | AugmentPolicy) -> AugmentPolicy:
+    if isinstance(policy, AugmentPolicy):
+        return policy
+    try:
+        return POLICIES[policy]
+    except KeyError:
+        raise ArgumentError(f"unknown augment policy: {policy!r}") from None
+
+
+def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> np.ndarray:
+    """`batch_images`' work on the rows `images[indices]`, row r drawing from `rngs[r]`."""
+    n, (c, h, w) = len(rngs), images.shape[1:]
+    tops, lefts, chs, cws = [0] * n, [0] * n, [h] * n, [w] * n
+    flips, sigmas, solar = np.zeros(n, bool), [None] * n, np.zeros(n, bool)
+    bright, contrast = np.empty(n), np.empty(n)
+    for r, rng in enumerate(rngs):
+        if policy.crop_scale is not None:
+            area = rng.uniform(low=policy.crop_scale[0], high=policy.crop_scale[1]) * h * w
+            aspect = rng.uniform(low=_CROP_ASPECT[0], high=_CROP_ASPECT[1])
+            chs[r] = min(max(round(math.sqrt(area / aspect)), 1), h)
+            cws[r] = min(max(round(math.sqrt(area * aspect)), 1), w)
+            tops[r] = int(rng.integers(0, h - chs[r] + 1))
+            lefts[r] = int(rng.integers(0, w - cws[r] + 1))
+        if policy.hflip_prob > 0:
+            flips[r] = rng.random() < policy.hflip_prob
+        if policy.brightness > 0:
+            bright[r] = rng.uniform(low=1 - policy.brightness, high=1 + policy.brightness)
+        if policy.contrast > 0:
+            contrast[r] = rng.uniform(low=1 - policy.contrast, high=1 + policy.contrast)
+        if policy.blur_prob > 0 and rng.random() < policy.blur_prob:
+            sigmas[r] = rng.uniform(low=_BLUR_SIGMA[0], high=_BLUR_SIGMA[1])
+        if policy.solarize_prob > 0:
+            solar[r] = rng.random() < policy.solarize_prob
+
+    chs, cws = np.array(chs, dtype=np.intp), np.array(cws, dtype=np.intp)
+    resized = (chs != h) | (cws != w)
+    ys, xs = _sample_points(chs, h), _sample_points(cws, w)
+    xs[flips] = xs[flips, ::-1]  # a flipped row reads its columns right to left
+    y0, x0 = np.floor(ys).astype(np.intp), np.floor(xs).astype(np.intp)
+    y1, x1 = np.minimum(y0 + 1, chs[:, None] - 1), np.minimum(x0 + 1, cws[:, None] - 1)
+    wy, wx = (ys - y0)[:, None, :, None], (xs - x0)[:, None, None, :]
+    flat = images[indices].reshape(-1)
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+    tops, lefts = np.array(tops, dtype=np.intp)[:, None], np.array(lefts, dtype=np.intp)[:, None]
+
+    def at(yy, xx):  # [n,C,H,W], C-ordered: pixel (yy[r, i], xx[r, j]) of row r's crop
+        rows, cols = (tops + yy) * w, lefts + xx
+        return flat.take(planes + rows[:, None, :, None] + cols[:, None, None, :])
+
+    out = at(y0, x0)  # the rows that keep their size are exact copies, maybe flipped
+    if resized.any():
+        top = out * (1 - wx) + at(y0, x1) * wx
+        bot = at(y1, x0) * (1 - wx) + at(y1, x1) * wx
+        out = np.where(resized[:, None, None, None], top * (1 - wy) + bot * wy, out)
 
     if policy.brightness > 0:
-        out = out * rng.uniform(low=1 - policy.brightness, high=1 + policy.brightness)
-
+        out *= bright[:, None, None, None]
     if policy.contrast > 0:
-        factor = rng.uniform(low=1 - policy.contrast, high=1 + policy.contrast)
-        mean = out.mean()
-        out = (out - mean) * factor + mean
+        whc = resized & ~flips  # summed in (W, H, C) order; see `batch_images`
+        sums = np.empty(n)
+        sums[whc] = out[whc].transpose(0, 3, 2, 1).reshape(-1, c * h * w).sum(axis=1)
+        sums[~whc] = out[~whc].reshape(-1, c * h * w).sum(axis=1)
+        mean = (sums / (c * h * w))[:, None, None, None]
+        out -= mean
+        out *= contrast[:, None, None, None]
+        out += mean
+    blurred = np.array([sigma is not None for sigma in sigmas], dtype=bool)
+    for r in np.flatnonzero(blurred):
+        out[r] = gaussian_filter(out[r], (0.0, sigmas[r], sigmas[r]), mode="nearest")
+    if solar.any():
+        out[solar] = solarize(out[solar])
 
-    if policy.blur_prob > 0 and rng.random() < policy.blur_prob:
-        sigma = rng.uniform(low=_BLUR_SIGMA[0], high=_BLUR_SIGMA[1])
-        out = np.stack([gaussian_filter(ch_img, sigma, mode="nearest") for ch_img in out])
-
-    if policy.solarize_prob > 0 and rng.random() < policy.solarize_prob:
-        out = solarize(out)
-
-    return np.clip(out, 0.0, 1.0) if out is not image else out.copy()
+    if policy.crop_scale is not None or policy.brightness > 0 or policy.contrast > 0:
+        np.clip(out, 0.0, 1.0, out=out)
+    else:  # a row that no transform touched is returned as it was, unclipped
+        touched = flips | blurred | solar
+        out[touched] = np.clip(out[touched], 0.0, 1.0)
+    return out
 
 
-def batch_images(images: np.ndarray, indices, policy: str, rng: SeededRng) -> np.ndarray:
-    """[B,C,H,W] rows `images[indices]`; row i is augmented under `policy`
-    from the stream `rng.child(f"sample{i}")`, and "none" draws nothing."""
-    if policy == "none":
-        return images[indices]
-    return np.stack([augment(rng.child(f"sample{i}"), images[i], policy) for i in indices])
+def _sample_points(sizes: np.ndarray, n: int) -> np.ndarray:
+    """Row r is `np.linspace(0.0, sizes[r] - 1.0, n)` bit for bit: the source
+    coordinates of a corner-aligned resize from sizes[r] points to n.
+
+    Size-1 rows are left at 0: one zero step in a batched `linspace` sends
+    every row through its zero-step formula, which rounds differently.
+    """
+    out = np.zeros((len(sizes), n))
+    wide = sizes > 1
+    out[wide] = np.linspace(0.0, sizes[wide] - 1.0, n, axis=-1)
+    return out
 
 
 def solarize(image: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .errors import ArgumentError, ShapeError, StateError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN_EPS = 1e-5
+_GELU_BLOCK = 32768  # elements: 256 KiB of float64, see `gelu`
 
 
 class Node:
@@ -224,15 +225,38 @@ def gelu(x: Tensor) -> Tensor:
 
     When it records, the derivative cdf + x * pdf is computed in the forward
     and is the one array the node keeps.
+
+    The work runs in place, in blocks of `_GELU_BLOCK` elements (128 rows of
+    256): the input block and the cdf and derivative blocks, 256 KiB each,
+    stay together in a 2 MiB per-core L2, where whole-array passes over a
+    [2176, 256] activation (4.4 MB) would stream each temporary through
+    memory. Every product and sum keeps the operands of the whole-array
+    formula, so the bits do not depend on the blocking.
     """
     x = _as_tensor(x)
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = Tensor(xd * cdf)
-    if not (_GRAD_ENABLED and x.requires_grad):
+    grad = _GRAD_ENABLED and x.requires_grad
+    y = np.empty(xd.shape)  # a block holds the cdf, then x * cdf
+    dydx = np.empty(xd.shape) if grad else None
+    xs, ys = xd.reshape(-1), y.reshape(-1)
+    ds = dydx.reshape(-1) if grad else None
+    for lo in range(0, xs.size, _GELU_BLOCK):
+        block = slice(lo, lo + _GELU_BLOCK)
+        xb, cdf = xs[block], ys[block]
+        erf(np.multiply(xb, _INV_SQRT2, out=cdf), out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        if grad:
+            d = np.multiply(xb, -0.5, out=ds[block])
+            d *= xb
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI
+            d *= xb
+            d += cdf
+        cdf *= xb
+    out = Tensor(y)
+    if not grad:
         return out
-    pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-    dydx = cdf + xd * pdf
 
     def vjp(g):
         return (g * dydx,)

@@ -1,16 +1,20 @@
 """Pretext objectives: masking contracts, reconstruction loss, distillation EMA."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from tpp import tensor as T
+from tpp.data import bilinear_resize
 from tpp.errors import ArgumentError
 from tpp.optim import AdamW
 from tpp.peft import AdapterSpec, attach
 from tpp.pipeline import build_bundle
-from tpp.pretext import (AugmentPolicy, DinoConfig, MaeConfig,
+from tpp.pretext import (POLICIES, AugmentPolicy, DinoConfig, MaeConfig,
                          MaskedReconstruction, SelfDistillation,
-                         augment, center_update, dino_loss, sample_mask,
+                         augment, batch_images, center_update, dino_loss, sample_mask,
                          solarize, teacher_update)
 from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
@@ -265,6 +269,9 @@ class TestAugment:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ArgumentError):
             augment(SeededRng(0), np.zeros((1, 4, 4)), "mixup")
+        for indices in (np.arange(2), np.arange(0)):  # also when there is no row to draw for
+            with pytest.raises(ArgumentError, match="mixup"):
+                batch_images(np.zeros((2, 1, 4, 4)), indices, "mixup", SeededRng(0))
 
     def test_jitter_keeps_batch_statistics_within_bounds(self):
         # brightness-only policy on a constant image: mean must stay in
@@ -288,3 +295,94 @@ class TestAugment:
             out = augment(SeededRng(i, "rng"), img, "dino_global")
             assert out.min() >= 0.0 and out.max() <= 1.0
             assert out.shape == img.shape
+
+
+def augment_row_by_row(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy):
+    """One row's augmentation, one transform at a time: the definition that
+    `batch_images` and `augment` must reproduce bit for bit."""
+    if isinstance(policy, str):
+        policy = POLICIES[policy]
+    out = image
+    c, h, w = out.shape
+    if policy.crop_scale is not None:
+        area = rng.uniform(low=policy.crop_scale[0], high=policy.crop_scale[1]) * h * w
+        aspect = rng.uniform(low=0.75, high=4.0 / 3.0)
+        ch = int(np.clip(round(np.sqrt(area / aspect)), 1, h))
+        cw = int(np.clip(round(np.sqrt(area * aspect)), 1, w))
+        top = int(rng.integers(0, h - ch + 1))
+        left = int(rng.integers(0, w - cw + 1))
+        out = bilinear_resize(out[:, top:top + ch, left:left + cw], h, w)
+    if policy.hflip_prob > 0 and rng.random() < policy.hflip_prob:
+        out = out[:, :, ::-1].copy()
+    if policy.brightness > 0:
+        out = out * rng.uniform(low=1 - policy.brightness, high=1 + policy.brightness)
+    if policy.contrast > 0:
+        factor = rng.uniform(low=1 - policy.contrast, high=1 + policy.contrast)
+        mean = out.mean()
+        out = (out - mean) * factor + mean
+    if policy.blur_prob > 0 and rng.random() < policy.blur_prob:
+        sigma = rng.uniform(low=0.1, high=1.5)
+        out = np.stack([gaussian_filter(ch_img, sigma, mode="nearest") for ch_img in out])
+    if policy.solarize_prob > 0 and rng.random() < policy.solarize_prob:
+        out = solarize(out)
+    return np.clip(out, 0.0, 1.0) if out is not image else out.copy()
+
+
+ORACLE_POLICIES = {
+    **{name: name for name in POLICIES},  # by name, as the stages pass them
+    "brightness_only": AugmentPolicy(brightness=0.2),
+    "flip_only": AugmentPolicy(hflip_prob=0.5),
+    # an area of 4x the image clips both sides: every crop is the whole image
+    "full_size_crop": dataclasses.replace(POLICIES["dino_global"], crop_scale=(4.0, 4.0)),
+    "one_pixel_crop": dataclasses.replace(POLICIES["dino_global"], crop_scale=(1e-9, 1e-9)),
+    # 1-pixel, full-size and resized crops in one batch (no blur or solarize,
+    # so a 1-pixel crop stays a constant plane and can be counted)
+    "mixed_crops": dataclasses.replace(POLICIES["dino_global"], crop_scale=(1e-9, 2.0),
+                                       blur_prob=0.0, solarize_prob=0.0),
+}
+# C=1 and C=3, square and not; rows small enough that 1-pixel crops are common
+ORACLE_SHAPES = [(1, 8, 8), (3, 8, 8), (1, 6, 10), (3, 10, 6)]
+
+
+def _oracle_batch(seed: int, rows: int = 64):
+    """Images of seed's shape, `rows` distinct indices in shuffled order, and a stream.
+
+    Some pixels lie outside [0,1], so the final clip shows which rows it reached.
+    """
+    images = np.random.default_rng(seed).random((rows + 6,) + ORACLE_SHAPES[seed % 4])
+    images = images * 1.2 - 0.1
+    indices = np.random.default_rng(seed + 1000).permutation(rows + 6)[:rows]
+    return images, indices, SeededRng(seed, "oracle")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedAugment:
+    @pytest.mark.parametrize("name", list(ORACLE_POLICIES))
+    def test_batch_and_row_calls_match_the_row_by_row_definition_bitwise(self, name):
+        policy = ORACLE_POLICIES[name]
+        one_pixel_rows = 0
+        for seed in range(20):
+            images, indices, rng = _oracle_batch(seed)
+            want = np.stack([augment_row_by_row(rng.child(f"sample{i}"), images[i], policy)
+                             for i in indices])
+            got = batch_images(images, indices, policy, rng)
+            assert _same_bits(got, want), f"seed {seed}"
+            for r, i in enumerate(indices[:8]):
+                assert _same_bits(augment(rng.child(f"sample{i}"), images[i], policy), want[r])
+            one_pixel_rows += int(np.all(np.ptp(got, axis=(2, 3)) == 0, axis=1).sum())
+        if name == "mixed_crops":
+            assert one_pixel_rows >= 20
+
+    @pytest.mark.parametrize("name", ["dino_global", "dino_local", "mixed_crops"])
+    def test_a_row_depends_only_on_its_stream(self, name):
+        policy = ORACLE_POLICIES[name]
+        for seed in range(4):
+            images, indices, rng = _oracle_batch(seed, rows=16)
+            full = batch_images(images, indices, policy, rng)
+            reversed_ = batch_images(images, indices[::-1], policy, rng)[::-1]
+            assert _same_bits(full, reversed_)
+            for r, i in enumerate(indices):
+                assert _same_bits(batch_images(images, [i], policy, rng)[0], full[r])

@@ -84,6 +84,40 @@ class TestElementwise:
         assert rel_err(x.grad, fd) < 1e-6
 
 
+def gelu_whole_array(x: np.ndarray):
+    """The whole-array GELU that `T.gelu`'s blocks must reproduce bit for bit:
+    (output, derivative)."""
+    from scipy.special import erf
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * cdf, cdf + x * pdf
+
+
+_GELU_ROWS = T._GELU_BLOCK // 256  # one block's rows at width 256
+
+
+class TestBlockedGelu:
+    @pytest.mark.parametrize("shape", [
+        (), (0, 256), (3, 5), (5, 7, 256),
+        (_GELU_ROWS - 1, 256), (_GELU_ROWS, 256), (_GELU_ROWS + 1, 256), (2177, 256),
+    ], ids=str)
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    def test_output_and_derivative_match_the_whole_array_formula_bitwise(self, shape, grad):
+        x = _rand(shape, seed=60) * 4.0
+        x.reshape(-1)[:4] = [0.0, -0.0, 40.0, -40.0][:x.size]  # saturated erf, underflowing exp
+        want_out, want_d = gelu_whole_array(x)
+        leaf = T.Tensor(x, requires_grad=True)
+        if grad:
+            out = T.gelu(leaf)
+            [d] = saved_arrays(out.node)
+            assert d.shape == shape and d.tobytes() == want_d.tobytes()
+        else:
+            with T.no_grad():
+                out = T.gelu(leaf)
+            assert out.node is None
+        assert out.shape == shape and out.data.tobytes() == want_out.tobytes()
+
+
 PEFT_TERMS = ["plain", "lora", "ssf", "lora+ssf"]
 
 
