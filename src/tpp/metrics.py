@@ -125,12 +125,15 @@ def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
         raise ShapeError(f"hd95: shapes {pred.shape} and {gt.shape} differ")
     bp = _boundary(pred)
     bg = _boundary(gt)
+    h, w = pred.shape
     if len(bp) == 0 or len(bg) == 0:
-        h, w = pred.shape
         return float(np.hypot(h - 1, w - 1))
-    diff = bp[:, None, :] - bg[None, :, :]
-    dmat = np.sqrt((diff.astype(np.float64) ** 2).sum(axis=2))
-    pooled = np.concatenate([dmat.min(axis=1), dmat.min(axis=0)])
+    # per-axis float64 differences of integer coordinates: each squared
+    # distance is exact, so the sqrt of each min is the min of the sqrts
+    (py, px), (gy, gx) = bp.T.astype(np.float64), bg.T.astype(np.float64)
+    dy, dx = py[:, None] - gy, px[:, None] - gx
+    d2 = dy * dy + dx * dx
+    pooled = np.sqrt(np.concatenate([d2.min(axis=1), d2.min(axis=0)]))
     return float(np.percentile(pooled, 95, method="linear"))
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
 from .errors import ArgumentError, StateError
@@ -382,8 +381,9 @@ def batch_images(images: np.ndarray, indices, policy: str | AugmentPolicy,
     coin, then the blur sigma if it hit; the solarize coin. Then each
     transform runs once over the batch with array ops: the crop-resize as
     a gather (corner-aligned bilinear, as `data.bilinear_resize`), the flip
-    folded into its column indices, brightness, contrast, `gaussian_filter`
-    on each blurred row, solarize and the clip to [0,1].
+    folded into its column indices, brightness, contrast, the blur (one
+    numpy `gaussian_filter` call over the blurred rows, in the tap order of
+    scipy's, so each row keeps scipy's bits), solarize and the clip to [0,1].
 
     Each row's bits are those of the row-by-row transforms (the tests'
     reference, with which the pinned outputs were recorded), so they depend
@@ -470,8 +470,8 @@ def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> n
         out *= contrast[:, None, None, None]
         out += mean
     blurred = np.array([sigma is not None for sigma in sigmas], dtype=bool)
-    for r in np.flatnonzero(blurred):
-        out[r] = gaussian_filter(out[r], (0.0, sigmas[r], sigmas[r]), mode="nearest")
+    if blurred.any():
+        out[blurred] = gaussian_filter(out[blurred], [s for s in sigmas if s is not None])
     if solar.any():
         out[solar] = solarize(out[solar])
 
@@ -494,6 +494,49 @@ def _sample_points(sizes: np.ndarray, n: int) -> np.ndarray:
     wide = sizes > 1
     out[wide] = np.linspace(0.0, sizes[wide] - 1.0, n, axis=-1)
     return out
+
+
+def gaussian_filter(rows: np.ndarray, sigmas) -> np.ndarray:
+    """[n,C,H,W] rows, row r blurred over H and then W by a Gaussian of
+    standard deviation sigmas[r] > 0, each edge extended by its nearest pixel.
+
+    Bit for bit scipy's `gaussian_filter(rows[r], (0, s, s), mode="nearest")`:
+    the same kernel, exp(-x²/2s²) over x in [-R, R] with
+    R = int(4s + 0.5), divided by its sum, and the tap order of scipy's
+    `correlate1d` for a symmetric kernel, x·w_0 + (x[-k] + x[k])·w_k added
+    for k from R down to 1. The rows of one radius are blurred together,
+    each with its own weights, so each row sees only its own operations.
+    """
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    radii = (4.0 * sigmas + 0.5).astype(np.intp)
+    out = np.empty_like(rows)
+    for radius in np.unique(radii):
+        group = radii == radius
+        x, s = np.arange(-radius, radius + 1), sigmas[group, None]
+        w = np.exp(-0.5 / (s * s) * x ** 2)
+        w = (w / w.sum(axis=1, keepdims=True))[:, radius:, None, None, None]
+        blurred = rows[group]
+        for axis in (2, 3):  # each pass runs along the last axis of its views
+            ends = np.arange(-radius, blurred.shape[axis] + radius)  # clipped to the edges
+            padded = blurred.take(ends, axis=axis, mode="clip")
+            _correlate_symmetric(padded.swapaxes(axis, 3), w, radius, blurred.swapaxes(axis, 3))
+        out[group] = blurred
+    return out
+
+
+def _correlate_symmetric(padded: np.ndarray, w: np.ndarray, margin: int,
+                         out: np.ndarray) -> None:
+    """One `gaussian_filter` pass along the last axis into out [g,...,n];
+    `padded` is its input extended by `margin` values at each end of that
+    axis, and w[:, k] [g,1,1,1] is tap k."""
+    n = out.shape[-1]
+    np.multiply(padded[..., margin:margin + n], w[:, 0], out=out)
+    tap = np.empty_like(out)
+    for k in range(w.shape[1] - 1, 0, -1):
+        np.add(padded[..., margin - k:margin - k + n], padded[..., margin + k:margin + k + n],
+               out=tap)
+        tap *= w[:, k]
+        out += tap
 
 
 def solarize(image: np.ndarray) -> np.ndarray:

@@ -184,11 +184,22 @@ def test_every_taped_primitive_is_checked_against_finite_differences():
     assert sorted(primitives - checked) == []
 
 
-def test_importing_the_package_loads_no_scipy_stats():
-    # `scipy.stats` alone takes over a second to import and raises peak memory;
-    # the package needs only `scipy.special` and `scipy.ndimage`
-    probe = "import sys, tpp; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+def loaded_modules(imports: str, prefix: str) -> list[str]:
+    """The modules under `prefix` that a fresh process has loaded after `imports`."""
+    probe = f"import sys, {imports}; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout)
+
+
+def test_importing_the_package_loads_no_scipy_stats():
+    # `scipy.stats` alone takes over a second to import and raises peak memory;
+    # the package needs only `scipy.special`
+    assert loaded_modules("tpp", "scipy.stats") == []
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy_ndimage():
+    # `pretext.gaussian_filter` blurs in numpy; importing `scipy.ndimage` would
+    # add tens of ms to the set-up of every process
+    assert loaded_modules("tpp, tpp.cli", "scipy.ndimage") == []

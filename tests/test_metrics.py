@@ -1,5 +1,7 @@
 """Metrics against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,20 @@ def allpairs_hd95_oracle(a, b):
     for q in bb:
         dists.append(min(np.hypot(p[0] - q[0], p[1] - q[1]) for p in ba))
     return float(np.percentile(dists, 95, method="linear"))
+
+
+def float_matrix_hd95_reference(a, b):
+    """`hd95` as it was: float64 distances over a [kp, kg, 2] difference array,
+    square-rooted before the mins. Its bits are those of the recorded pins."""
+    from tpp.metrics import _boundary
+    bp, bg = _boundary(a), _boundary(b)
+    if len(bp) == 0 or len(bg) == 0:
+        h, w = a.shape
+        return float(np.hypot(h - 1, w - 1))
+    diff = bp[:, None, :] - bg[None, :, :]
+    dmat = np.sqrt((diff.astype(np.float64) ** 2).sum(axis=2))
+    pooled = np.concatenate([dmat.min(axis=1), dmat.min(axis=0)])
+    return float(np.percentile(pooled, 95, method="linear"))
 
 
 # -- tests ------------------------------------------------------------------
@@ -310,6 +326,27 @@ class TestHd95:
         from tpp.metrics import _boundary
         m = np.ones((3, 3), dtype=bool)
         assert len(_boundary(m)) == 8  # all but the center
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 40), (7, 90)])
+    def test_matches_the_float_matrix_formula_bitwise_on_noisy_masks(self, shape):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            # a blob against noise of every density, empty masks included
+            gt = np.zeros(shape, dtype=bool)
+            gt[shape[0] // 4:shape[0] // 2, shape[1] // 5:shape[1] // 2] = trial % 10 != 0
+            pred = rng.random(shape) < trial / 40
+            for a, b in ((pred, gt), (gt, pred)):
+                assert (np.float64(hd95(a, b)).tobytes()
+                        == np.float64(float_matrix_hd95_reference(a, b)).tobytes())
+
+    def test_distances_past_the_int32_range_are_exact(self):
+        # a squared distance of (2-1)^2 + (50000-1)^2, past the int32 range;
+        # one pixel at each far end
+        a = np.zeros((2, 50_000), dtype=bool)
+        b = np.zeros((2, 50_000), dtype=bool)
+        a[0, 0] = True
+        b[1, -1] = True
+        assert hd95(a, b) == float_matrix_hd95_reference(a, b) == math.sqrt(1 + 49_999 ** 2)
 
 
 class TestReports:

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from tpp import tensor as T
 from tpp.data import bilinear_resize
@@ -14,8 +16,8 @@ from tpp.peft import AdapterSpec, attach
 from tpp.pipeline import build_bundle
 from tpp.pretext import (POLICIES, AugmentPolicy, DinoConfig, MaeConfig,
                          MaskedReconstruction, SelfDistillation,
-                         augment, batch_images, center_update, dino_loss, sample_mask,
-                         solarize, teacher_update)
+                         augment, batch_images, center_update, dino_loss, gaussian_filter,
+                         sample_mask, solarize, teacher_update)
 from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
 from tpp.vit import ViTConfig
@@ -334,7 +336,7 @@ def augment_row_by_row(rng: SeededRng, image: np.ndarray, policy: str | AugmentP
         out = (out - mean) * factor + mean
     if policy.blur_prob > 0 and rng.random() < policy.blur_prob:
         sigma = rng.uniform(low=0.1, high=1.5)
-        out = np.stack([gaussian_filter(ch_img, sigma, mode="nearest") for ch_img in out])
+        out = np.stack([ndimage.gaussian_filter(ch_img, sigma, mode="nearest") for ch_img in out])
     if policy.solarize_prob > 0 and rng.random() < policy.solarize_prob:
         out = solarize(out)
     return np.clip(out, 0.0, 1.0) if out is not image else out.copy()
@@ -398,3 +400,31 @@ class TestBatchedAugment:
             assert _same_bits(full, reversed_)
             for r, i in enumerate(indices):
                 assert _same_bits(batch_images(images, [i], policy, rng)[0], full[r])
+
+
+def scipy_blur_rows(rows: np.ndarray, sigmas) -> np.ndarray:
+    """`gaussian_filter`'s oracle: scipy's blur of each row on its own."""
+    return np.stack([ndimage.gaussian_filter(row, (0.0, s, s), mode="nearest")
+                     for row, s in zip(rows, sigmas)])
+
+
+class TestGaussianFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 64), st.integers(1, 64)),
+           sigmas=st.lists(st.floats(0.1, 1.5), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, 5, 5), sigmas=[0.1], seed=0)  # radius 0: one tap
+    @example(shape=(3, 1, 2), sigmas=[1.5, 0.1, 0.7], seed=1)  # sides shorter than the radius
+    def test_matches_scipy_row_by_row_bitwise(self, shape, sigmas, seed):
+        rows = np.random.default_rng(seed).uniform(-0.5, 1.5, (len(sigmas),) + shape)
+        assert _same_bits(gaussian_filter(rows, sigmas), scipy_blur_rows(rows, sigmas))
+
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (3, 4, 9)])
+    def test_many_rows_of_every_radius_keep_their_order(self, shape):
+        rng = np.random.default_rng(5)
+        sigmas = rng.permutation(np.linspace(0.1, 1.5, 40))  # radii 0 to 6, shuffled
+        assert set((4.0 * sigmas + 0.5).astype(int)) == set(range(7))
+        rows = rng.uniform(-0.5, 1.5, (40,) + shape)
+        got = gaussian_filter(rows, sigmas)
+        assert _same_bits(got, scipy_blur_rows(rows, sigmas))
+        assert _same_bits(gaussian_filter(rows[7:8], sigmas[7:8])[0], got[7])
