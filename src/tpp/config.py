@@ -12,11 +12,11 @@ A config file looks like:
 
 Every key has a documented default (the SCHEMA below); unknown sections
 or keys, and a key set twice, are hard errors. A key backed by a field of
-`ViTConfig`, `MaeConfig`, `DinoConfig`, `AdamWSpec` or a PEFT spec takes
-that field's default, read from the dataclass. Several keys default to
-"auto", accept it, and are resolved per command/objective. The fully
-resolved config plus the seed determines a run, and the effective config
-is echoed into checkpoints and logs.
+`ViTConfig`, `MaeConfig`, `DinoConfig`, `AdamWSpec`, `SyntheticTaskSpec`
+or a PEFT spec takes that field's default, read from the dataclass.
+Several keys default to "auto", accept it, and are resolved per
+command/objective. The fully resolved config plus the seed determines a
+run, and the effective config is echoed into checkpoints and logs.
 
 Each SCHEMA entry is (default, type, domain). The domain holds the legal
 values, checked as each value is parsed, before any data or model
@@ -109,12 +109,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "data": {
         "kind": ("synthetic_cls", str, ("synthetic_cls", "synthetic_seg", "folder")),
         "path": ("", str, None),
-        "num_classes": (4, int, ">= 1"),
-        "noise": (0.25, float, ">= 0"),
-        "separation": (0.8, float, "finite"),
-        "train_count": (128, int, ">= 0"),
-        "val_count": (64, int, ">= 0"),
-        "test_count": (64, int, ">= 0"),
+        "num_classes": (SyntheticTaskSpec.num_classes, int, ">= 1"),
+        "noise": (SyntheticTaskSpec.noise, float, ">= 0"),
+        "separation": (SyntheticTaskSpec.separation, float, "finite"),
+        "train_count": (SyntheticTaskSpec.train_count, int, ">= 0"),
+        "val_count": (SyntheticTaskSpec.val_count, int, ">= 0"),
+        "test_count": (SyntheticTaskSpec.test_count, int, ">= 0"),
         "annotation_ratio": (1.0, float, "(0, 1]"),
     },
     "eval": {
@@ -300,13 +300,9 @@ class ExperimentConfig:
                 test=load_folder(f"{d['path']}/test", image_size=size))
         else:
             self._check_split_sizes()
-            spec = SyntheticTaskSpec(
-                kind="textured_shapes_cls" if d["kind"] == "synthetic_cls" else "blob_seg",
-                num_classes=d["num_classes"],
-                image_size=self.values["model"]["image_size"],
-                noise=d["noise"], separation=d["separation"],
-                train_count=d["train_count"], val_count=d["val_count"],
-                test_count=d["test_count"])
+            spec = _build(SyntheticTaskSpec, {
+                **d, "image_size": self.values["model"]["image_size"],
+                "kind": "textured_shapes_cls" if d["kind"] == "synthetic_cls" else "blob_seg"})
             splits = generate_synthetic(spec, SeededRng(seed, "data"))
         ratio = d["annotation_ratio"]
         if ratio != 1.0:

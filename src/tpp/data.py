@@ -266,10 +266,11 @@ def load_folder(path: str, image_size: int) -> Dataset:
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
-    kind: str = "textured_shapes_cls"      # or "blob_seg"
+    """`[data] kind = synthetic_cls` selects `textured_shapes_cls`; `synthetic_seg`, `blob_seg`."""
+    kind: str = "textured_shapes_cls"
     num_classes: int = 4
     image_size: int = 32
-    noise: float = 0.1
+    noise: float = 0.25
     separation: float = 0.8                # template contrast above noise floor
     train_count: int = 128
     val_count: int = 64

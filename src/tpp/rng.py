@@ -36,8 +36,8 @@ class SeededRng:
 
     # thin wrappers so callers never touch the Generator API directly
 
-    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
-        return self._gen.standard_normal(shape) * std + mean
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return self._gen.standard_normal(shape) * std
 
     def trunc_normal(self, shape, std: float = 0.02) -> np.ndarray:
         """Normal(0, std) resampled until within +-2 std (ViT init convention)."""

@@ -11,12 +11,14 @@ import tpp.pipeline as pipeline
 from tpp.checkpoint import Checkpoint, _hash_array
 from tpp.cli import main
 from tpp.config import SCHEMA, ExperimentConfig, check
+from tpp.data import SyntheticTaskSpec, generate_synthetic
 from tpp.errors import ConfigError
 from tpp.optim import AdamWSpec
 from tpp.peft import MECHANISMS, AdapterSpec, LoraSpec, mechanism_name
 from tpp.pipeline import Objective, Stage
 from tpp.pretext import DinoConfig, MaeConfig
 from tpp.registry import ParamGroup
+from tpp.rng import SeededRng
 from tpp.vit import ViTConfig
 
 from _fixtures import write_pnm, write_tppt
@@ -108,6 +110,17 @@ class TestConfigParsing:
                                  (Stage.TPP, Objective.DINO), (Stage.FINETUNE, Objective.CE)):
             plan = cli._stage_plan(cfg, stage, objective, "classification")
             assert plan.optimizer == AdamWSpec()
+        for kind, spec_kind in (("synthetic_cls", "textured_shapes_cls"),
+                                ("synthetic_seg", "blob_seg")):
+            got = ExperimentConfig.parse(f"[data]\nkind = {kind}\n").load_data(seed=7)
+            want = generate_synthetic(
+                SyntheticTaskSpec(kind=spec_kind, image_size=ViTConfig.image_size),
+                SeededRng(7, "data"))
+            targets = "masks" if kind == "synthetic_seg" else "labels"
+            for a, b in zip((got.train, got.val, got.test), (want.train, want.val, want.test)):
+                assert (a.ids, a.class_names) == (b.ids, b.class_names)
+                assert a.images.tobytes() == b.images.tobytes()
+                assert getattr(a, targets).tobytes() == getattr(b, targets).tobytes()
 
     def test_a_key_set_twice_is_an_error_naming_both_lines(self):
         with pytest.raises(ConfigError,

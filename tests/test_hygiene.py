@@ -1,15 +1,23 @@
 """Source hygiene: no module imports a name it never uses, every public name
-has a caller outside the tests, importing the package stays cheap, and every
-tape primitive has a finite-difference test."""
+has a caller outside the tests, importing the package stays cheap, every
+tape primitive has a finite-difference test, and no config default restates
+a dataclass."""
 
 import ast
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from tpp.data import SyntheticTaskSpec
+from tpp.optim import AdamWSpec
+from tpp.peft import MECHANISMS
+from tpp.pretext import DinoConfig, MaeConfig
+from tpp.vit import ViTConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "tpp").glob("*.py"))
@@ -203,3 +211,61 @@ def test_importing_the_package_and_its_cli_loads_no_scipy_ndimage():
     # `pretext.gaussian_filter` blurs in numpy; importing `scipy.ndimage` would
     # add tens of ms to the set-up of every process
     assert loaded_modules("tpp, tpp.cli", "scipy.ndimage") == []
+
+
+# config section -> the dataclasses that its builder fills
+BUILDERS = {"model": (ViTConfig,), "peft": tuple(MECHANISMS.values()),
+            "pretext": (MaeConfig, DinoConfig), "stage": (AdamWSpec,),
+            "data": (SyntheticTaskSpec,)}
+# keys that `ExperimentConfig.peft_spec` passes to a field of another name
+RENAMED = {("peft", "vpt_mode"): "mode", ("peft", "lora_targets"): "targets"}
+# [data] kind says synthetic_cls/synthetic_seg where the spec says
+# textured_shapes_cls/blob_seg, and `load_data` maps one to the other: the
+# benchmark builds a spec with a spec kind (tppbench/workloads.py) and writes
+# a config with a config kind (its CLI_CONFIG), so one set of names can go
+# only in a benchmark change
+LITERAL_ALLOWED = {("data", "kind")}
+
+
+def literal_defaults(source: str) -> list[str]:
+    """The SCHEMA keys in `source` that name a builder field but state their own default.
+
+    A default reads field `f` when its expression names `Cls.f`, for a
+    `Cls` of the key's section that has the field `f`.
+    """
+    schema = next(n.value for n in ast.parse(source).body if isinstance(n, ast.AnnAssign)
+                  and isinstance(n.target, ast.Name) and n.target.id == "SCHEMA")
+    out = []
+    for section_node, keys in zip(schema.keys, schema.values):
+        section = section_node.value
+        for key_node, entry in zip(keys.keys, keys.values):
+            key = key_node.value
+            field = RENAMED.get((section, key), key)
+            owners = {c.__name__ for c in BUILDERS.get(section, ())
+                      if field in {f.name for f in fields(c)}}
+            if not owners or (section, key) in LITERAL_ALLOWED:
+                continue
+            if not any(isinstance(n, ast.Attribute) and n.attr == field
+                       and isinstance(n.value, ast.Name) and n.value.id in owners
+                       for n in ast.walk(entry.elts[0])):
+                out.append(f"[{section}] {key}")
+    return out
+
+
+def test_the_default_scan_sees_a_planted_literal():
+    source = ("SCHEMA: dict = {\n"
+              "  'model': {'depth': (4, int, '>= 1'),\n"
+              "            'embed_dim': (ViTConfig.depth, int, '>= 1'),\n"
+              "            'patch_size': (ViTConfig.patch_size, int, '>= 1')},\n"
+              "  'peft': {'method': ('adapter', str, None),\n"
+              "           'vpt_mode': ('shallow', str, None),\n"
+              "           'lora_targets': (','.join(LoraSpec.targets), str, None),\n"
+              "           'scale': (AdapterSpec.scale, float, None)},\n"
+              "  'data': {'kind': ('synthetic_cls', str, None), 'noise': (0.25, float, None)},\n"
+              "  'eval': {'batch_size': (64, int, '>= 1')}}\n")
+    assert literal_defaults(source) == ["[model] depth", "[model] embed_dim",
+                                        "[peft] vpt_mode", "[peft] scale", "[data] noise"]
+
+
+def test_every_config_default_backed_by_a_dataclass_field_reads_it():
+    assert literal_defaults((ROOT / "src" / "tpp" / "config.py").read_text()) == []
