@@ -53,7 +53,8 @@ def content_hash(buf) -> int:
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
 
 
-def _hash_array(arr: np.ndarray) -> int:
+def array_hash(arr: np.ndarray) -> int:
+    """`content_hash` of the array's little-endian float64 bytes in C order."""
     return content_hash(np.ascontiguousarray(arr, dtype="<f8"))
 
 
@@ -83,7 +84,7 @@ class Checkpoint:
         ckpt = cls(meta=meta)
         for p in registry:
             data = p.data.copy()
-            ckpt.entries[p.name] = CheckpointEntry(p.group, data, _hash_array(data))
+            ckpt.entries[p.name] = CheckpointEntry(p.group, data, array_hash(data))
         return ckpt
 
     def hashes(self, group: ParamGroup | None = None) -> dict[str, int]:

@@ -27,10 +27,9 @@ from functools import partial
 import numpy as np
 
 from .checkpoint import Checkpoint, audit_freeze
-from .config import AUTO, SCHEMA, ExperimentConfig, _build, check
+from .config import AUTO, SCHEMA, ExperimentConfig, check
 from .errors import ArgumentError, ConfigError, StructuralError, TrainingDiverged
 from .metrics import TASK_METRICS
-from .optim import AdamWSpec
 from .peft import BitFitSpec, mechanism_name
 from .pipeline import (MetricLog, ModelBundle, Objective, Stage, StagePlan,
                        build_bundle, default_plan, evaluate, grid_search,
@@ -100,7 +99,7 @@ def _stage_plan(cfg: ExperimentConfig, stage: Stage, objective: Objective, task:
     # DINO draws its views under their own policies; [stage] augment is for the others
     augment = "none" if objective is Objective.DINO else get("augment", plan.augment_policy)
     return replace(plan, schedule=schedule, batch_size=get("batch_size", plan.batch_size),
-                   augment_policy=augment, optimizer=_build(AdamWSpec, cfg.values["stage"]))
+                   augment_policy=augment, optimizer=cfg.adamw_spec())
 
 
 def _task_and_data(cfg: ExperimentConfig, seed: int, needed=("train",)):

@@ -271,6 +271,9 @@ class ExperimentConfig:
     def dino_config(self) -> DinoConfig:
         return _build(DinoConfig, self.values["pretext"])
 
+    def adamw_spec(self) -> AdamWSpec:
+        return _build(AdamWSpec, self.values["stage"])
+
     def head_spec(self, task: str, num_classes: int):
         if task == "classification":
             return ClassificationSpec(num_classes=num_classes)

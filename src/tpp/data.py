@@ -3,7 +3,8 @@
 A split is a `Dataset` of stacked arrays, row i of each being sample i:
 float64 `images` [N,C,H,W], a list of N `ids`, and intp `labels` [N]
 (classification) or `masks` [N,H,W] (segmentation). Pixels are not
-normalized: a PNM is scaled to [0,1] and a TPPT is kept as stored.
+normalized: a PNM is scaled to [0,1] and a TPPT is kept as stored, but a
+stage that augments needs training pixels in [0,1], as every policy clips.
 Loading order, generation, and subsetting are deterministic under fixed seeds.
 
 File formats: binary PGM (P5) / PPM (P6) and a raw tensor container
@@ -77,36 +78,55 @@ class SplitDatasets:
 # -- resizing ----------------------------------------------------------------
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resize of a [C,H,W] array.
+def crop_resize(images: np.ndarray, tops, lefts, heights, widths,
+                out_h: int, out_w: int) -> np.ndarray:
+    """Row r of [n,C,H,W] `images`, cropped to heights[r] x widths[r] pixels at
+    (tops[r], lefts[r]) and resized to [C,out_h,out_w] by corner-aligned
+    bilinear interpolation, all rows in one gather; the result is C-ordered.
+    Output index i samples crop coordinate i*(in-1)/(out-1), or 0 on a size-1
+    axis, and a crop of the output size is copied exactly."""
+    n, c, h, w = images.shape
+    tops, lefts, heights, widths = (np.asarray(v, dtype=np.intp)
+                                    for v in (tops, lefts, heights, widths))
+    ys, xs = _sample_points(heights, out_h), _sample_points(widths, out_w)
+    y0, x0 = np.floor(ys).astype(np.intp), np.floor(xs).astype(np.intp)
+    y1, x1 = np.minimum(y0 + 1, heights[:, None] - 1), np.minimum(x0 + 1, widths[:, None] - 1)
+    wy, wx = (ys - y0)[:, None, :, None], (xs - x0)[:, None, None, :]
+    flat = images.reshape(-1)
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
 
-    Source coordinate for output index i is i*(in-1)/(out-1); a size-1
-    output axis samples coordinate 0.
-    """
-    c, h, w = image.shape
-    if (h, w) == (out_h, out_w):
-        return image.copy()
-    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
-    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
-    bot = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
+    def at(yy, xx):  # [n,C,out_h,out_w]: pixel (yy[r, i], xx[r, j]) of row r's crop
+        rows, cols = (tops[:, None] + yy) * w, lefts[:, None] + xx
+        return flat.take(planes + rows[:, None, :, None] + cols[:, None, None, :])
+
+    out = at(y0, x0)
+    resized = (heights != out_h) | (widths != out_w)
+    if resized.any():
+        top = out * (1 - wx) + at(y0, x1) * wx
+        bot = at(y1, x0) * (1 - wx) + at(y1, x1) * wx
+        out = np.where(resized[:, None, None, None], top * (1 - wy) + bot * wy, out)
+    return out
+
+
+def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """`crop_resize` of one whole [C,H,W] image."""
+    return crop_resize(image[None], [0], [0], [image.shape[1]], [image.shape[2]], out_h, out_w)[0]
 
 
 def nearest_resize(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize for integer label masks [H,W]."""
-    h, w = mask.shape
-    if (h, w) == (out_h, out_w):
-        return mask.copy()
-    ys = np.rint(np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)).astype(np.intp)
-    xs = np.rint(np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)).astype(np.intp)
+    """Nearest-neighbour resize of [H,W] integer labels at `crop_resize`'s sample points."""
+    ys, xs = (np.rint(_sample_points(np.array([size]), out)[0]).astype(np.intp)
+              for size, out in zip(mask.shape, (out_h, out_w)))
     return mask[ys][:, xs]
+
+
+def _sample_points(sizes: np.ndarray, n: int) -> np.ndarray:
+    """Row r is `np.linspace(0.0, sizes[r] - 1.0, n)` bit for bit. Size-1 rows stay 0:
+    one zero step sends every row of a batched `linspace` through another formula."""
+    out = np.zeros((len(sizes), n))
+    wide = sizes > 1
+    out[wide] = np.linspace(0.0, sizes[wide] - 1.0, n, axis=-1)
+    return out
 
 
 # -- PNM (PGM/PPM binary) -----------------------------------------------------

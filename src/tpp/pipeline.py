@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpoint, _hash_array
+from .checkpoint import Checkpoint, array_hash
 from .data import Dataset, SplitDatasets
 from .errors import (ArgumentError, NonFiniteScores, StateError, StructuralError,
                      TrainingDiverged)
@@ -334,6 +334,21 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, batch_size: int = 64,
 # -- stage runner -------------------------------------------------------------
 
 
+def _check_augmented_range(plan: StagePlan, train: Dataset) -> None:
+    """Every augment policy clips to [0,1]: refuse to augment other pixels."""
+    policy = "dino_global/dino_local" if plan.objective is Objective.DINO else plan.augment_policy
+    if policy == "none":
+        return
+    flat = train.images.reshape(len(train), -1)
+    lo, hi = flat.min(axis=1), flat.max(axis=1)
+    bad = (lo < 0) | (hi > 1)
+    if bad.any():
+        i = bad.argmax()  # the first such sample
+        raise ArgumentError(f"run_stage: training sample {train.ids[i]!r} has pixels in "
+                            f"[{lo[i]:.6g}, {hi[i]:.6g}], but augment policy {policy} clips "
+                            f"them to [0, 1]; an augmenting stage needs pixels in [0, 1]")
+
+
 def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Dataset,
               rng: SeededRng, mae_cfg: MaeConfig | None = None,
               dino_cfg: DinoConfig | None = None) -> tuple[Checkpoint, MetricLog]:
@@ -341,13 +356,15 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
 
     Returns a full-parameter checkpoint and the step/eval log. Frozen
     groups are audited for bit-identity; a violation is a hard error. A
-    non-finite loss aborts with step, lr and recent loss history.
+    non-finite loss aborts with step, lr and recent loss history. A plan
+    that augments refuses a training pixel outside [0,1] before step 0.
     """
     train = data.train if isinstance(data, SplitDatasets) else data
     val = data.val if isinstance(data, SplitDatasets) else None
     if len(train) == 0:
         raise ArgumentError("run_stage: empty training dataset")
     plan.validate()
+    _check_augmented_range(plan, train)
     # the objective first (it may add params), then apply the plan's freezing
     objective = objective_for(plan, bundle, train, rng, mae_cfg, dino_cfg)
     evaluates = objective.scores_val and val is not None
@@ -361,7 +378,7 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         reinit_target_params(bundle.backbone, rng.child("init/peft"))
 
     # bytes, as in `audit_freeze`: NaN equals itself, 0.0 -> -0.0 is a change
-    frozen_before = {p.name: _hash_array(p.data) for p in bundle.registry
+    frozen_before = {p.name: array_hash(p.data) for p in bundle.registry
                      if p.group in plan.frozen_groups}
 
     optimizer = AdamW(bundle.registry.params(trainable=True), plan.optimizer)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import crop_resize
 from .errors import ArgumentError, StateError
 from .registry import ParamGroup, ParamRegistry
 from .rng import SeededRng
@@ -359,13 +360,9 @@ POLICIES: dict[str, AugmentPolicy] = {
 
 
 def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> np.ndarray:
-    """Apply one deterministic augmentation draw to a [C,H,W] image in [0,1].
-
-    The one-row call of `batch_images`' code path, drawing from `rng` itself
-    in the order given there. Policy "none" is the identity. Crops are
-    resized back to the input resolution, so local views are smaller-area
-    crops upsampled to full size.
-    """
+    """One deterministic augmentation draw of a [C,H,W] image in [0,1]: the
+    one-row call of `batch_images`' code path, drawing from `rng` itself.
+    Policy "none" is the identity; crops are resized back to the input size."""
     return _augment_rows(image[None], [0], _resolve(policy), [rng])[0]
 
 
@@ -379,20 +376,16 @@ def batch_images(images: np.ndarray, indices, policy: str | AugmentPolicy,
     transform can apply: the crop's area fraction, aspect, top and left;
     the flip coin; the brightness factor; the contrast factor; the blur
     coin, then the blur sigma if it hit; the solarize coin. Then each
-    transform runs once over the batch with array ops: the crop-resize as
-    a gather (corner-aligned bilinear, as `data.bilinear_resize`), the flip
-    folded into its column indices, brightness, contrast, the blur (one
-    numpy `gaussian_filter` call over the blurred rows, in the tap order of
-    scipy's, so each row keeps scipy's bits), solarize and the clip to [0,1].
+    transform runs once over the batch with array ops: the crop-resize
+    (`data.crop_resize`, C-ordered rows), the flip, brightness, contrast
+    (each row's mean summed in C order), the blur (one numpy
+    `gaussian_filter` call over the blurred rows, in the tap order of
+    scipy's, so each row keeps scipy's bits), solarize and the clip to [0,1]
+    (so `pipeline.run_stage` refuses to augment pixels outside [0,1]).
 
     Each row's bits are those of the row-by-row transforms (the tests'
     reference, with which the pinned outputs were recorded), so they depend
-    only on its image and its stream. The contrast mean needs care for
-    that: numpy sums a row pairwise in its memory order, and a row resized
-    by `data.bilinear_resize` comes out in (W, H, C) order, while a flipped
-    row was copied, and a row that keeps its size stays, in C order. So a
-    resized, unflipped row is summed in (W, H, C) order and every other row
-    in C order, each from the C-ordered batch.
+    only on its image and its stream.
 
     An unknown policy name is an `ArgumentError`, whatever `indices` holds.
     """
@@ -414,7 +407,7 @@ def _resolve(policy: str | AugmentPolicy) -> AugmentPolicy:
 
 def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> np.ndarray:
     """`batch_images`' work on the rows `images[indices]`, row r drawing from `rngs[r]`."""
-    n, (c, h, w) = len(rngs), images.shape[1:]
+    n, (h, w) = len(rngs), images.shape[2:]
     tops, lefts, chs, cws = [0] * n, [0] * n, [h] * n, [w] * n
     flips, sigmas, solar = np.zeros(n, bool), [None] * n, np.zeros(n, bool)
     bright, contrast = np.empty(n), np.empty(n)
@@ -437,35 +430,12 @@ def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> n
         if policy.solarize_prob > 0:
             solar[r] = rng.random() < policy.solarize_prob
 
-    chs, cws = np.array(chs, dtype=np.intp), np.array(cws, dtype=np.intp)
-    resized = (chs != h) | (cws != w)
-    ys, xs = _sample_points(chs, h), _sample_points(cws, w)
-    xs[flips] = xs[flips, ::-1]  # a flipped row reads its columns right to left
-    y0, x0 = np.floor(ys).astype(np.intp), np.floor(xs).astype(np.intp)
-    y1, x1 = np.minimum(y0 + 1, chs[:, None] - 1), np.minimum(x0 + 1, cws[:, None] - 1)
-    wy, wx = (ys - y0)[:, None, :, None], (xs - x0)[:, None, None, :]
-    flat = images[indices].reshape(-1)
-    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
-    tops, lefts = np.array(tops, dtype=np.intp)[:, None], np.array(lefts, dtype=np.intp)[:, None]
-
-    def at(yy, xx):  # [n,C,H,W], C-ordered: pixel (yy[r, i], xx[r, j]) of row r's crop
-        rows, cols = (tops + yy) * w, lefts + xx
-        return flat.take(planes + rows[:, None, :, None] + cols[:, None, None, :])
-
-    out = at(y0, x0)  # the rows that keep their size are exact copies, maybe flipped
-    if resized.any():
-        top = out * (1 - wx) + at(y0, x1) * wx
-        bot = at(y1, x0) * (1 - wx) + at(y1, x1) * wx
-        out = np.where(resized[:, None, None, None], top * (1 - wy) + bot * wy, out)
-
+    out = crop_resize(images[indices], tops, lefts, chs, cws, h, w)
+    out[flips] = out[flips, :, :, ::-1]
     if policy.brightness > 0:
         out *= bright[:, None, None, None]
     if policy.contrast > 0:
-        whc = resized & ~flips  # summed in (W, H, C) order; see `batch_images`
-        sums = np.empty(n)
-        sums[whc] = out[whc].transpose(0, 3, 2, 1).reshape(-1, c * h * w).sum(axis=1)
-        sums[~whc] = out[~whc].reshape(-1, c * h * w).sum(axis=1)
-        mean = (sums / (c * h * w))[:, None, None, None]
+        mean = out.reshape(n, -1).mean(axis=1)[:, None, None, None]
         out -= mean
         out *= contrast[:, None, None, None]
         out += mean
@@ -480,19 +450,6 @@ def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> n
     else:  # a row that no transform touched is returned as it was, unclipped
         touched = flips | blurred | solar
         out[touched] = np.clip(out[touched], 0.0, 1.0)
-    return out
-
-
-def _sample_points(sizes: np.ndarray, n: int) -> np.ndarray:
-    """Row r is `np.linspace(0.0, sizes[r] - 1.0, n)` bit for bit: the source
-    coordinates of a corner-aligned resize from sizes[r] points to n.
-
-    Size-1 rows are left at 0: one zero step in a batched `linspace` sends
-    every row through its zero-step formula, which rounds differently.
-    """
-    out = np.zeros((len(sizes), n))
-    wide = sizes > 1
-    out[wide] = np.linspace(0.0, sizes[wide] - 1.0, n, axis=-1)
     return out
 
 

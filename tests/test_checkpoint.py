@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tpp.checkpoint import (MAGIC, Checkpoint, CheckpointEntry, _hash_array,
+from tpp.checkpoint import (MAGIC, Checkpoint, CheckpointEntry, array_hash,
                             audit_freeze, content_hash)
 from tpp.cli import main
 from tpp.errors import StructuralError
@@ -34,7 +34,7 @@ def _small_checkpoint() -> Checkpoint:
               "b": (ParamGroup.TARGET, np.arange(3.0)),
               "c": (ParamGroup.HEAD, np.array([[-0.0, 2.0], [np.nan, 4.0]]))}
     for name, (group, data) in arrays.items():
-        ckpt.entries[name] = CheckpointEntry(group, data, _hash_array(data))
+        ckpt.entries[name] = CheckpointEntry(group, data, array_hash(data))
     return ckpt
 
 
@@ -53,9 +53,9 @@ class TestContentHash:
 
     def test_array_hash_covers_the_raw_bytes(self):
         arr = np.arange(12.0).reshape(3, 4)
-        assert _hash_array(arr) == content_hash(arr.tobytes())
-        assert _hash_array(arr.T) == content_hash(np.ascontiguousarray(arr.T).tobytes())
-        assert _hash_array(np.array([0.0])) != _hash_array(np.array([-0.0]))
+        assert array_hash(arr) == content_hash(arr.tobytes())
+        assert array_hash(arr.T) == content_hash(np.ascontiguousarray(arr.T).tobytes())
+        assert array_hash(np.array([0.0])) != array_hash(np.array([-0.0]))
 
 
 class TestMalformed:
@@ -139,7 +139,7 @@ class TestMalformed:
         except StructuralError:
             return
         for entry in loaded.entries.values():
-            assert entry.content_hash == _hash_array(entry.data)
+            assert entry.content_hash == array_hash(entry.data)
 
 
 class TestRoundTrip:
@@ -248,10 +248,10 @@ class TestApply:
         del ckpt.entries["backbone.cls_token"]
         extra = np.zeros(2)
         ckpt.entries["backbone.blocks.0.attn.extra"] = CheckpointEntry(
-            ParamGroup.BACKBONE, extra, _hash_array(extra))
+            ParamGroup.BACKBONE, extra, array_hash(extra))
         short = np.zeros(3)
         ckpt.entries["backbone.blocks.0.attn.proj.bias"] = CheckpointEntry(
-            ParamGroup.BACKBONE, short, _hash_array(short))
+            ParamGroup.BACKBONE, short, array_hash(short))
         reg_b.get("backbone.blocks.0.ln2.weight").group = ParamGroup.TARGET
         with pytest.raises(StructuralError) as exc:
             ckpt.apply_to_registry(reg_b, groups={ParamGroup.BACKBONE})

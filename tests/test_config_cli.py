@@ -8,7 +8,7 @@ import pytest
 import tpp.cli as cli
 import tpp.config as config
 import tpp.pipeline as pipeline
-from tpp.checkpoint import Checkpoint, _hash_array
+from tpp.checkpoint import Checkpoint, array_hash
 from tpp.cli import main
 from tpp.config import SCHEMA, ExperimentConfig, check
 from tpp.data import SyntheticTaskSpec, generate_synthetic
@@ -401,12 +401,48 @@ class TestCli:
                     (f"{pre}/backbone.tppc", f"{tpp}/target.tppc", f"{ft}/finetune.tppc")]
         assert policies == ["none", "none", "finetune_light"]
 
+    # case -> (verb, what BASE_CFG's [stage] section gains, the policy refused):
+    # every augment policy clips to [0,1], so a stage that augments refuses
+    # other pixels, and one that does not trains on them
+    OUT_OF_RANGE = {
+        "dino-pretrain-backbone": ("pretrain-backbone", "\n[pretext]\ntask = dino\n",
+                                   "dino_global/dino_local"),
+        "dino-tpp": ("tpp", "\n[pretext]\ntask = dino\n", "dino_global/dino_local"),
+        "augmented-finetune": ("finetune", "augment = finetune_light\n", "finetune_light"),
+        "mae-tpp": ("tpp", "augment = none\n", None),
+    }
+
+    @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+    def test_only_an_augmenting_stage_refuses_pixels_outside_the_unit_range(
+            self, case, workspace, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for split in ("train", "val", "test"):
+            for label, shift in (("a", 200.0), ("b", -200.0)):
+                (tmp_path / "data" / split / label).mkdir(parents=True)
+                for i in range(2):
+                    image = rng.normal(0.0, 300.0, (1, 16, 16)) + shift
+                    write_tppt(str(tmp_path / "data" / split / label / f"s{i}.tppt"), image)
+                    if (split, label, i) == ("train", "a", 0):
+                        first = image
+        verb, tail, policy = self.OUT_OF_RANGE[case]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CFG.replace("kind = synthetic_cls",
+                                        f"kind = folder\npath = {tmp_path / 'data'}") + tail)
+        argv = [verb, "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "o")]
+        if verb != "pretrain-backbone":
+            argv += ["--backbone", workspace["backbone"]]
+        assert main(argv) == (0 if policy is None else 1)
+        if policy is not None:
+            assert (f"training sample 'a/s0' has pixels in [{first.min():.6g}, "
+                    f"{first.max():.6g}], but augment policy {policy} clips them to [0, 1]"
+                    ) in capsys.readouterr().err
+
     def test_audit_detects_a_changed_backbone(self, workspace, tmp_path, capsys):
         ckpt = Checkpoint.load(workspace["backbone"])
         name = "backbone.cls_token"
         entry = ckpt.entries[name]
         entry.data[0] += 1.0
-        entry.content_hash = _hash_array(entry.data)
+        entry.content_hash = array_hash(entry.data)
         mutated = str(tmp_path / "mutated.tppc")
         ckpt.save(mutated)
         code = main(["audit", workspace["backbone"], mutated, "--groups", "backbone"])
@@ -842,7 +878,7 @@ class TestCli:
         name = "backbone.blocks.0.attn.q.weight"
         entry = ckpt.entries[name]
         entry.data[0, 0] += 1.0
-        entry.content_hash = _hash_array(entry.data)
+        entry.content_hash = array_hash(entry.data)
         mutated = str(tmp_path / "mutated.tppc")
         ckpt.save(mutated)
         assert main(["audit", workspace["backbone"], mutated]) == 3

@@ -1,20 +1,20 @@
-"""Data: file formats, synthetic generation oracles and subsets."""
+"""Data: file formats, the one bilinear resize, synthetic generation oracles and subsets."""
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tpp.data import (Dataset, SyntheticTaskSpec,
-                      bilinear_resize, generate_synthetic, load_folder,
+                      bilinear_resize, crop_resize, generate_synthetic, load_folder,
                       nearest_resize, read_pnm, read_tppt, subset)
 from tpp.errors import ArgumentError, StructuralError
 from tpp.rng import SeededRng
 
-from _fixtures import write_pnm, write_tppt
+from _fixtures import reference_bilinear_resize, write_pnm, write_tppt
 
 
 class TestPnm:
@@ -245,6 +245,49 @@ class TestResize:
         out = nearest_resize(mask, 4, 4)
         assert set(np.unique(out)) <= {0, 1, 2, 3}
         assert out[0, 0] == 0 and out[-1, -1] == 3
+
+    # C = 1 and 3, sides from 1 pixel up, outputs smaller and larger than the input
+    SIZES = dict(c=st.sampled_from([1, 3]), h=st.integers(1, 12), w=st.integers(1, 12),
+                 out_h=st.integers(1, 16), out_w=st.integers(1, 16),
+                 seed=st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SIZES)
+    @example(c=3, h=5, w=9, out_h=5, out_w=9, seed=0)  # the output size: a copy
+    @example(c=1, h=1, w=1, out_h=4, out_w=3, seed=1)
+    def test_bilinear_resize_is_the_reference_bitwise(self, c, h, w, out_h, out_w, seed):
+        img = np.random.default_rng(seed).uniform(-0.5, 1.5, (c, h, w))
+        got = bilinear_resize(img, out_h, out_w)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == reference_bilinear_resize(img, out_h, out_w).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SIZES, rows=st.integers(1, 12))
+    @example(c=1, h=8, w=8, out_h=8, out_w=8, seed=2, rows=12)  # crops of the output size
+    def test_crop_resize_is_the_reference_on_each_crop_bitwise(self, c, h, w, out_h, out_w,
+                                                               seed, rows):
+        rng = np.random.default_rng(seed)
+        images = rng.uniform(-0.5, 1.5, (rows, c, h, w))
+        # each side is 1 pixel, the image's full side or anything in between
+        heights, widths = (np.choose(rng.integers(0, 3, rows),
+                                     [1, side, rng.integers(1, side + 1, rows)])
+                           for side in (h, w))
+        tops, lefts = rng.integers(0, h - heights + 1), rng.integers(0, w - widths + 1)
+        got = crop_resize(images, tops, lefts, heights, widths, out_h, out_w)
+        want = np.stack([reference_bilinear_resize(image[:, t:t + ch, l:l + cw], out_h, out_w)
+                         for image, t, l, ch, cw in zip(images, tops, lefts, heights, widths)])
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), out_h=st.integers(1, 16),
+           out_w=st.integers(1, 16))
+    def test_nearest_resize_takes_the_rounded_linspace_points(self, h, w, out_h, out_w):
+        mask = np.arange(h * w).reshape(h, w)
+        ys = np.rint(np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1))
+        xs = np.rint(np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1))
+        want = mask[ys.astype(np.intp)][:, xs.astype(np.intp)]
+        assert np.array_equal(nearest_resize(mask, out_h, out_w), want)
 
 
 class TestSynthetic:

@@ -1,7 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, every public name
-has a caller outside the tests, importing the package stays cheap, every
-tape primitive has a finite-difference test, and no config default restates
-a dataclass."""
+"""Source hygiene: no module imports a name it never uses or another
+module's private name, every public name has a caller outside the tests,
+importing the package stays cheap, every tape primitive has a
+finite-difference test, and no config default restates a dataclass."""
 
 import ast
 import os
@@ -58,6 +58,24 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """`from .module import _name` statements: another module's private name."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from .a import b, _c\nfrom . import _d\nfrom os import _exit\n"
+              "from .e import (f,\n    _g)\n")
+    assert private_imports(source) == ["line 1: _c", "line 2: _d", "line 4: _g"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    assert private_imports(path.read_text()) == []
 
 
 def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:

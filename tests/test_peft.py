@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpp import tensor as T
-from tpp.checkpoint import Checkpoint, CheckpointEntry, _hash_array
+from tpp.checkpoint import Checkpoint, CheckpointEntry, array_hash
 from tpp.errors import ArgumentError, StateError
 from tpp.peft import (LORA_TARGET_MAP, SSF_SITES, AdapterSpec, AdaptFormerSpec, BitFitSpec,
                       LoraSpec, SsfSpec, VptSpec, attach, mechanism_name, reinit_target_params)
@@ -267,7 +267,7 @@ class TestLora:
         plain, reg2 = _fresh(seed=3)
         ckpt = Checkpoint.from_registry(reg, stage="merged")
         for name, data in merged.items():
-            ckpt.entries[name] = CheckpointEntry(ParamGroup.BACKBONE, data, _hash_array(data))
+            ckpt.entries[name] = CheckpointEntry(ParamGroup.BACKBONE, data, array_hash(data))
         ckpt.apply_to_registry(reg2, groups={ParamGroup.BACKBONE})
         with T.no_grad():
             dense = plain.forward_images(T.Tensor(images)).data

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from tpp import tensor as T
-from tpp.data import bilinear_resize
 from tpp.errors import ArgumentError
 from tpp.optim import AdamW
 from tpp.peft import AdapterSpec, attach
@@ -22,6 +21,7 @@ from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
 from tpp.vit import ViTConfig
 
+from _fixtures import reference_bilinear_resize
 from conftest import finite_difference, rel_err_tensor, run_forward_loss
 
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
@@ -313,7 +313,11 @@ class TestAugment:
 
 def augment_row_by_row(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy):
     """One row's augmentation, one transform at a time: the definition that
-    `batch_images` and `augment` must reproduce bit for bit."""
+    `batch_images` and `augment` must reproduce bit for bit.
+
+    It resizes with the tests' own reference, not `data.bilinear_resize`
+    (a call of `crop_resize`, which `batch_images` runs), and takes the
+    contrast mean of a C-ordered row."""
     if isinstance(policy, str):
         policy = POLICIES[policy]
     out = image
@@ -325,7 +329,7 @@ def augment_row_by_row(rng: SeededRng, image: np.ndarray, policy: str | AugmentP
         cw = int(np.clip(round(np.sqrt(area * aspect)), 1, w))
         top = int(rng.integers(0, h - ch + 1))
         left = int(rng.integers(0, w - cw + 1))
-        out = bilinear_resize(out[:, top:top + ch, left:left + cw], h, w)
+        out = reference_bilinear_resize(out[:, top:top + ch, left:left + cw], h, w)
     if policy.hflip_prob > 0 and rng.random() < policy.hflip_prob:
         out = out[:, :, ::-1].copy()
     if policy.brightness > 0:
