@@ -27,10 +27,37 @@ Contracts the rest of the package relies on:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-from scipy.special import erf
 
 from .errors import ArgumentError, ShapeError, StateError
+
+
+def _load_erf():
+    """`scipy.special.erf`, the same ufunc object, loaded from the one compiled
+    module that defines it. `scipy.special`'s `__init__` would add ~300 ms and
+    ~20 MB of modules the package never calls (it clones numpy's namespace,
+    pulling in `numpy.f2py` and `numpy.testing`), paid by every process."""
+    name = "scipy.special._special_ufuncs"
+    scipy_spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    special = os.path.join(scipy_spec.submodule_search_locations[0] if scipy_spec else "scipy",
+                           "special")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(special, "_special_ufuncs" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)  # registers itself: `scipy.special` reuses it
+            return module.erf
+    raise ImportError(f"GELU needs scipy>=1.17.1, whose compiled _special_ufuncs module "
+                      f"defines erf; {special} has none")
+
+
+erf = _load_erf()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
