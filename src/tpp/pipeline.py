@@ -3,11 +3,12 @@ and supervised fine-tuning.
 
 A stage is described by a StagePlan: which parameter groups are frozen,
 which objective runs, the optimizer and schedules, and the budget. The
-runner gets the objective's object (`objective_for`) and calls its
-`step_loss` and `after_step` each step. It enforces the plan's freezing at
-the tensor level, audits that frozen groups come out bit-identical, logs
-one JSON-serializable record per step plus per-epoch validation metrics,
-and returns a full parameter checkpoint.
+runner gets the objective's object (`objective_for`); each step it draws
+the rows once, under the plan's augment policy (`batch_images`), and calls
+its `step_loss` on them and their dataset indices, then its `after_step`.
+It enforces the plan's freezing at the tensor level, audits that frozen
+groups come out bit-identical, logs one JSON-serializable record per step
+plus per-epoch validation metrics, and returns a full parameter checkpoint.
 
 Everything is driven by one SeededRng: data order, masking, augmentation
 and any re-initialization derive labeled sub-streams, so identical
@@ -221,15 +222,13 @@ class Supervised:
         if self.targets is None:
             raise ArgumentError(f"a {name} plan needs {'masks' if seg else 'labels'}, "
                                 "and the training split has none")
-        self.backbone, self.head, self.augment_policy = bundle.backbone, head, plan.augment_policy
+        self.backbone, self.head = bundle.backbone, head
         self.loss, self.cls_only = (T.dice_ce, False) if seg else (T.cross_entropy, True)
 
-    def step_loss(self, images: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
-        """The loss of the rows `images[indices]`, augmented from `rng`'s stream
-        `augment/epoch{epoch}`. CE reads the class token alone."""
-        augment = rng.child(f"augment/epoch{epoch}")
-        batch = Tensor(batch_images(images, indices, self.augment_policy, augment))
-        feats = self.backbone.forward_images(batch, cls_only=self.cls_only)
+    def step_loss(self, rows: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
+        """The loss of the [B,C,H,W] `rows` against the targets of their dataset
+        indices `indices`. CE reads the class token alone."""
+        feats = self.backbone.forward_images(Tensor(rows), cls_only=self.cls_only)
         return self.loss(self.head(feats), self.targets[indices])
 
     def after_step(self) -> None:
@@ -255,7 +254,7 @@ def objective_for(plan: StagePlan, bundle: ModelBundle, train: Dataset, rng: See
         cfg = (mae_cfg or MaeConfig()) if kind is Objective.MAE else (dino_cfg or DinoConfig())
         bundle.pretext[kind] = _OBJECTIVES[kind](bundle.backbone, cfg,
                                                  rng.child(f"init/{kind.value}"))
-    bundle.pretext[kind].start_stage(plan.augment_policy)
+    bundle.pretext[kind].start_stage()
     return bundle.pretext[kind]
 
 
@@ -404,7 +403,9 @@ def run_stage(plan: StagePlan, bundle: ModelBundle, data: SplitDatasets | Datase
         try:  # the step's tape is freed however the step ends
             # a diverging forward overflows quietly: the finite-loss check is the error
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = objective.step_loss(train.images, indices, rng, epoch)
+                loss = objective.step_loss(batch_images(
+                    train.images[indices], indices, plan.augment_policy,
+                    rng.child(f"augment/epoch{epoch}")), indices, rng, epoch)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(step, lr, log.losses())

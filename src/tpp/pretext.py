@@ -14,9 +14,10 @@ exactly the parameters being trained; it is evaluated with gradient
 recording off, so no teacher parameter can ever receive a gradient.
 
 Each has the step interface of every `pipeline` objective: `step_loss`
-gives the loss of a batch's rows, `after_step` runs after the optimizer
-step, and `scores_val` is False. The MAE draws one mask per sample, keyed
-by its dataset index; the DINO `after_step` updates the teacher and center.
+gets the rows `pipeline.run_stage` drew for a step with their dataset
+indices, which key each row's MAE mask and DINO view augmentations, and
+gives their loss; `after_step` runs after the optimizer step (DINO's
+updates the teacher and center), and `scores_val` is False.
 """
 
 from __future__ import annotations
@@ -71,15 +72,14 @@ class MaeConfig:
     decoder_depth: int = 1
     norm_pix_targets: bool = False
 
+    def __post_init__(self):
+        for name in ("decoder_dim", "decoder_depth"):
+            if getattr(self, name) < 0:
+                raise ArgumentError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def decoder_width(self, embed_dim: int) -> int:
         """decoder_dim, or embed_dim // 2 when decoder_dim is 0."""
         return self.decoder_dim if self.decoder_dim > 0 else embed_dim // 2
-
-
-def _decoder_heads(dim: int) -> int:
-    for h in (4, 2, 1):
-        if dim % h == 0:
-            return h
 
 
 class MaskedReconstruction:
@@ -92,7 +92,6 @@ class MaskedReconstruction:
 
     PREFIX = "pretext.mae"
     scores_val = False
-    augment_policy = "none"  # the stage's, from `start_stage`
 
     def __init__(self, model: VisionTransformer, cfg: MaeConfig, rng: SeededRng):
         self.model = model
@@ -103,7 +102,7 @@ class MaskedReconstruction:
         if dd < 1:
             raise ArgumentError(f"decoder_dim = {cfg.decoder_dim} at embed_dim = "
                                 f"{vit_cfg.embed_dim} makes the MAE decoder {dd} wide")
-        group = ParamGroup.HEAD
+        group, heads = ParamGroup.HEAD, next(h for h in (4, 2, 1) if dd % h == 0)
         self.enc2dec = Linear(registry, rng.child("enc2dec"), f"{self.PREFIX}.enc2dec",
                               vit_cfg.embed_dim, dd, group)
         self.mask_token = registry.register(
@@ -113,32 +112,24 @@ class MaskedReconstruction:
             rng.child("dec_pos").trunc_normal((vit_cfg.num_patches + 1, dd)), group)
         self.blocks = [
             TransformerBlock(registry, rng.child(f"block{i}"),
-                             f"{self.PREFIX}.blocks.{i}", dd, _decoder_heads(dd),
-                             dd * 2, group)
+                             f"{self.PREFIX}.blocks.{i}", dd, heads, dd * 2, group)
             for i in range(cfg.decoder_depth)
         ]
         self.ln = LayerNorm(registry, f"{self.PREFIX}.ln", dd, group)
         self.pred = Linear(registry, rng.child("pred"), f"{self.PREFIX}.pred",
                            dd, vit_cfg.patch_dim, group)
 
-    def start_stage(self, augment_policy: str) -> None:
-        """Augment the rows of the stage's steps under `augment_policy`."""
-        self.augment_policy = augment_policy
+    def start_stage(self) -> None:
+        """Nothing: a stage starts from the decoder as the last one left it."""
 
-    def step_loss(self, images: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
-        """The loss of the rows `images[indices]`, augmented from the stream
-        `rng.child(f"augment/epoch{epoch}")` and masked from `mask/epoch{epoch}`."""
-        augment = rng.child(f"augment/epoch{epoch}")
-        batch = Tensor(batch_images(images, indices, self.augment_policy, augment))
-        return self.loss(batch, rng.child(f"mask/epoch{epoch}"), indices)
+    def step_loss(self, rows: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
+        """The masked-reconstruction loss of the [B,C,H,W] `rows`, whose dataset
+        indices are `indices`, masked from the stream `rng.child(f"mask/epoch{epoch}")`."""
+        pred, targets, mask = self.forward(Tensor(rows), rng.child(f"mask/epoch{epoch}"), indices)
+        return T.mse_masked(pred, targets, mask)
 
     def after_step(self) -> None:
         """Nothing: no state carries from one step to the next."""
-
-    def loss(self, images: Tensor, rng: SeededRng, sample_keys) -> Tensor:
-        """One masked-reconstruction loss over a batch of [B,C,H,W] images."""
-        pred, targets, mask_bool = self.forward(images, rng, sample_keys)
-        return T.mse_masked(pred, targets, mask_bool)
 
     def forward(self, images: Tensor, rng: SeededRng, sample_keys):
         """Predictions, per-patch pixel targets, and the boolean patch mask.
@@ -168,10 +159,11 @@ class MaskedReconstruction:
         tokens = T.take_tokens(self.model.embed_patches(patches), vis_idx)
         feats = self.model.forward_features(tokens)
 
-        dec = self.enc2dec(feats)  # [B, 1+V, dd]
-        full = T.scatter_tokens(T.narrow(dec, 1, 1, vis_idx.shape[1]), vis_idx,
-                                self.mask_token, n)
-        x = T.add(T.concat([T.narrow(dec, 1, 0, 1), full], axis=1), self.dec_pos)
+        # [B, 1+V, dd] -> [B, 1+N, dd]: the class token to position 0, each visible
+        # token to 1 + its patch index, the mask token everywhere else
+        dec_idx = np.pad(1 + vis_idx, ((0, 0), (1, 0)))
+        x = T.add(T.scatter_tokens(self.enc2dec(feats), dec_idx, self.mask_token, n + 1),
+                  self.dec_pos)
         for block in self.blocks:
             x = block(x)
         x = self.ln(x)
@@ -193,12 +185,17 @@ class DinoConfig:
     num_local_views: int = 2
 
     def __post_init__(self):
+        for name in ("teacher_temp", "student_temp"):
+            if not getattr(self, name) > 0:  # nan included
+                raise ArgumentError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.teacher_momentum < 1.0:
             raise ArgumentError(f"teacher_momentum must be in [0,1), got {self.teacher_momentum}")
         if not 0.0 <= self.center_momentum < 1.0:
             raise ArgumentError(f"center_momentum must be in [0,1), got {self.center_momentum}")
         if self.num_global_views < 2:
             raise ArgumentError("self-distillation needs at least 2 global views")
+        if self.num_local_views < 0:
+            raise ArgumentError(f"num_local_views must be >= 0, got {self.num_local_views}")
         if self.head_output_dim < 1:
             raise ArgumentError(f"head_output_dim must be >= 1, got {self.head_output_dim}")
 
@@ -245,8 +242,6 @@ def dino_loss(student_logits: list[Tensor], teacher_logits: np.ndarray,
     center)/teacher_temp) with no gradient; pairs where the student view
     index equals the teacher's global view index are skipped.
     """
-    if cfg.teacher_temp <= 0 or cfg.student_temp <= 0:
-        raise ArgumentError("temperatures must be > 0")
     g, bsz = cfg.num_global_views, student_logits[0].shape[0]
     if teacher_logits.shape[0] != g * bsz:
         raise ArgumentError(f"teacher logits have {teacher_logits.shape[0]} rows, expected "
@@ -296,15 +291,15 @@ class SelfDistillation:
         with self.model.registry.swap(self.teacher), T.no_grad():
             return self.student_forward(images).data
 
-    def start_stage(self, augment_policy: str) -> None:
-        """Drop the teacher for the stage's first `step_loss` to retake; the views
-        keep their own augmentation policies."""
+    def start_stage(self) -> None:
+        """Drop the teacher for the stage's first `step_loss` to retake."""
         self.teacher = None
 
-    def step_loss(self, images: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
-        """The loss over the augmented views of the rows `images[indices]`.
+    def step_loss(self, rows: np.ndarray, indices, rng: SeededRng, epoch: int) -> Tensor:
+        """The loss over the augmented views of the [B,C,H,W] `rows`, whose
+        dataset indices are `indices`.
 
-        View v is `batch_images(images, indices, policy, views.child(f"view{v}"))`
+        View v is `batch_images(rows, indices, policy, views.child(f"view{v}"))`
         with `views = rng.child(f"dino/epoch{epoch}")`, the global views
         ("dino_global") first, then the local ones ("dino_local"). One teacher
         forward runs over the global views stacked on the batch axis (each row
@@ -315,7 +310,7 @@ class SelfDistillation:
             self.teacher = {p.name: p.data.copy()
                             for p in self.model.registry.params(trainable=True)}
         rng, g = rng.child(f"dino/epoch{epoch}"), self.cfg.num_global_views
-        views = [Tensor(batch_images(images, indices, "dino_global" if v < g else "dino_local",
+        views = [Tensor(batch_images(rows, indices, "dino_global" if v < g else "dino_local",
                                      rng.child(f"view{v}")))
                  for v in range(g + self.cfg.num_local_views)]
         self.teacher_out = self.teacher_forward(T.concat(views[:g], axis=0))
@@ -363,13 +358,14 @@ def augment(rng: SeededRng, image: np.ndarray, policy: str | AugmentPolicy) -> n
     """One deterministic augmentation draw of a [C,H,W] image in [0,1]: the
     one-row call of `batch_images`' code path, drawing from `rng` itself.
     Policy "none" is the identity; crops are resized back to the input size."""
-    return _augment_rows(image[None], [0], _resolve(policy), [rng])[0]
+    return _augment_rows(image[None], _resolve(policy), [rng])[0]
 
 
-def batch_images(images: np.ndarray, indices, policy: str | AugmentPolicy,
+def batch_images(rows: np.ndarray, keys, policy: str | AugmentPolicy,
                  rng: SeededRng) -> np.ndarray:
-    """[B,C,H,W] rows `images[indices]`; row i is augmented under `policy`
-    from the stream `rng.child(f"sample{i}")`, and "none" draws nothing.
+    """The [B,C,H,W] `rows` augmented under `policy`: row r from the stream
+    `rng.child(f"sample{keys[r]}")`, keys[r] being its dataset index. Policy
+    "none" draws nothing and returns `rows` as given.
 
     There is one code path: `augment` is its one-row call. A Python loop
     draws each row's parameters, in this order and each only when its
@@ -387,13 +383,12 @@ def batch_images(images: np.ndarray, indices, policy: str | AugmentPolicy,
     reference, with which the pinned outputs were recorded), so they depend
     only on its image and its stream.
 
-    An unknown policy name is an `ArgumentError`, whatever `indices` holds.
+    An unknown policy name is an `ArgumentError`, whatever `rows` holds.
     """
     policy = _resolve(policy)
     if policy == POLICIES["none"]:
-        return images[indices]
-    return _augment_rows(images, indices, policy,
-                         [rng.child(f"sample{i}") for i in indices])
+        return rows
+    return _augment_rows(rows, policy, [rng.child(f"sample{k}") for k in keys])
 
 
 def _resolve(policy: str | AugmentPolicy) -> AugmentPolicy:
@@ -405,9 +400,9 @@ def _resolve(policy: str | AugmentPolicy) -> AugmentPolicy:
         raise ArgumentError(f"unknown augment policy: {policy!r}") from None
 
 
-def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> np.ndarray:
-    """`batch_images`' work on the rows `images[indices]`, row r drawing from `rngs[r]`."""
-    n, (h, w) = len(rngs), images.shape[2:]
+def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, rngs) -> np.ndarray:
+    """`batch_images`' work on the [n,C,H,W] `rows`, row r drawing from `rngs[r]`."""
+    n, (h, w) = len(rngs), rows.shape[2:]
     tops, lefts, chs, cws = [0] * n, [0] * n, [h] * n, [w] * n
     flips, sigmas, solar = np.zeros(n, bool), [None] * n, np.zeros(n, bool)
     bright, contrast = np.empty(n), np.empty(n)
@@ -430,7 +425,7 @@ def _augment_rows(images: np.ndarray, indices, policy: AugmentPolicy, rngs) -> n
         if policy.solarize_prob > 0:
             solar[r] = rng.random() < policy.solarize_prob
 
-    out = crop_resize(images[indices], tops, lefts, chs, cws, h, w)
+    out = crop_resize(rows, tops, lefts, chs, cws, h, w)
     out[flips] = out[flips, :, :, ::-1]
     if policy.brightness > 0:
         out *= bright[:, None, None, None]

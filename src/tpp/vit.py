@@ -45,6 +45,8 @@ class ViTConfig:
         for name in ("image_size", "patch_size", "embed_dim", "num_heads", "num_channels"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.depth < 0:  # depth 0 builds no block: the embeddings and the final norm alone
+            raise ArgumentError(f"depth must be >= 0, got {self.depth}")
         if self.image_size % self.patch_size != 0:
             raise ArgumentError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

@@ -153,6 +153,11 @@ class TestAccounting:
                       mlp_ratio=mlp_ratio)
         assert ViTConfig(embed_dim=16, num_heads=2, mlp_ratio=0.0625).mlp_dim == 1
 
+    def test_a_negative_depth_is_rejected_and_zero_is_kept(self):
+        with pytest.raises(ArgumentError, match="depth must be >= 0, got -3"):
+            ViTConfig(depth=-3)
+        assert ViTConfig(depth=0).depth == 0
+
     def test_backbone_count_closed_form(self):
         for cfg in (TINY, ViTConfig(image_size=32, patch_size=8, embed_dim=64,
                                     depth=4, num_heads=4)):

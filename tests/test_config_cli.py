@@ -934,3 +934,31 @@ class TestCli:
         assert code == 0
         table = capsys.readouterr().out
         assert len([l for l in table.splitlines() if l.startswith("| exp")]) == 1
+
+    @staticmethod
+    def _report_logs(tmp_path) -> list[str]:
+        logs = []
+        for seed, acc in ((1, 0.5), (2, 0.75)):
+            log = tmp_path / f"run{seed}.jsonl"
+            log.write_text("".join(json.dumps(r) + "\n" for r in [
+                {"event": "run_info", "label": "lora", "seed": seed},
+                {"event": "trainable_ratio", "value": 1.5},
+                {"split": "test", "metric": "acc", "value": acc}]))
+            logs.append(str(log))
+        return logs
+
+    def test_report_out_writes_the_markdown_it_would_print(self, tmp_path, capsys):
+        logs = self._report_logs(tmp_path)
+        assert main(["report", *logs]) == 0
+        printed = capsys.readouterr().out
+        assert "| lora   | 2     | 0.62 | 1.500 |" in printed.splitlines()
+        table = tmp_path / "table.md"
+        assert main(["report", *logs, "--out", str(table)]) == 0
+        assert capsys.readouterr().out == ""
+        assert table.read_text() == printed
+
+    def test_report_out_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        logs = self._report_logs(tmp_path)
+        assert main(["report", *logs, "--out", str(tmp_path / "missing" / "table.md")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tpp import pipeline
+from tpp import pipeline, pretext
 from tpp import tensor as T
 from tpp.checkpoint import Checkpoint, audit_freeze
 from tpp.data import SyntheticTaskSpec, generate_synthetic
@@ -15,7 +15,7 @@ from tpp.optim import AdamW, ScheduleSpec
 from tpp.peft import AdapterSpec, BitFitSpec, LoraSpec, reinit_target_params
 from tpp.pipeline import (InitSpec, Objective, Stage, build_bundle, default_plan,
                           evaluate, grid_search, run_stage, target_checkpoint)
-from tpp.pretext import SelfDistillation
+from tpp.pretext import MaskedReconstruction, SelfDistillation
 from tpp.registry import ParamGroup, ParamRegistry
 from tpp.rng import SeededRng
 from tpp.vit import ClassificationSpec, SegmentationSpec, ViTConfig
@@ -181,6 +181,64 @@ class TestSupervisedObjective:
         with pytest.raises(error, match=match):
             run_stage(_quick_plan(Stage.FINETUNE, objective, steps=1), bundle, splits,
                       SeededRng(0, "stage/ft"))
+
+
+class TestOneDrawPerStep:
+    """`run_stage` draws each step's rows once and hands the objective those rows."""
+
+    def _record(self, monkeypatch):
+        # ("draw" | "view", rows, keys, policy, rng path, result), or ("step", rows, indices)
+        calls = []
+        real_draw = pretext.batch_images
+
+        def spy(kind):
+            def batch_images(rows, keys, policy, rng):
+                out = real_draw(rows, keys, policy, rng)
+                calls.append((kind, rows, list(keys), policy, rng.path, out))
+                return out
+            return batch_images
+
+        monkeypatch.setattr(pipeline, "batch_images", spy("draw"))
+        monkeypatch.setattr(pretext, "batch_images", spy("view"))
+        for cls in (MaskedReconstruction, SelfDistillation, pipeline.Supervised):
+            def step_loss(objective, rows, indices, rng, epoch, real=cls.step_loss):
+                calls.append(("step", rows, list(indices)))
+                return real(objective, rows, indices, rng, epoch)
+            monkeypatch.setattr(cls, "step_loss", step_loss)
+        return calls
+
+    @pytest.mark.parametrize("objective, head, policy", [
+        (Objective.MAE, None, "finetune_light"),
+        (Objective.CE, ClassificationSpec(2), "none"),
+        (Objective.DINO, None, "none"),
+    ], ids=["mae", "ce", "dino"])
+    def test_each_step_draws_once_under_the_plans_policy(self, objective, head, policy,
+                                                         monkeypatch):
+        calls = self._record(monkeypatch)
+        splits = _splits()  # 16 train samples: 2 steps an epoch at batch 8
+        stage = Stage.FINETUNE if head else Stage.TPP
+        plan = _quick_plan(stage, objective, steps=3, augment_policy=policy)
+        bundle = build_bundle(TINY, seed=0, head_spec=head, peft_spec=AdapterSpec(2))
+        run_stage(plan, bundle, splits, SeededRng(0, "stage/x"))
+
+        dino = objective is Objective.DINO
+        per_step = 6 if dino else 2  # draw, step_loss, and each DINO view's draw
+        assert len(calls) == 3 * per_step
+        epoch_keys = {0: [], 1: []}
+        for step in range(3):
+            draw, loss, *views = calls[step * per_step:(step + 1) * per_step]
+            epoch = step // 2
+            kind, rows, keys, drawn_policy, path, out = draw
+            assert (kind, drawn_policy, path) == ("draw", policy, f"stage/x/augment/epoch{epoch}")
+            assert rows.tobytes() == splits.train.images[keys].tobytes()
+            assert loss[0] == "step" and loss[1] is out and loss[2] == keys
+            epoch_keys[epoch] += keys
+            assert [v[0] for v in views] == ["view"] * len(views)
+            for v, (_, view_rows, view_keys, view_policy, view_path, _) in enumerate(views):
+                assert view_rows is out and view_keys == keys
+                assert view_policy == ("dino_global" if v < 2 else "dino_local")
+                assert view_path == f"stage/x/dino/epoch{epoch}/view{v}"
+        assert sorted(epoch_keys[0]) == list(range(16)) and len(epoch_keys[1]) == 8
 
 
 class TestLogs:

@@ -115,12 +115,12 @@ class TestMaskedReconstruction:
     def test_fifty_tpp_steps_reduce_loss(self):
         model, reg, mae = _mae_setup(seed=2)
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
-        images = T.Tensor(np.random.default_rng(3).random((8, 1, 16, 16)))
+        images = np.random.default_rng(3).random((8, 1, 16, 16))
         opt = AdamW(reg.params(trainable=True))
         rng = SeededRng(4, "steps")
         losses = []
         for step in range(50):
-            loss = mae.loss(images, rng.child(f"s{step}"), range(8))
+            loss = mae.step_loss(images, range(8), rng.child(f"s{step}"), 0)
             losses.append(float(loss.data))
             T.backward(loss)
             opt.step(lr=1e-3, weight_decay=0.0)
@@ -132,8 +132,8 @@ class TestMaskedReconstruction:
     def test_backbone_gets_no_gradients_during_tpp(self):
         model, reg, mae = _mae_setup(seed=5)
         reg.set_group_trainable(ParamGroup.BACKBONE, False)
-        images = T.Tensor(np.random.default_rng(6).random((2, 1, 16, 16)))
-        T.backward(mae.loss(images, SeededRng(7, "mask"), range(2)))
+        images = np.random.default_rng(6).random((2, 1, 16, 16))
+        T.backward(mae.step_loss(images, range(2), SeededRng(7, "mask"), 0))
         assert all(p.grad is None for p in reg.params(group=ParamGroup.BACKBONE))
         assert all(p.grad is not None
                    for p in reg.params(group=ParamGroup.TARGET))
@@ -145,6 +145,13 @@ class TestMaskedReconstruction:
         with pytest.raises(ArgumentError, match="decoder 0 wide"):
             MaskedReconstruction(build_bundle(one, 0).backbone, MaeConfig(),
                                  SeededRng(0, "init/mae"))
+
+    @pytest.mark.parametrize("field, value", [("decoder_dim", -5), ("decoder_depth", -2)])
+    def test_a_negative_decoder_size_fails_at_construction(self, field, value):
+        # decoder_dim = -5 used to act as 0 ("auto"), decoder_depth = -2 built no block
+        with pytest.raises(ArgumentError, match=f"{field} must be >= 0, got {value}"):
+            MaeConfig(**{field: value})
+        assert MaeConfig(decoder_dim=0, decoder_depth=0).decoder_width(16) == 8
 
 
 class TestTeacherEma:
@@ -223,12 +230,16 @@ class TestDinoLoss:
         loss = dino_loss(student, teacher, rng.standard_normal(6), cfg)
         assert float(loss.data) >= 0.0
 
-    def test_bad_temperatures_rejected(self):
-        cfg = DinoConfig(head_output_dim=2)
-        object.__setattr__(cfg, "teacher_temp", 0.0)
-        with pytest.raises(ArgumentError):
-            dino_loss([T.Tensor(np.zeros((1, 2)))] * 2,
-                      np.zeros((2, 2)), np.zeros(2), cfg)
+    @pytest.mark.parametrize("name, value", [("teacher_temp", 0.0), ("student_temp", -1.0),
+                                             ("teacher_temp", float("nan")),
+                                             ("student_temp", float("nan"))])
+    def test_a_temperature_not_above_zero_fails_at_construction(self, name, value):
+        with pytest.raises(ArgumentError, match=f"{name} must be > 0, got {value}"):
+            DinoConfig(**{name: value})
+
+    def test_a_negative_local_view_count_fails_at_construction(self):
+        with pytest.raises(ArgumentError, match="num_local_views must be >= 0, got -1"):
+            DinoConfig(num_local_views=-1)
 
     def test_student_head_gradient_matches_finite_differences(self):
         bundle = build_bundle(TINY, 8)
@@ -283,9 +294,9 @@ class TestAugment:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ArgumentError):
             augment(SeededRng(0), np.zeros((1, 4, 4)), "mixup")
-        for indices in (np.arange(2), np.arange(0)):  # also when there is no row to draw for
+        for n in (2, 0):  # also when there is no row to draw for
             with pytest.raises(ArgumentError, match="mixup"):
-                batch_images(np.zeros((2, 1, 4, 4)), indices, "mixup", SeededRng(0))
+                batch_images(np.zeros((n, 1, 4, 4)), np.arange(n), "mixup", SeededRng(0))
 
     def test_jitter_keeps_batch_statistics_within_bounds(self):
         # brightness-only policy on a constant image: mean must stay in
@@ -386,7 +397,7 @@ class TestBatchedAugment:
             images, indices, rng = _oracle_batch(seed)
             want = np.stack([augment_row_by_row(rng.child(f"sample{i}"), images[i], policy)
                              for i in indices])
-            got = batch_images(images, indices, policy, rng)
+            got = batch_images(images[indices], indices, policy, rng)
             assert _same_bits(got, want), f"seed {seed}"
             for r, i in enumerate(indices[:8]):
                 assert _same_bits(augment(rng.child(f"sample{i}"), images[i], policy), want[r])
@@ -399,11 +410,11 @@ class TestBatchedAugment:
         policy = ORACLE_POLICIES[name]
         for seed in range(4):
             images, indices, rng = _oracle_batch(seed, rows=16)
-            full = batch_images(images, indices, policy, rng)
-            reversed_ = batch_images(images, indices[::-1], policy, rng)[::-1]
+            full = batch_images(images[indices], indices, policy, rng)
+            reversed_ = batch_images(images[indices[::-1]], indices[::-1], policy, rng)[::-1]
             assert _same_bits(full, reversed_)
             for r, i in enumerate(indices):
-                assert _same_bits(batch_images(images, [i], policy, rng)[0], full[r])
+                assert _same_bits(batch_images(images[[i]], [i], policy, rng)[0], full[r])
 
 
 def scipy_blur_rows(rows: np.ndarray, sigmas) -> np.ndarray:
