@@ -22,7 +22,13 @@ Contracts the rest of the package relies on:
   record time read. A `linear` node whose weight and LoRA A are frozen
   saves no input, a `layer_norm` that trains only its SSF shift saves
   nothing, and an `attention` whose q and k are frozen keeps only its
-  attention weights: the input dies as soon as the forward drops it.
+  attention weights: the input dies as soon as the forward drops it;
+* what a vjp can rebuild bit for bit from arrays it keeps anyway, it
+  rebuilds instead of keeping. An SSF `layer_norm` that keeps xhat rebuilds
+  its output from it, and an `attention` whose q and k both train (so it
+  keeps their heads) rebuilds its weights in batch blocks from the row max
+  and row sum of the softmax. Each rebuild repeats the forward's ops on the
+  same operands, so no bit of a cotangent depends on it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN_EPS = 1e-5
 _GELU_BLOCK = 32768  # elements: 256 KiB of float64, see `gelu`
+_ATTN_BLOCK = 131072  # scores: 1 MiB of float64, see `attention`
 
 
 class Node:
@@ -73,8 +80,11 @@ class Node:
     never holds an intermediate ``Tensor``. ``vjp(g)`` returns one cotangent
     per parent (None for parents that do not need one). Its closure holds
     only the arrays that those cotangents read, chosen when the op records
-    (a frozen-weight linear keeps the weight, not its input); they are
-    freed when the tape is cleared. ``idx`` is the node's position on the tape.
+    (a frozen-weight linear keeps the weight, not its input), less those it
+    rebuilds exactly from what it keeps (an SSF layer norm's output from
+    xhat, attention weights from q's and k's heads and two row
+    statistics); they are freed when the tape is cleared. ``idx`` is the
+    node's position on the tape.
     """
 
     __slots__ = ("parents", "vjp", "idx", "alive")
@@ -486,7 +496,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, ssf=None) -> Tensor:
     """y0 = xhat * gamma + beta, xhat normalizing the last axis (biased variance, eps 1e-5).
 
     `ssf = (scale, shift)` returns SSF's y0 * scale + shift from the same node.
-    The node keeps xhat only when x or gamma trains, y0 only when scale trains.
+    The node keeps xhat only when x or gamma trains. The scale's cotangent
+    reads y0: when xhat is kept, the vjp rebuilds y0 as xhat * gamma, then
+    += beta, the forward's two ops on the same operands, so its bits are the
+    forward's; otherwise the node keeps y0 itself.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     vectors = (gamma, beta) + tuple(ssf or ())
@@ -505,12 +518,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, ssf=None) -> Tensor:
         sd = ssf[0].data if ny else None
         nscale, nshift = ssf[0].requires_grad, ssf[1].requires_grad
     out = Tensor(y)
-    y0 = y0 if nscale else None
     xhat = xhat if (nx or ngamma) else None  # beta's cotangent reads no saved array
-    gd, inv = (gamma.data, inv) if nx else (None, None)
+    rebuild = nscale and xhat is not None  # y0 is one multiply-add away from xhat
+    y0 = y0 if (nscale and not rebuild) else None
+    gd = gamma.data if (nx or rebuild) else None
+    bd = beta.data if rebuild else None
+    inv = inv if nx else None
 
     def vjp(g):
-        g, *gssf = _scale_shift_vjp(g, y0, sd, ny, nscale, nshift) if has_ssf else (g,)
+        gssf = ()
+        if has_ssf:
+            y0r = y0
+            if rebuild:
+                y0r = xhat * gd
+                y0r += bd
+            g, *gssf = _scale_shift_vjp(g, y0r, sd, ny, nscale, nshift)
         dxhat, ggamma, gbeta = _scale_shift_vjp(g, xhat, gd, nx, ngamma, nbeta)
         gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) if nx else None
@@ -531,15 +553,25 @@ def attention(q, k, v, num_heads: int) -> Tensor:
     """softmax(q kᵀ / sqrt(hd)) v over `num_heads` heads of hd = d / num_heads, as one node.
 
     q is [B, Sq, d] and k, v [B, S, d]; the heads merge into a [B, Sq, d]
-    result. The node keeps the attention weights, q's heads only when k
-    trains, k's only when q trains, and v's only when q or k trains.
+    result. The node keeps q's heads only when k trains, k's only when q
+    trains, and v's only when q or k trains.
+
+    When q and k both train, the node keeps their heads anyway, so it keeps
+    only the softmax's row max and row sum in place of the attention weights
+    p, and the vjp rebuilds p, as FlashAttention does (arXiv 2205.14135).
+    Otherwise it keeps p. The vjp works in batch blocks of about
+    `_ATTN_BLOCK` scores, so its score-sized temporaries stay in a per-core
+    L2. A rebuilt block runs the forward's own ops on the same operands (the
+    per-matrix GEMM, `*= scale`, `-= max`, `exp`, `/= sum`), so p and every
+    cotangent keep their bits.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2] \
             or num_heads < 1 or q.shape[2] % num_heads:
         raise ShapeError(f"attention: need q [B,Sq,d] and k, v [B,S,d] with d divisible by "
                          f"{num_heads}; got {list(q.shape)}, {list(k.shape)}, {list(v.shape)}")
-    bsz, _, d = q.shape
+    bsz, sq, d = q.shape
+    sk = k.shape[1]
     hd = d // num_heads
     scale = 1.0 / np.sqrt(hd)
 
@@ -550,28 +582,51 @@ def attention(q, k, v, num_heads: int) -> Tensor:
         return np.reshape(np.transpose(t, (0, 2, 1, 3)), (bsz, t.shape[2], d))
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
-    scores *= scale
-    p = softmax(scores)
-    del scores
+
+    def weights(b, pmax=None, psum=None):  # the softmax of batch rows b; in place on its scores
+        p = np.matmul(qh[b], np.swapaxes(kh[b], -1, -2))
+        p *= scale
+        if pmax is None:
+            pmax = p.max(axis=-1, keepdims=True)
+        p -= pmax
+        np.exp(p, out=p)
+        if psum is None:
+            psum = p.sum(axis=-1, keepdims=True)
+        p /= psum
+        return p, pmax, psum
+
+    p, pmax, psum = weights(slice(None))
     out = Tensor(merge(np.matmul(p, vh)))
     nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
+    rebuild = nq and nk  # q's and k's heads are kept either way
+    rows = max(1, _ATTN_BLOCK // (num_heads * sq * sk))
+    p, pmax, psum = (None, pmax, psum) if rebuild else (p, None, None)
     qh = qh if nk else None
     kh = kh if nq else None
     vh = vh if (nq or nk) else None
+    qshape, kshape = q.shape, k.shape
 
     def vjp(g):
         g = heads(g)
-        gv = merge(np.matmul(np.swapaxes(p, -1, -2), g)) if nv else None
-        if not (nq or nk):
-            return None, None, gv
-        # d/dp becomes d/dscores in place: one score-sized array feeds both products
-        gs = np.matmul(g, np.swapaxes(vh, -1, -2))
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        gq = merge(np.matmul(gs, kh)) if nq else None
-        gk = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)) if nk else None
+        gq, gk, gv = (np.empty(shape) if need else None
+                      for shape, need in ((qshape, nq), (kshape, nk), (kshape, nv)))
+        for lo in range(0, bsz, rows):
+            b = slice(lo, lo + rows)
+            pb = weights(b, pmax[b], psum[b])[0] if rebuild else p[b]
+            gb = g[b]
+            if nv:
+                heads(gv)[b] = np.matmul(np.swapaxes(pb, -1, -2), gb)
+            if not (nq or nk):
+                continue
+            # d/dp becomes d/dscores in place: one score-sized array feeds both products
+            gs = np.matmul(gb, np.swapaxes(vh[b], -1, -2))
+            gs -= (gs * pb).sum(axis=-1, keepdims=True)
+            gs *= pb
+            gs *= scale
+            if nq:
+                heads(gq)[b] = np.matmul(gs, kh[b])
+            if nk:
+                heads(gk)[b] = np.swapaxes(np.matmul(np.swapaxes(qh[b], -1, -2), gs), -1, -2)
         return gq, gk, gv
 
     return _record(out, (q, k, v), vjp)

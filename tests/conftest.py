@@ -93,3 +93,26 @@ def saved_arrays(node) -> list[np.ndarray]:
     """The arrays a tape node's vjp closure keeps alive."""
     cells = node.vjp.__closure__ or ()
     return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+def rebuild_flags(tape, op: str) -> list[bool]:
+    """For each `op` node on the tape (`attention`, `layer_norm`), in tape order,
+    whether its vjp rebuilds an array it did not keep: its closure's `rebuild`."""
+    flags = []
+    for node in tape:
+        if node.vjp.__qualname__.startswith(op + "."):
+            cells = dict(zip(node.vjp.__code__.co_freevars, node.vjp.__closure__))
+            flags.append(cells["rebuild"].cell_contents)
+    return flags
+
+
+def saved_bytes(nodes) -> int:
+    """Bytes that the nodes' vjp closures keep alive, each base buffer counted once:
+    a view and the array it views (q's heads and q) are one buffer."""
+    bases = {}
+    for node in nodes:
+        for a in saved_arrays(node):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a
+    return sum(a.nbytes for a in bases.values())

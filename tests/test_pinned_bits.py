@@ -7,8 +7,9 @@ moment. Any change to the tape, the prompt insertion or the freezing that
 moves a single bit of a loss or a gradient fails here, and so does one that
 adds or removes a tape node.
 
-The workload cases pin only the tape nodes of one step at the benchmark's
-shapes, the numbers that ROADMAP tracks.
+The workload cases pin the tape of one step at the benchmark's shapes: its
+nodes, the activation bytes its vjps keep and the attention nodes that
+rebuild their weights, the numbers that ROADMAP tracks.
 
 Each chain case runs `pretrain-backbone -> tpp -> finetune` through
 `tpp.cli.main` and hashes every checkpoint it writes and the finetune log's
@@ -71,6 +72,8 @@ from tpp.registry import ParamGroup
 from tpp.rng import SeededRng
 from tpp.vit import ClassificationSpec, SegmentationSpec, ViTConfig
 
+from conftest import rebuild_flags, saved_bytes
+
 TINY = ViTConfig(image_size=16, patch_size=4, embed_dim=16, depth=2, num_heads=2)
 
 CASES = {
@@ -102,7 +105,9 @@ PINNED = {
 }
 
 
-def _step_digest(name: str, monkeypatch) -> tuple[str, int]:
+def _step_digest(name: str, monkeypatch) -> tuple[str, int, int]:
+    """The step's loss-and-gradients digest, its tape nodes and its attention
+    nodes that rebuild their weights."""
     stage, objective, peft, head, kind = CASES[name]
     spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=16, train_count=8,
                              val_count=2, test_count=2, noise=0.2)
@@ -122,7 +127,8 @@ def _step_digest(name: str, monkeypatch) -> tuple[str, int]:
             assert p.grad is not None, p.name
             h.update(p.name.encode())
             h.update(np.ascontiguousarray(p.grad).tobytes())
-        digests.append((h.hexdigest(), len(T.tape())))
+        tape = T.tape()
+        digests.append((h.hexdigest(), len(tape), sum(rebuild_flags(tape, "attention"))))
 
     monkeypatch.setattr(T, "backward", hashing_backward)
     run_stage(plan, bundle, train, SeededRng(0, f"stage/{name}"))
@@ -132,22 +138,27 @@ def _step_digest(name: str, monkeypatch) -> tuple[str, int]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_loss_and_grads_are_pinned(name, monkeypatch):
-    assert _step_digest(name, monkeypatch) == PINNED[name]
+    digest, nodes, rebuilding = _step_digest(name, monkeypatch)
+    assert (digest, nodes) == PINNED[name]
+    assert rebuilding > 0  # so the digest pins the bits of rebuilt attention weights too
 
 
-# Tape nodes at the first `backward` of a training step at the benchmark's
-# shapes (`tppbench/workloads.py`), seed 41. The shapes, not the data, set
-# the count, so the split holds one batch. ROADMAP tracks these numbers.
+# Tape nodes, saved-activation MB (10^6 bytes, each base buffer counted once)
+# and the attention nodes that rebuild their weights in the backward, at the
+# first `backward` of a training step at the benchmark's shapes
+# (`tppbench/workloads.py`), seed 41. The shapes, not the data, set the
+# numbers, so the split holds one batch. ROADMAP tracks them.
 WORKLOAD_NODES = {
-    # name: (model, stage, objective, peft, head, data kind, batch, nodes)
+    # name: (model, stage, objective, peft, head, data kind, batch,
+    #        (nodes, saved MB, rebuilding attention nodes))
     "dice-ce-ssf-64px": (ViTConfig(image_size=64), Stage.FINETUNE, Objective.DICE_CE,
-                         SsfSpec(), SegmentationSpec(2), "blob_seg", 32, 55),
+                         SsfSpec(), SegmentationSpec(2), "blob_seg", 32, (55, 84.3, 4)),
     "mae-tpp": (ViTConfig(), Stage.TPP, Objective.MAE, AdapterSpec(), None,
-                "textured_shapes_cls", 64, 73),
+                "textured_shapes_cls", 64, (73, 11.5, 4)),
     "mae-tpp-ssf": (ViTConfig(), Stage.TPP, Objective.MAE, SsfSpec(), None,
-                    "textured_shapes_cls", 64, 68),
+                    "textured_shapes_cls", 64, (68, 18.5, 5)),
     "dino-tpp": (ViTConfig(), Stage.TPP, Objective.DINO, LoraSpec(targets=("query", "value")),
-                 None, "textured_shapes_cls", 64, 224),
+                 None, "textured_shapes_cls", 64, (224, 79.5, 12)),
 }
 
 
@@ -157,22 +168,24 @@ class _FirstBackward(Exception):
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_NODES))
 def test_workload_step_node_counts_are_pinned(name, monkeypatch):
-    vit, stage, objective, peft, head, kind, batch, nodes = WORKLOAD_NODES[name]
+    vit, stage, objective, peft, head, kind, batch, pinned = WORKLOAD_NODES[name]
     spec = SyntheticTaskSpec(kind=kind, num_classes=2, image_size=vit.image_size,
                              train_count=batch, val_count=2, test_count=2)
     train = generate_synthetic(spec, SeededRng(41, "data")).train
     bundle = build_bundle(vit, seed=41, head_spec=head, peft_spec=peft)
     plan = default_plan(stage, objective, batch_size=batch, max_epochs=None, max_iterations=1)
-    counts = []
+    seen = []
 
-    def counting_backward(loss):
-        counts.append(len(T.tape()))
+    def measuring_backward(loss):
+        tape = T.tape()
+        seen.append((len(tape), round(saved_bytes(tape) / 1e6, 1),
+                     sum(rebuild_flags(tape, "attention"))))
         raise _FirstBackward
 
-    monkeypatch.setattr(T, "backward", counting_backward)
+    monkeypatch.setattr(T, "backward", measuring_backward)
     with pytest.raises(_FirstBackward):
         run_stage(plan, bundle, train, SeededRng(41, "stage"))
-    assert counts == [nodes]
+    assert seen == [pinned]
 
 
 CHAIN_CONFIG = """

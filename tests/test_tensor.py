@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpp import tensor as T
@@ -396,6 +396,35 @@ def _reference_attention(q, k, v, num_heads):
     return np.reshape(np.transpose(out, (0, 2, 1, 3)), (bsz, sq, d))
 
 
+def _keep_the_weights_attention(q, k, v, num_heads, g):
+    """Output and (gq, gk, gv) of attention over [B,S,d] arrays, with the weights
+    kept from the forward: the vjp `T.attention` ran before it rebuilt them."""
+    bsz, _, d = q.shape
+    hd = d // num_heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def heads(t):
+        return np.transpose(np.reshape(t, (bsz, t.shape[1], num_heads, hd)), (0, 2, 1, 3))
+
+    def merge(t):
+        return np.reshape(np.transpose(t, (0, 2, 1, 3)), (bsz, t.shape[2], d))
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
+    scores *= scale
+    p = T.softmax(scores)
+    out = merge(np.matmul(p, vh))
+    g = heads(g)
+    gv = merge(np.matmul(np.swapaxes(p, -1, -2), g))
+    gs = np.matmul(g, np.swapaxes(vh, -1, -2))
+    gs -= (gs * p).sum(axis=-1, keepdims=True)
+    gs *= p
+    gs *= scale
+    gq = merge(np.matmul(gs, kh))
+    gk = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2))
+    return out, (gq, gk, gv)
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
         assert np.allclose(T.softmax(np.zeros(3)), 1.0 / 3.0, atol=1e-15)
@@ -444,6 +473,29 @@ class TestAttention:
         out = T.attention(q, k, v, heads)
         assert out.shape == (2, sq, 16)
         assert np.array_equal(out.data, _reference_attention(q.data, k.data, v.data, heads))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 9), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    # Sq = 1; Sq = Sk, 5 rows in blocks of 2, 2 and 1; a batch of one
+    @example(bsz=3, sq=1, sk=6, num_heads=2, hd=3, rows=2, v_trains=True, seed=1)
+    @example(bsz=5, sq=7, sk=7, num_heads=2, hd=2, rows=2, v_trains=True, seed=2)
+    @example(bsz=1, sq=4, sk=9, num_heads=3, hd=2, rows=1, v_trains=False, seed=3)
+    def test_rebuilt_weights_give_the_kept_weights_cotangents_byte_for_byte(
+            self, bsz, sq, sk, num_heads, hd, rows, v_trains, seed):
+        rng = np.random.default_rng(seed)
+        d = num_heads * hd
+        q, k, v = (T.Tensor(rng.standard_normal((bsz, n, d)) * 3, requires_grad=trains)
+                   for n, trains in ((sq, True), (sk, True), (sk, v_trains)))
+        g = rng.standard_normal((bsz, sq, d))
+        with pytest.MonkeyPatch.context() as m:  # `rows` batch rows a block
+            m.setattr(T, "_ATTN_BLOCK", rows * num_heads * sq * sk)
+            out = T.attention(q, k, v, num_heads)
+            grads = out.node.vjp(g)
+        want_out, want = _keep_the_weights_attention(q.data, k.data, v.data, num_heads, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        for got, ref, trains in zip(grads, want, (True, True, v_trains)):
+            assert (got.tobytes() == ref.tobytes()) if trains else got is None
 
     @pytest.mark.parametrize("shapes,heads", [
         (((2, 3, 4), (2, 3, 4), (2, 3, 4)), 3),   # d not divisible by the heads
@@ -709,7 +761,7 @@ class TestTapeLiveness:
         assert [a is w.data for a in saved_arrays(out.node)] == [True]
 
     @pytest.mark.parametrize("frozen,kept", [
-        ((), "qkv"),
+        ((), "qkv"),         # q's and k's heads rebuild the weights
         (("k",), "kv"),      # q's heads feed only k's cotangent
         (("q",), "qv"),      # and k's heads only q's
         (("q", "k"), ""),    # v's cotangent reads the attention weights alone
@@ -718,13 +770,15 @@ class TestTapeLiveness:
     def test_attention_keeps_only_what_its_cotangents_read(self, frozen, kept):
         q, k, v = _attention_inputs(3, 4, 6, seed=68, frozen=frozen)
         saved = saved_arrays(T.attention(q, k, v, 2).node)
-        weights = [a for a in saved if a.shape == (2, 2, 3, 4)]
-        assert len(weights) == 1 and not any(np.shares_memory(weights[0], t.data)
-                                             for t in (q, k, v))
+        # the [2, 2, 3, 4] weights, or the row max and row sum that rebuild them
+        rebuilt = "q" in kept and "k" in kept
+        weights = [a for a in saved if a.shape == ((2, 2, 3, 1) if rebuilt else (2, 2, 3, 4))]
+        assert len(weights) == (2 if rebuilt else 1)
+        assert not any(np.shares_memory(w, t.data) for w in weights for t in (q, k, v))
         inputs = {name: t for name, t in zip("qkv", (q, k, v))}
         assert "".join(n for n, t in inputs.items()
                        if any(np.shares_memory(a, t.data) for a in saved)) == kept
-        assert len(saved) == 1 + len(kept)
+        assert len(saved) == len(weights) + len(kept)
 
     @pytest.mark.parametrize("terms", PEFT_TERMS)
     def test_frozen_weight_linear_keeps_no_input_sized_array(self, terms):
@@ -761,7 +815,7 @@ class TestTapeLiveness:
         (False, ("shift",), 0),           # nothing: the shift's cotangent is a column sum
         (False, ("scale", "shift"), 1),   # the LayerNorm output, for the scale's cotangent
         (True, ("shift",), 1),            # xhat, for the input's cotangent
-        (True, ("scale", "shift"), 2),    # both
+        (True, ("scale", "shift"), 1),    # xhat: the LayerNorm output is rebuilt from it
     ])
     def test_frozen_affine_ssf_layer_norm_keeps_only_what_its_cotangents_read(
             self, x_trains, trains, activations):
